@@ -408,9 +408,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="rankdec",
         description="exact computations with completely decomposable "
                     "rank-metric codes")
-    p.add_argument("--cap", type=int,
-                   default=int(os.environ.get("RANKDEC_CAP", DEFAULT_ENUM_CAP)),
-                   help="codeword enumeration budget")
+    p.add_argument("--cap", type=int, default=None,
+                   help="codeword enumeration budget (default: $RANKDEC_CAP, "
+                        f"else {DEFAULT_ENUM_CAP})")
     p.add_argument("--pcap", type=int, default=DEFAULT_PROJ_CAP,
                    help="projective point scan budget")
     p.add_argument("--seed", type=int, default=0)
@@ -459,6 +459,14 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
+    if args.cap is None:
+        env_cap = os.environ.get("RANKDEC_CAP", str(DEFAULT_ENUM_CAP))
+        try:
+            args.cap = int(env_cap)
+        except ValueError:
+            print(f"RANKDEC_CAP must be an integer, not {env_cap!r}",
+                  file=sys.stderr)
+            return EXIT_USAGE
     try:
         cfg = RunConfig(enumeration_cap=args.cap, projective_cap=args.pcap,
                         seed=args.seed, threads=args.threads,

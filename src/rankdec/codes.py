@@ -32,9 +32,11 @@ from .enumeration import (
     DEFAULT_PROJ_CAP,
     message_from_index,
     message_space_size,
-    weight_counts,
+    projective_count,
+    projective_points,
+    projective_weights,
 )
-from .errors import CapExceededError
+from .errors import CapExceededError, FalsificationAlarm
 from .fields import FieldContext
 from .linalg import (
     RowSpace,
@@ -330,9 +332,13 @@ def is_nondegenerate(code: RankCode) -> bool:
 
 def weight_distribution(code: RankCode, cap: int = DEFAULT_ENUM_CAP,
                         threads: int = 1) -> WeightDistribution:
-    counts = weight_counts(code.ctx, code.generator, cap=cap, threads=threads)
-    return WeightDistribution(counts, expected_total=message_space_size(
-        code.ctx, code.k))
+    """Exact distribution from the normalised messages only
+    (A_i = (q^m - 1) * P_i); the cap still bounds all q^(mk) messages."""
+    total = message_space_size(code.ctx, code.k)
+    if total > cap:
+        raise CapExceededError(total, cap, "codeword enumeration")
+    _, counts = projective_weights(code.ctx, code.generator, threads=threads)
+    return WeightDistribution(counts, expected_total=total)
 
 
 def min_distance(code: RankCode, cap: int = DEFAULT_ENUM_CAP,
@@ -346,7 +352,9 @@ def is_mrd(code: RankCode, cap: int = DEFAULT_ENUM_CAP) -> bool:
     d = min_distance(code, cap=cap)
     lhs = ctx.m * code.k
     rhs = max(ctx.m, code.n) * (min(ctx.m, code.n) - d + 1)
-    assert lhs <= rhs, "Singleton-like bound violated"
+    if lhs > rhs:
+        raise FalsificationAlarm(
+            f"Singleton-like bound violated: mk = {lhs} > {rhs}")
     return lhs == rhs
 
 
@@ -482,67 +490,35 @@ def detect_complete_decomposability(code: RankCode,
                                     ) -> Optional[Decomposition]:
     """Search for a basis whose weights sum to the length.
 
-    Computes the dual system U' and the line dimensions
-    d_x = dim(U' n <x>) over projective points x, then backtracks over
-    F_{q^m}-independent points maximizing the d_x total; a decomposition
-    exists iff k independent points reach sum(d_x) = km - n with every
-    d_x >= 1.  Returns the sorted-type record or None.
+    Takes the line dimensions d_x = dim(U' n <x>) = m - w(xG) of the
+    dual system U' over projective points x from one projective weight
+    enumeration, then backtracks over F_{q^m}-independent points
+    maximizing the d_x total; a decomposition exists iff k independent
+    points reach sum(d_x) = km - n with every d_x >= 1.  Returns the
+    sorted-type record or None.
     """
-    from .systems import line_intersection_dim, perp_prime, system_from_code
-
     ctx = code.ctx
-    from .enumeration import projective_count, projective_points
-
     if not is_nondegenerate(code):
         return None
     npts = projective_count(ctx, code.k)
     if npts > pcap:
         raise CapExceededError(npts, pcap, "projective point scan")
-    u = system_from_code(code)
-    udual = perp_prime(u)
-    cands = []
-    for x in projective_points(ctx, code.k):
-        d = line_intersection_dim(udual, x)
-        if d >= 1:
-            cands.append((d, x))
+    point_weights, _ = projective_weights(ctx, code.generator)
+    cands = [(ctx.m - int(w), x)
+             for x, w in zip(projective_points(ctx, code.k), point_weights)
+             if w < ctx.m]
     cands.sort(key=lambda t: -t[0])
-    target = ctx.m * code.k - code.n
-
-    def best_possible(start, need):
-        total = 0
-        for j in range(start, min(start + need, len(cands))):
-            total += cands[j][0]
-        return total
-
-    picked = []
-
-    def extend(start, total, basis_rows):
-        if len(picked) == code.k:
-            return total == target
-        need = code.k - len(picked)
-        if total + best_possible(start, need) < target:
-            return False
-        for idx in range(start, len(cands)):
-            d, x = cands[idx]
-            if total + d + best_possible(idx + 1, need - 1) < target:
-                return False
-            new_rows, piv = field_rref(basis_rows + [list(x)], ctx)
-            if len(new_rows) != len(picked) + 1:
-                continue
-            picked.append((d, x))
-            if extend(idx + 1, total + d, [list(r) for r in new_rows]):
-                return True
-            picked.pop()
-        return False
-
-    if not extend(0, 0, []):
+    picked = _pick_basis(ctx, cands, code.k, ctx.m * code.k - code.n)
+    if picked is None:
         return None
 
     rows = [list(x) for _, x in picked]
     cwords = [code.codeword(x) for x in rows]
     supports = [support(ctx, c) for c in cwords]
     weights = [s.dim for s in supports]
-    assert sum(weights) == code.n
+    if sum(weights) != code.n:
+        raise FalsificationAlarm(
+            f"picked basis has weights {weights}, which do not sum to n = {code.n}")
     # coordinate change sending each support onto its own block
     p_rows = []
     for s in supports:
@@ -555,8 +531,10 @@ def detect_complete_decomposability(code: RankCode,
         offs.append(offs[-1] + w)
     blocks = []
     for i, row in enumerate(moved):
-        assert all(v == 0 for j, v in enumerate(row)
-                   if not offs[i] <= j < offs[i + 1]), "support not block-aligned"
+        if any(v for j, v in enumerate(row) if not offs[i] <= j < offs[i + 1]):
+            raise FalsificationAlarm(
+                f"codeword {i} is not supported on its own block after the "
+                "coordinate change")
         blocks.append(tuple(row[offs[i]:offs[i + 1]]))
     # sort blocks and push the permutation into the coordinate map
     order = sorted(range(len(blocks)), key=lambda i: -weights[i])
@@ -572,6 +550,43 @@ def detect_complete_decomposability(code: RankCode,
     dec = Decomposition(tuple(weights[i] for i in order),
                         tuple(blocks[i] for i in order), col_map)
     return dec
+
+
+def _pick_basis(ctx, cands, k, target):
+    """First k F_{q^m}-independent candidates (d, x), in depth-first
+    order over the d-sorted list, whose d total reaches target; None if
+    there are none.  A branch is cut when even the next best d values
+    cannot reach the target."""
+    prefix = [0]  # prefix[j]: d total of the first j candidates
+    for d, _ in cands:
+        prefix.append(prefix[-1] + d)
+    picked = []
+    if _extend_basis(ctx, cands, prefix, k, target, picked, 0, 0, []):
+        return picked
+    return None
+
+
+def _extend_basis(ctx, cands, prefix, k, target, picked, start, total,
+                  basis_rows) -> bool:
+    if len(picked) == k:
+        return total == target
+    need = k - len(picked)
+    end = len(cands)
+    if total + prefix[min(start + need, end)] - prefix[start] < target:
+        return False
+    for idx in range(start, end):
+        d, x = cands[idx]
+        if total + d + prefix[min(idx + need, end)] - prefix[idx + 1] < target:
+            return False
+        new_rows, _ = field_rref(basis_rows + [list(x)], ctx)
+        if len(new_rows) != len(picked) + 1:
+            continue
+        picked.append((d, x))
+        if _extend_basis(ctx, cands, prefix, k, target, picked, idx + 1,
+                         total + d, [list(r) for r in new_rows]):
+            return True
+        picked.pop()
+    return False
 
 
 # ----------------------------------------------------------------------
@@ -765,7 +780,6 @@ def geometric_dual(code: RankCode, pcap: int = DEFAULT_PROJ_CAP) -> RankCode:
     if code.decomposition is not None:
         duals = [trace_dual(span(ctx, u)) for u in code.decomposition.blocks]
         return build_completely_decomposable(ctx, [d.basis for d in duals])
-    from .enumeration import projective_count, projective_points
     from .systems import line_intersection_dim, perp_prime, system_from_code
 
     u = system_from_code(code)

@@ -4,12 +4,27 @@ The message space F_{q^m}^k is an F_q-space of dimension m*k; its
 elements are indexed by base-q digit vectors (digit j scales basis
 message number j, where basis message j = i*m + s puts the s-th power
 of the modulus root into component i).  The codeword map is F_q-linear
-in the message, so all q^(mk) codewords are generated from the m*k
-basis codewords by a doubling construction, processed in contiguous
-chunks: each chunk combines a fixed low-digit table with one high-digit
-offset codeword.  Chunks are disjoint, carry private count vectors and
-are merged by integer addition, so counts are independent of chunk
-size and of the number of worker threads.
+in the message, so the codewords of an affine coset offset + span_Fq(B)
+of basis codewords B are generated by a doubling construction,
+processed in contiguous chunks: each chunk combines a fixed low-digit
+table (which carries the offset) with one high-digit offset codeword.
+Chunks are disjoint, carry private results and are merged by integer
+addition or by position, so results are independent of the chunk size
+and of the number of worker threads.
+
+Two entry points share the chunk kernel:
+
+* :func:`weight_counts` enumerates all q^(mk) messages (the linear
+  subspace, offset zero).  It is the full-enumeration oracle.
+* :func:`projective_weights` enumerates only the normalised messages
+  (first nonzero coordinate 1), one coset G_i + span_Fq(G_{i+1..k}) per
+  lead position i, giving one weight per point of
+  :func:`projective_points`.  Rank weight is invariant under nonzero
+  F_{q^m}-scalars, so A_0 = 1 and A_i = (q^m - 1) * P_i for i >= 1,
+  where P_i counts normalised messages of weight i: a factor q^m - 1
+  less work than the full enumeration.  The same per-point weights
+  give the line dimensions of decomposability detection,
+  d_x = dim(U' n <x>) = m - w(xG) for the dual system U'.
 
 Two backends compute the per-codeword rank weight (the F_q-dimension of
 the span of the n entries):
@@ -28,12 +43,13 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .errors import CapExceededError
+from .errors import CapExceededError, FalsificationAlarm
 
 DEFAULT_ENUM_CAP = 1 << 24
 DEFAULT_PROJ_CAP = 1 << 16
 
-_CHUNK_TARGET = 1 << 16
+#: words per chunk: the largest power of q at most this many
+DEFAULT_CHUNK_TARGET = 1 << 16
 
 
 def message_space_size(ctx, k: int) -> int:
@@ -68,25 +84,21 @@ def index_of_message(ctx, k: int, msg) -> int:
     return idx
 
 
+def _packed_ok(ctx) -> bool:
+    return ctx.p == 2 and ctx.a == 1
+
+
 def _basis_codewords(ctx, generator):
+    """Kernel rows of all basis messages: row i*m + s is x^s * G_i, so
+    row i*m is the generator row G_i itself."""
     k = len(generator)
     powers = ctx.subfield_power_basis(1)
     rows = []
     for i in range(k):
         for s in range(ctx.m):
             rows.append([ctx.mul(powers[s], g) for g in generator[i]])
-    return rows
-
-
-def _packed_ok(ctx) -> bool:
-    return ctx.p == 2 and ctx.a == 1
-
-
-def _pack_rows(ctx, rows):
-    return [np.array(row, dtype=np.uint64) for row in rows]
-
-
-def _code_rows(ctx, rows):
+    if _packed_ok(ctx):
+        return [np.array(row, dtype=np.uint64) for row in rows]
     out = []
     for row in rows:
         arr = [[ctx.fq_code(c) for c in ctx.q_coords(entry)] for entry in row]
@@ -147,57 +159,48 @@ def _rank_rows_generic(cw: np.ndarray, tables) -> np.ndarray:
 
 
 class _Kernel:
-    """Shared chunk machinery for both backends."""
+    """Chunked enumeration of the coset offset + span_Fq(rows), where
+    rows and offset come from :func:`_basis_codewords`; word number t
+    is offset + sum_j d_j * rows[j] for the base-q digits d_j of t."""
 
-    def __init__(self, ctx, generator):
-        self.ctx = ctx
-        self.k = len(generator)
-        self.n = len(generator[0])
+    def __init__(self, ctx, rows, offset, chunk_target: int):
         self.m = ctx.m
-        self.q = ctx.q
-        self.total_digits = ctx.m * self.k
-        self.total = self.q**self.total_digits
-        rows = _basis_codewords(ctx, generator)
+        self.q = q = ctx.q
         self.packed = _packed_ok(ctx)
+        digits = len(rows)
+        self.words = q**digits
         # low-digit count: the largest power of q at most the chunk target
         low = 0
-        while low < self.total_digits and self.q ** (low + 1) <= _CHUNK_TARGET:
+        while low < digits and q ** (low + 1) <= chunk_target:
             low += 1
-        self.low = max(low, min(1, self.total_digits))
-        self.chunk_size = self.q**self.low
-        self.n_chunks = self.q ** (self.total_digits - self.low)
+        low = max(low, min(1, digits))
+        self.chunk_size = q**low
+        self.n_chunks = q ** (digits - low)
+        self.high_rows = rows[low:]
+        table = offset[None]
         if self.packed:
-            brows = _pack_rows(ctx, rows)
-            table = np.zeros((1, self.n), dtype=np.uint64)
-            for j in range(self.low):
-                table = np.concatenate([table, table ^ brows[j]])
-            self.low_table = table
-            self.high_rows = brows[self.low:]
+            for j in range(low):
+                table = np.concatenate([table, table ^ rows[j]])
         else:
             self.tables = ctx.q_tables()
             add, sub, mul, inv = self.tables
-            brows = _code_rows(ctx, rows)
-            table = np.zeros((1, self.n, self.m), dtype=np.uint8)
-            for j in range(self.low):
+            for j in range(low):
                 parts = [table]
-                for c in range(1, self.q):
-                    parts.append(add[table, mul[c, brows[j]][None, :, :]])
+                for c in range(1, q):
+                    parts.append(add[table, mul[c, rows[j]][None, :, :]])
                 table = np.concatenate(parts)
-            self.low_table = table
-            self.high_rows = brows[self.low:]
+        self.low_table = table
 
     def chunk_codewords(self, chunk_idx: int) -> np.ndarray:
+        h = chunk_idx
+        base = np.zeros_like(self.low_table[0])
         if self.packed:
-            base = np.zeros(self.n, dtype=np.uint64)
-            h = chunk_idx
             for row in self.high_rows:
                 if h & 1:
                     base = base ^ row
                 h >>= 1
             return self.low_table ^ base
         add, sub, mul, inv = self.tables
-        base = np.zeros((self.n, self.m), dtype=np.uint8)
-        h = chunk_idx
         for row in self.high_rows:
             d = h % self.q
             h //= self.q
@@ -212,27 +215,34 @@ class _Kernel:
         return _rank_rows_generic(cw, self.tables)
 
 
+def _map_chunks(fn, jobs, threads: int):
+    """fn over the jobs in order, on a pool of more than one thread."""
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(fn, jobs))
+    return [fn(job) for job in jobs]
+
+
 def weight_counts(ctx, generator, cap: int = DEFAULT_ENUM_CAP,
-                  threads: int = 1) -> list[int]:
+                  threads: int = 1,
+                  chunk_target: int = DEFAULT_CHUNK_TARGET) -> list[int]:
     """Exact weight distribution (A_0, ..., A_n) by full enumeration."""
     total = message_space_size(ctx, len(generator))
     if total > cap:
         raise CapExceededError(total, cap, "codeword enumeration")
-    kern = _Kernel(ctx, generator)
-    bins = np.zeros(kern.n + 1, dtype=np.int64)
+    rows = _basis_codewords(ctx, generator)
+    kern = _Kernel(ctx, rows, np.zeros_like(rows[0]), chunk_target)
+    n = len(generator[0])
 
     def one(idx):
-        return np.bincount(kern.chunk_ranks(idx), minlength=kern.n + 1)
+        return np.bincount(kern.chunk_ranks(idx), minlength=n + 1)
 
-    if threads > 1 and kern.n_chunks > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for part in pool.map(one, range(kern.n_chunks)):
-                bins += part
-    else:
-        for idx in range(kern.n_chunks):
-            bins += one(idx)
-    counts = [int(x) for x in bins]
-    assert sum(counts) == kern.total
+    parts = _map_chunks(one, range(kern.n_chunks),
+                        threads if kern.n_chunks > 1 else 1)
+    counts = [int(x) for x in np.sum(parts, axis=0)]
+    if sum(counts) != total:
+        raise FalsificationAlarm(
+            f"weight counts sum to {sum(counts)}, not q^(mk) = {total}")
     return counts
 
 
@@ -241,11 +251,54 @@ def weights_array(ctx, generator, cap: int = DEFAULT_ENUM_CAP) -> np.ndarray:
     total = message_space_size(ctx, len(generator))
     if total > cap:
         raise CapExceededError(total, cap, "codeword enumeration")
-    kern = _Kernel(ctx, generator)
-    out = np.empty(kern.total, dtype=np.uint8)
+    rows = _basis_codewords(ctx, generator)
+    kern = _Kernel(ctx, rows, np.zeros_like(rows[0]), DEFAULT_CHUNK_TARGET)
+    out = np.empty(kern.words, dtype=np.uint8)
     for idx in range(kern.n_chunks):
         out[idx * kern.chunk_size:(idx + 1) * kern.chunk_size] = kern.chunk_ranks(idx)
     return out
+
+
+def projective_weights(ctx, generator, threads: int = 1,
+                       chunk_target: int = DEFAULT_CHUNK_TARGET):
+    """Weights w(xG) of the normalised messages, and the full counts.
+
+    Returns ``(weights, counts)``: ``weights`` is a uint8 array with one
+    entry per point of :func:`projective_points`, in that order, and
+    ``counts`` is (A_0, ..., A_n) with A_0 = 1 + (q^m - 1) * P_0 and
+    A_i = (q^m - 1) * P_i, equal to :func:`weight_counts` for every
+    generator.  The caller owns the budget: the work is
+    :func:`projective_count` words.
+    """
+    k, m, qm = len(generator), ctx.m, ctx.order
+    rows = _basis_codewords(ctx, generator)
+    kernels = [_Kernel(ctx, rows[(i + 1) * m:], rows[i * m], chunk_target)
+               for i in range(k)]
+    starts = np.cumsum([0] + [kern.words for kern in kernels])
+    out = np.empty(int(starts[-1]), dtype=np.uint8)
+    jobs = [(kern, int(start) + idx * kern.chunk_size, idx)
+            for kern, start in zip(kernels, starts) for idx in range(kern.n_chunks)]
+
+    def one(job):
+        kern, pos, idx = job
+        out[pos:pos + kern.chunk_size] = kern.chunk_ranks(idx)
+
+    # a pool only pays off beyond one full chunk of work
+    _map_chunks(one, jobs, threads if len(out) > chunk_target else 1)
+    if ctx.a != 1:
+        # kernel words run in F_q-digit order, points in field-int order
+        table = ctx.q_index_table()
+        perm = np.zeros(1, dtype=np.int64)
+        for i in range(k - 1, -1, -1):
+            block = slice(int(starts[i]), int(starts[i + 1]))
+            out[block] = out[block][perm]
+            if i:
+                # lead i - 1 frees component i as its least significant digit
+                perm = np.add.outer(perm * qm, table).ravel()
+    p = np.bincount(out, minlength=len(generator[0]) + 1)
+    counts = [int(x) * (qm - 1) for x in p]
+    counts[0] += 1
+    return out, counts
 
 
 def projective_count(ctx, k: int) -> int:

@@ -572,6 +572,23 @@ class FieldContext:
             self._caches[key] = (add, sub, mul, inv)
         return self._caches[key]
 
+    def q_index_table(self) -> np.ndarray:
+        """For every element z, the index sum_s fq_code(c_s) * q^s of its
+        F_q-coordinates z = sum_s c_s x^s in the power basis: the order
+        in which the enumeration kernels list F_{q^m}.  The identity for
+        a = 1; int64, cached."""
+        key = ("qindex",)
+        if key not in self._caches:
+            # elements listed by index, one F_q-digit at a time
+            elems = [0]
+            for xs in self.subfield_power_basis(1):
+                scaled = [self.mul(self.fq_from_code(c), xs) for c in range(self.q)]
+                elems = [self.add(z, cx) for cx in scaled for z in elems]
+            table = np.empty(self.order, dtype=np.int64)
+            table[elems] = np.arange(self.order, dtype=np.int64)
+            self._caches[key] = table
+        return self._caches[key]
+
     # ------------------------------------------------------------------
     # multiplicative generators
     # ------------------------------------------------------------------

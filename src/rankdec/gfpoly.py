@@ -48,10 +48,12 @@ def poly_mul(f, g, p):
 
 
 def poly_divmod(f, g, p):
-    """Quotient and remainder; g need not be monic."""
+    """Quotient and remainder; g need not be monic, and trailing zero
+    coefficients of either input are ignored."""
+    g = trim(list(g))
     if not g:
         raise ZeroDivisionError("polynomial division by zero")
-    f = list(f)
+    f = trim(list(f))
     dg = len(g) - 1
     lead_inv = pow(g[-1], -1, p)
     quot = [0] * max(len(f) - dg, 0)

@@ -102,6 +102,12 @@ class TestWdist:
         monkeypatch.setenv("RANKDEC_CAP", "100")
         assert main(["wdist", str(code_path)]) == EXIT_CAP
 
+    def test_env_cap_not_an_integer(self, monkeypatch, capsys, code_path):
+        monkeypatch.setenv("RANKDEC_CAP", "abc")
+        assert main(["wdist", str(code_path)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "RANKDEC_CAP" in err
+
 
 class TestVerify:
     def test_bounds_suite_passes(self, capsys):

@@ -1,19 +1,29 @@
 """Enumeration kernels: message indexing, chunk partitioning, both
 rank backends, and the cap contract."""
 
+import random
+
 import pytest
 
 from rankdec import CapExceededError, FieldContext
-from rankdec.codes import build_completely_decomposable, rank_weight
+from rankdec.codes import (
+    apply_equivalence,
+    build_completely_decomposable,
+    random_gl,
+    random_gl_ext,
+    rank_weight,
+)
 from rankdec.enumeration import (
     index_of_message,
     message_from_index,
     message_space_size,
     projective_count,
     projective_points,
+    projective_weights,
     weight_counts,
     weights_array,
 )
+from rankdec.systems import line_intersection_dim, perp_prime, system_from_code
 
 
 def test_message_index_roundtrip(f16, f81):
@@ -41,18 +51,11 @@ def test_weights_array_matches_counts(f16):
 
 def test_chunking_invariance(f64):
     """Counts must not depend on the chunk split (partition contract)."""
-    from rankdec import enumeration
-
     lam = f64.elements_of_degree(6)[0]
     c = build_completely_decomposable(f64, [[1, lam], [1, lam]])
     base = weight_counts(f64, c.generator)
-    original = enumeration._CHUNK_TARGET
-    try:
-        for target in (1 << 4, 1 << 9):
-            enumeration._CHUNK_TARGET = target
-            assert weight_counts(f64, c.generator) == base
-    finally:
-        enumeration._CHUNK_TARGET = original
+    for target in (1 << 4, 1 << 9):
+        assert weight_counts(f64, c.generator, chunk_target=target) == base
 
 
 def test_threaded_counts_identical(f64):
@@ -102,3 +105,56 @@ def test_projective_points(f16):
     for p in pts:
         lead = next(i for i, v in enumerate(p) if v)
         assert p[lead] == 1
+
+
+def _scrambled(ctx, typ, seed):
+    """A completely decomposable code of the given type behind a random
+    basis change and a random coordinate map, without its record."""
+    rng = random.Random(seed)
+    blocks = []
+    for t in typ:
+        while True:
+            u = [rng.randrange(ctx.order) for _ in range(t)]
+            if rank_weight(ctx, u) == t:
+                blocks.append(u)
+                break
+    c = build_completely_decomposable(ctx, blocks)
+    c = c.relabeled(random_gl_ext(ctx, c.k, seed=seed))
+    return apply_equivalence(c, random_gl(ctx, c.n, seed=seed)).strip_decomposition()
+
+
+@pytest.mark.parametrize("p,a,m,typ", [
+    (2, 1, 3, (2,)), (2, 1, 4, (3, 2)), (2, 1, 3, (2, 2, 1)),
+    (3, 1, 2, (1,)), (3, 1, 3, (2, 1)), (3, 1, 2, (1, 1, 1)),
+    (2, 2, 2, (1,)), (2, 2, 3, (2, 1)), (2, 2, 2, (1, 1, 1)),
+])
+def test_projective_counts_match_full_enumeration(p, a, m, typ):
+    """A_i = (q^m - 1) P_i against the full enumeration, for q in
+    {2, 3, 4} and k in {1, 2, 3}, whatever the chunk size and threads."""
+    ctx = FieldContext(p, a, m)
+    c = _scrambled(ctx, typ, seed=len(typ))
+    full = weight_counts(ctx, c.generator)
+    for target in (1, 1 << 3, 1 << 16):
+        for threads in (1, 2):
+            weights, counts = projective_weights(
+                ctx, c.generator, threads=threads, chunk_target=target)
+            assert counts == full
+            assert len(weights) == projective_count(ctx, c.k)
+
+
+@pytest.mark.parametrize("p,a,m,typ", [
+    (2, 1, 4, (3, 2, 1)), (3, 1, 3, (2, 1)), (2, 2, 3, (2, 1)),
+    (2, 2, 2, (1, 1, 1)),
+])
+def test_projective_weights_are_line_dimensions(p, a, m, typ):
+    """Per point, in projective_points order: w(xG) is the scalar rank
+    weight and m - w(xG) the line dimension in the dual system."""
+    ctx = FieldContext(p, a, m)
+    c = _scrambled(ctx, typ, seed=7)
+    udual = perp_prime(system_from_code(c))
+    weights, _ = projective_weights(ctx, c.generator, chunk_target=1 << 3)
+    pts = list(projective_points(ctx, c.k))
+    assert len(pts) == len(weights)
+    for x, w in zip(pts, weights):
+        assert rank_weight(ctx, c.codeword(x)) == w
+        assert line_intersection_dim(udual, x) == m - w

@@ -279,3 +279,11 @@ def test_gaussian_binomial_and_primes():
     assert gaussian_binomial(7, 3, 2) == 11811
     assert gaussian_binomial(4, 0, 3) == 1
     assert is_prime(7) and not is_prime(6) and not is_prime(1)
+
+
+def test_inverse_without_tables():
+    """F_2^17 has no exp/log tables, so inversion runs extended Euclid
+    on digit vectors whose leading coefficients may be zero."""
+    ctx = FieldContext(2, 1, 17)
+    for x in (1, 2, 3, 0b1011, 12345, 1 << 16, (1 << 17) - 1):
+        assert ctx.mul(x, ctx.inv(x)) == 1
