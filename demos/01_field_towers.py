@@ -35,7 +35,7 @@ print()
 
 print("trace transitivity: Tr_full(x) == Tr_mid->base(Tr_full->mid(x))")
 ok = all(
-    ctx.trace_rel(x, 1) == ctx.trace_between(ctx.trace_rel(x, e), 1, e)
+    ctx.trace_rel(x, 1) == ctx.trace_rel(ctx.trace_rel(x, e), 1, top=e)
     for x in range(ctx.order) for e in (2, 3))
 print(f"  holds for all {ctx.order} elements and both towers: {ok}")
 print()

@@ -295,14 +295,14 @@ def construct_lower_attaining(ctx: FieldContext, e: int, k: int, xi: int,
     for mu in mu_list:
         if not ctx.in_subfield(mu, e):
             raise ValueError("each mu must lie in F_{q^e}")
-    norms = [ctx.norm_between(mu, 1, e) for mu in mu_list]
+    norms = [ctx.norm_rel(mu, 1, top=e) for mu in mu_list]
     if len(set(norms)) != k:
         raise ValueError("the mu_i must have pairwise distinct norms")
     xi_norm = ctx.mul(xi, ctx.frobenius(xi, e))  # xi^(q^e + 1), in F_{q^e}
     for i in range(k):
         for j in range(i + 1, k):
             val = ctx.mul(ctx.mul(mu_list[i], mu_list[j]), xi_norm)
-            if ctx.norm_between(val, 1, e) == 1:
+            if ctx.norm_rel(val, 1, top=e) == 1:
                 raise ValueError(
                     f"norm condition fails for pair ({i}, {j}): "
                     "N(mu_i mu_j xi^(q^e+1)) = 1")
@@ -335,14 +335,14 @@ def find_lower_attaining_params(ctx: FieldContext, e: int, k: int,
             continue
         xi_norm = ctx.mul(xi, ctx.frobenius(xi, e))
         for mus in combinations(sub, k):
-            norms = [ctx.norm_between(mu, 1, e) for mu in mus]
+            norms = [ctx.norm_rel(mu, 1, top=e) for mu in mus]
             if len(set(norms)) != k:
                 continue
             ok = True
             for i in range(k):
                 for j in range(i + 1, k):
                     val = ctx.mul(ctx.mul(mus[i], mus[j]), xi_norm)
-                    if ctx.norm_between(val, 1, e) == 1:
+                    if ctx.norm_rel(val, 1, top=e) == 1:
                         ok = False
                         break
                 if not ok:

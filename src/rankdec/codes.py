@@ -132,10 +132,8 @@ def support(ctx: FieldContext, v: Sequence[int], gamma=None) -> RowSpace:
     F_q^n, independent of the expansion basis."""
     n = len(v)
     coords = [ctx.gamma_coords(entry, gamma) for entry in v]
-    cols = []
-    for s in range(ctx.m):
-        cols.append([ctx.fq_code(coords[i][s]) for i in range(n)])
-    return RowSpace(ctx, n, cols)
+    return RowSpace(ctx, n, [[coords[i][s] for i in range(n)]
+                             for s in range(ctx.m)])
 
 
 @dataclass(frozen=True)
@@ -385,29 +383,34 @@ def direct_sum(codes: Sequence[RankCode]) -> RankCode:
 
 
 def _merge_decompositions(ctx, codes) -> Decomposition:
-    n = sum(c.n for c in codes)
     blocks = []
     for c in codes:
         blocks.extend(c.decomposition.blocks)
-    lens = [len(u) for u in blocks]
-    order = sorted(range(len(blocks)), key=lambda i: -lens[i])
-    sorted_blocks = [blocks[i] for i in order]
-    # unsorted offsets in the merged layout, sorted offsets in the target
-    offs_u = [0]
-    for L in lens:
-        offs_u.append(offs_u[-1] + L)
-    offs_s = [0]
-    for i in order:
-        offs_s.append(offs_s[-1] + lens[i])
-    perm = [[0] * n for _ in range(n)]
-    for j, i in enumerate(order):
-        for l in range(lens[i]):
-            perm[offs_s[j] + l][offs_u[i] + l] = 1
     inner = _blockdiag_fq(ctx, [c.decomposition.col_map for c in codes],
                           [c.n for c in codes])
-    col_map = EquivalenceMap(ctx, perm).compose(inner)
-    return Decomposition(tuple(len(u) for u in sorted_blocks),
-                         tuple(sorted_blocks), col_map)
+    return _sorted_decomposition(ctx, blocks, inner)
+
+
+def _sorted_decomposition(ctx, blocks, inner: EquivalenceMap) -> Decomposition:
+    """The record of blocks laid out side by side, where ``inner`` maps
+    that layout onto the stored coordinates: the blocks are sorted by
+    non-increasing length (stably) and the permutation of their columns
+    is pushed into the coordinate map."""
+    lens = [len(u) for u in blocks]
+    order = sorted(range(len(blocks)), key=lambda i: -lens[i])
+    offs = [0]  # block offsets in the unsorted layout
+    for length in lens:
+        offs.append(offs[-1] + length)
+    n = offs[-1]
+    perm = [[0] * n for _ in range(n)]
+    row = 0
+    for i in order:
+        for l in range(lens[i]):
+            perm[row][offs[i] + l] = 1
+            row += 1
+    return Decomposition(tuple(lens[i] for i in order),
+                         tuple(blocks[i] for i in order),
+                         EquivalenceMap(ctx, perm).compose(inner))
 
 
 def _blockdiag_fq(ctx, maps, sizes) -> EquivalenceMap:
@@ -457,12 +460,6 @@ def build_completely_decomposable(ctx: FieldContext,
         tuple(len(u) for u in sorted_blocks), sorted_blocks,
         EquivalenceMap.identity(ctx, sum(len(u) for u in sorted_blocks)))
     return RankCode(ctx, dec.weight_complementary_generator(), dec)
-
-
-def block_subspaces(code: RankCode) -> list:
-    """F_q-spans of the block entries of a decomposable code."""
-    dec = _require_decomposition(code)
-    return [span(code.ctx, u) for u in dec.blocks]
 
 
 def _require_decomposition(code: RankCode) -> Decomposition:
@@ -522,7 +519,7 @@ def detect_complete_decomposability(code: RankCode,
     # coordinate change sending each support onto its own block
     p_rows = []
     for s in supports:
-        p_rows.extend([ctx.fq_from_code(c) for c in r] for r in s.basis_rows())
+        p_rows.extend(list(r) for r in s.basis_rows())
     amap = EquivalenceMap(ctx, field_inverse(p_rows, ctx))
     moved = [field_vecmat(list(c), [list(r) for r in amap.rows], ctx)
              for c in cwords]
@@ -536,20 +533,7 @@ def detect_complete_decomposability(code: RankCode,
                 f"codeword {i} is not supported on its own block after the "
                 "coordinate change")
         blocks.append(tuple(row[offs[i]:offs[i + 1]]))
-    # sort blocks and push the permutation into the coordinate map
-    order = sorted(range(len(blocks)), key=lambda i: -weights[i])
-    offs_s = [0]
-    for j in order:
-        offs_s.append(offs_s[-1] + weights[j])
-    n = code.n
-    perm = [[0] * n for _ in range(n)]
-    for j, i in enumerate(order):
-        for l in range(weights[i]):
-            perm[offs_s[j] + l][offs[i] + l] = 1
-    col_map = EquivalenceMap(ctx, perm).compose(amap.inverse())
-    dec = Decomposition(tuple(weights[i] for i in order),
-                        tuple(blocks[i] for i in order), col_map)
-    return dec
+    return _sorted_decomposition(ctx, blocks, amap.inverse())
 
 
 def _pick_basis(ctx, cands, k, target):
@@ -678,14 +662,6 @@ def blocks_scalar_unrelated(code: RankCode) -> bool:
     return True
 
 
-def entry_span(ctx: FieldContext, v: Sequence[int]):
-    """F_q-span of the entries: the subspace whose dimension is the rank
-    weight.  Minimality comparisons contain one codeword's entry span in
-    another's (the coordinate-side column-span support cannot see the
-    containment that makes multi-block words non-minimal)."""
-    return span(ctx, v)
-
-
 def is_minimal_codeword(code: RankCode, c: Sequence[int],
                         cap: int = 1 << 16) -> bool:
     """Brute force: c is minimal iff every nonzero codeword whose entry
@@ -696,10 +672,10 @@ def is_minimal_codeword(code: RankCode, c: Sequence[int],
         raise CapExceededError(total, cap, "minimality scan")
     if not any(c):
         raise ValueError("the zero word is not eligible")
-    s = entry_span(ctx, c)
+    s = span(ctx, c)
     for idx in range(1, total):
         other = code.codeword(message_from_index(ctx, code.k, idx))
-        if s.contains_space(entry_span(ctx, other)):
+        if s.contains_space(span(ctx, other)):
             if not _proportional(ctx, c, other):
                 return False
     return True
@@ -728,7 +704,7 @@ def minimal_codeword_census(code: RankCode, cap: int = 1 << 16):
     classes: dict = {}
     for idx in range(1, total):
         w = code.codeword(message_from_index(ctx, code.k, idx))
-        s = entry_span(ctx, w)
+        s = span(ctx, w)
         rec = classes.get(s)
         if rec is None:
             classes[s] = [w, True, [w]]
@@ -767,7 +743,7 @@ def dual_code(code: RankCode) -> RankCode:
     return RankCode(code.ctx, kern)
 
 
-def geometric_dual(code: RankCode, pcap: int = DEFAULT_PROJ_CAP) -> RankCode:
+def geometric_dual(code: RankCode) -> RankCode:
     """Code associated with the dual system U'.
 
     Requires dim(U n <v>) < m for every v (automatic for completely
@@ -780,20 +756,16 @@ def geometric_dual(code: RankCode, pcap: int = DEFAULT_PROJ_CAP) -> RankCode:
     if code.decomposition is not None:
         duals = [trace_dual(span(ctx, u)) for u in code.decomposition.blocks]
         return build_completely_decomposable(ctx, [d.basis for d in duals])
-    from .systems import line_intersection_dim, perp_prime, system_from_code
+    from .systems import perp_prime, system_from_code
 
-    u = system_from_code(code)
-    npts = projective_count(ctx, code.k)
-    if npts > pcap:
-        raise CapExceededError(npts, pcap, "projective point scan")
-    for x in projective_points(ctx, code.k):
-        if line_intersection_dim(u, x) >= ctx.m:
-            raise ValueError(
-                "geometric dual undefined: a direction meets the system "
-                "in full F_{q^m}-dimension")
-    udual = perp_prime(u)
-    cols = udual.vectors
+    cols = perp_prime(system_from_code(code)).vectors
     gen = [[cols[j][i] for j in range(len(cols))] for i in range(code.k)]
+    # <x> lies in U iff x . G' = 0 for the dual generator G', so some
+    # direction meets U in full dimension iff G' has rank < k
+    if not cols or field_rank(gen, ctx) < code.k:
+        raise ValueError(
+            "geometric dual undefined: a direction meets the system "
+            "in full F_{q^m}-dimension")
     return RankCode(ctx, gen)
 
 

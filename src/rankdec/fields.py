@@ -28,8 +28,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import gfpoly
-from .errors import ContextMismatchError
-from .linalg import modp_inv, modp_kernel
+from .errors import ContextMismatchError, FalsificationAlarm
+from .linalg import field_inverse, field_kernel, field_rank
 
 #: fields up to this order get exp/log tables (fast mul/inv/pow)
 _TABLE_LIMIT = 1 << 16
@@ -266,54 +266,31 @@ class FieldContext:
             raise ValueError(f"e = {e} does not divide m = {self.m}")
         return e
 
-    def trace_rel(self, x: int, e: int = 1) -> int:
-        """Relative trace onto F_{q^e}: sum of the q^e-power conjugates."""
+    def trace_rel(self, x: int, e: int = 1, top: int | None = None) -> int:
+        """Relative trace of F_{q^top} / F_{q^e} (default top = m): the sum
+        of the q^e-power conjugates of x, which must lie in F_{q^top}."""
+        return self._fold_conjugates(x, e, top, self.add)
+
+    def norm_rel(self, x: int, e: int = 1, top: int | None = None) -> int:
+        """Relative norm of F_{q^top} / F_{q^e} (default top = m): the
+        product of the q^e-power conjugates of x in F_{q^top}."""
+        return self._fold_conjugates(x, e, top, self.mul)
+
+    def _fold_conjugates(self, x, e, top, op):
         self._check_divisor(e)
+        if top is None:
+            top = self.m
+        elif top != self.m:
+            self._check_divisor(top)
+            if top % e != 0:
+                raise ValueError(f"{e} does not divide {top}")
+            if not self.in_subfield(x, top):
+                raise ValueError("element outside the stated subfield")
         acc = x
         cur = x
-        for _ in range(self.m // e - 1):
+        for _ in range(top // e - 1):
             cur = self.frobenius(cur, e)
-            acc = self.add(acc, cur)
-        return acc
-
-    def norm_rel(self, x: int, e: int = 1) -> int:
-        """Relative norm onto F_{q^e}: product of the q^e-power conjugates."""
-        self._check_divisor(e)
-        acc = x
-        cur = x
-        for _ in range(self.m // e - 1):
-            cur = self.frobenius(cur, e)
-            acc = self.mul(acc, cur)
-        return acc
-
-    def trace_between(self, x: int, e_low: int, e_high: int) -> int:
-        """Trace of the extension F_{q^e_high} / F_{q^e_low} applied to x,
-        which must lie in F_{q^e_high}."""
-        self._check_divisor(e_low)
-        self._check_divisor(e_high)
-        if e_high % e_low != 0:
-            raise ValueError(f"{e_low} does not divide {e_high}")
-        if not self.in_subfield(x, e_high):
-            raise ValueError("element outside the stated subfield")
-        acc = x
-        cur = x
-        for _ in range(e_high // e_low - 1):
-            cur = self.frobenius(cur, e_low)
-            acc = self.add(acc, cur)
-        return acc
-
-    def norm_between(self, x: int, e_low: int, e_high: int) -> int:
-        self._check_divisor(e_low)
-        self._check_divisor(e_high)
-        if e_high % e_low != 0:
-            raise ValueError(f"{e_low} does not divide {e_high}")
-        if not self.in_subfield(x, e_high):
-            raise ValueError("element outside the stated subfield")
-        acc = x
-        cur = x
-        for _ in range(e_high // e_low - 1):
-            cur = self.frobenius(cur, e_low)
-            acc = self.mul(acc, cur)
+            acc = op(acc, cur)
         return acc
 
     def in_subfield(self, x: int, e: int) -> bool:
@@ -363,7 +340,9 @@ class FieldContext:
                 nxt[i] = self.sub(nxt[i], self.mul(c, conj))
             poly = nxt
             conj = self.frobenius(conj, 1)
-        assert all(self.in_subfield(c, 1) for c in poly)
+        if not all(self.in_subfield(c, 1) for c in poly):
+            raise FalsificationAlarm(
+                f"minimal polynomial of {x} has coefficients outside F_q")
         return tuple(poly)
 
     def poly_eval(self, coeffs: Sequence[int], z: int) -> int:
@@ -398,10 +377,13 @@ class FieldContext:
                 ej = self.from_digits([1 if i == j else 0 for i in range(n)])
                 img = self.sub(self.frobenius(ej, e), ej)
                 cols.append(self.digits(img))
-            mat = np.array(cols, dtype=np.int64).T  # rows: coordinates of images
-            ker = modp_kernel(mat, self.p)
+            # rows: coordinates of images; an F_p digit is its own element
+            ker = field_kernel([list(r) for r in zip(*cols)], self)
             basis = tuple(sorted(self.from_digits(v) for v in ker))
-            assert len(basis) == self.a * e
+            if len(basis) != self.a * e:
+                raise FalsificationAlarm(
+                    f"F_p-basis of F_(q^{e}) has {len(basis)} elements, "
+                    f"not {self.a * e}")
             self._caches[key] = basis
         return self._caches[key]
 
@@ -418,7 +400,9 @@ class FieldContext:
                     scaled.extend(self.add(z, cb) for z in elems)
                 elems = elems + scaled
             elems.sort()
-            assert len(elems) == self.q**e
+            if len(elems) != self.q**e:
+                raise FalsificationAlarm(
+                    f"F_(q^{e}) listed with {len(elems)} elements, not {self.q**e}")
             self._caches[key] = elems
         return self._caches[key]
 
@@ -444,9 +428,14 @@ class FieldContext:
             for xi in powers:
                 for wl in w:
                     cols.append(self.digits(self.mul(wl, xi)))
-            mat = np.array(cols, dtype=np.int64).T
-            self._caches[key] = modp_inv(mat, self.p)
+            self._caches[key] = self._fp_inverse(cols)
         return self._caches[key]
+
+    def _fp_inverse(self, cols) -> np.ndarray:
+        """Inverse of the F_p-matrix with the given digit-vector columns,
+        as an int64 array for vectorised coordinate solves."""
+        mat = [list(r) for r in zip(*cols)]
+        return np.array(field_inverse(mat, self), dtype=np.int64)
 
     def subfield_coords(self, z: int, e: int) -> tuple[int, ...]:
         """Coordinates of z over F_{q^e} in the subfield power basis;
@@ -493,10 +482,7 @@ class FieldContext:
     def _validate_fq_basis(self):
         rows = [self.digits(self.mul(w, g))
                 for g in self.fq_basis for w in self.fp_basis_of_subfield(1)]
-        mat = np.array(rows, dtype=np.int64)
-        from .linalg import modp_rank
-
-        if modp_rank(mat, self.p) != self.n:
+        if field_rank(rows, self) != self.n:
             raise ValueError("fq_basis elements are not F_q-linearly independent")
 
     def gamma_coords(self, z: int, gamma: Sequence[int] | None = None) -> tuple[int, ...]:
@@ -512,8 +498,7 @@ class FieldContext:
             for g in gamma:
                 for wl in w:
                     cols.append(self.digits(self.mul(wl, g)))
-            mat = np.array(cols, dtype=np.int64).T
-            self._caches[key] = modp_inv(mat, self.p)
+            self._caches[key] = self._fp_inverse(cols)
         minv = self._caches[key]
         vec = np.array(self.digits(z), dtype=np.int64)
         sol = (minv @ vec) % self.p
@@ -649,7 +634,8 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
     for i in range(k):
         num *= q ** (n - i) - 1
         den *= q ** (i + 1) - 1
-    assert num % den == 0
+    if num % den != 0:
+        raise FalsificationAlarm(f"[{n}, {k}]_{q}: {num} is not divisible by {den}")
     return num // den
 
 

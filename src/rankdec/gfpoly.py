@@ -15,16 +15,6 @@ def trim(f: list[int]) -> list[int]:
     return f
 
 
-def poly_add(f, g, p):
-    n = max(len(f), len(g))
-    out = [0] * n
-    for i, c in enumerate(f):
-        out[i] = c
-    for i, c in enumerate(g):
-        out[i] = (out[i] + c) % p
-    return trim(out)
-
-
 def poly_sub(f, g, p):
     n = max(len(f), len(g))
     out = [0] * n

@@ -1,12 +1,17 @@
-"""Exact linear algebra on three element domains.
+"""Exact linear algebra, with one Gaussian elimination per element
+representation.
 
-* prime-field matrices as numpy int64 arrays reduced mod p (coordinate
-  plumbing for field contexts),
-* matrices whose entries are field-context element ints (Gaussian
-  elimination directly over F_{q^m} or a subfield closed under its ops),
-* :class:`RowSpace`, a canonical row space over F_q codes with a packed
-  bit backend for q = 2 (rank/support/hyperplane scans live here).
+* Matrices whose entries are field-context element ints are reduced by
+  :func:`field_rref`.  It works over F_{q^m} or over any subfield
+  closed under the context's operations; in particular an F_p digit
+  c < p is the context element c, so prime-field coordinate matrices
+  (the plumbing of field contexts and subspaces) go through it too.
+* :class:`RowSpace`, a canonical row space inside F_q^width, packs its
+  rows into ints for q = 2 and reduces them with :func:`_bit_rref`
+  (rank/support/hyperplane scans live here); for q > 2 its rows are
+  context ints reduced with :func:`field_rref`.
 
+Both eliminations share one kernel read-out, :func:`_null_basis`.
 Everything is small and dense; the only genuinely hot loops are in
 :mod:`rankdec.enumeration`, not here.
 """
@@ -14,76 +19,6 @@ Everything is small and dense; the only genuinely hot loops are in
 from __future__ import annotations
 
 from typing import Sequence
-
-import numpy as np
-
-# ----------------------------------------------------------------------
-# numpy matrices over the prime field
-# ----------------------------------------------------------------------
-
-
-def modp_rref(mat: np.ndarray, p: int):
-    """Reduced row echelon form mod p; returns (rref, pivot_columns)."""
-    a = np.array(mat, dtype=np.int64) % p
-    rows, cols = a.shape
-    pivots = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        sel = None
-        for i in range(r, rows):
-            if a[i, c] % p:
-                sel = i
-                break
-        if sel is None:
-            continue
-        a[[r, sel]] = a[[sel, r]]
-        a[r] = (a[r] * pow(int(a[r, c]), -1, p)) % p
-        for i in range(rows):
-            if i != r and a[i, c]:
-                a[i] = (a[i] - a[i, c] * a[r]) % p
-        pivots.append(c)
-        r += 1
-    return a, pivots
-
-
-def modp_rank(mat: np.ndarray, p: int) -> int:
-    if mat.size == 0:
-        return 0
-    return len(modp_rref(mat, p)[1])
-
-
-def modp_kernel(mat: np.ndarray, p: int) -> list[tuple[int, ...]]:
-    """Basis of the right kernel {x : mat @ x = 0 mod p}."""
-    a = np.array(mat, dtype=np.int64)
-    if a.size == 0:
-        cols = a.shape[1] if a.ndim == 2 else 0
-        return [tuple(1 if i == j else 0 for i in range(cols)) for j in range(cols)]
-    rref, pivots = modp_rref(a, p)
-    cols = a.shape[1]
-    free = [c for c in range(cols) if c not in pivots]
-    out = []
-    for f in free:
-        v = [0] * cols
-        v[f] = 1
-        for r, c in enumerate(pivots):
-            v[c] = (-int(rref[r, f])) % p
-        out.append(tuple(v))
-    return out
-
-
-def modp_inv(mat: np.ndarray, p: int) -> np.ndarray:
-    a = np.array(mat, dtype=np.int64) % p
-    n = a.shape[0]
-    if a.shape != (n, n):
-        raise ValueError("square matrix required")
-    aug = np.concatenate([a, np.eye(n, dtype=np.int64)], axis=1)
-    rref, pivots = modp_rref(aug, p)
-    if pivots[:n] != list(range(n)):
-        raise ValueError("matrix is singular mod p")
-    return rref[:, n:]
-
 
 # ----------------------------------------------------------------------
 # matrices with field-context entries
@@ -120,6 +55,22 @@ def field_rref(rows, ctx):
     return [row for row in a[:r]], pivots
 
 
+def _null_basis(rref, pivots, width: int, neg) -> list[list[int]]:
+    """Kernel basis read off a reduced row echelon form: one vector per
+    free column f, with 1 at f and -rref[r][f] at the r-th pivot."""
+    pivot_set = set(pivots)
+    out = []
+    for f in range(width):
+        if f in pivot_set:
+            continue
+        v = [0] * width
+        v[f] = 1
+        for r, c in enumerate(pivots):
+            v[c] = neg(rref[r][f])
+        out.append(v)
+    return out
+
+
 def field_rank(rows, ctx) -> int:
     return len(field_rref(rows, ctx)[1])
 
@@ -128,17 +79,8 @@ def field_kernel(rows, ctx) -> list[list[int]]:
     """Basis of {x : rows @ x = 0} with entries in the context field."""
     if not rows:
         return []
-    cols = len(rows[0])
     rref, pivots = field_rref(rows, ctx)
-    free = [c for c in range(cols) if c not in pivots]
-    out = []
-    for f in free:
-        v = [0] * cols
-        v[f] = 1
-        for r, c in enumerate(pivots):
-            v[c] = ctx.neg(rref[r][f])
-        out.append(v)
-    return out
+    return _null_basis(rref, pivots, len(rows[0]), ctx.neg)
 
 
 def field_inverse(rows, ctx) -> list[list[int]]:
@@ -175,45 +117,41 @@ def field_vecmat(x, a, ctx):
     return field_matmul([list(x)], a, ctx)[0]
 
 
-def field_is_invertible(rows, ctx) -> bool:
-    n = len(rows)
-    return n > 0 and len(rows[0]) == n and field_rank(rows, ctx) == n
-
-
 # ----------------------------------------------------------------------
-# canonical row spaces over F_q codes
+# canonical row spaces over F_q
 # ----------------------------------------------------------------------
 
 
 class RowSpace:
     """Canonical (RREF) row space inside F_q^width.
 
-    Rows are given as sequences of F_q codes 0..q-1.  For q = 2 rows are
-    stored packed into ints (column j at bit j), which keeps the
-    exhaustive subspace scans cheap; otherwise rows are tuples reduced
-    with the context's small-field tables.
+    Rows are given as sequences of F_q elements (context ints).  For
+    q = 2 each row is stored packed into an int (column j at bit j) and
+    reduced with :func:`_bit_rref`, which keeps the exhaustive subspace
+    scans cheap; packed rows are also accepted as input.  For q > 2 rows
+    are tuples of context ints reduced with :func:`field_rref`.
 
     Instances are immutable; equality and hashing use the canonical
     basis, so two RowSpaces are equal iff they are the same subspace.
     """
 
-    __slots__ = ("q", "width", "rows", "pivots", "_tables")
+    __slots__ = ("ctx", "q", "width", "rows", "pivots")
 
-    def __init__(self, ctx, width: int, rows: Sequence[Sequence[int]] = (),
-                 _packed=None):
+    def __init__(self, ctx, width: int, rows: Sequence[Sequence[int]] = ()):
+        self.ctx = ctx
         self.q = ctx.q
         self.width = width
-        self._tables = None if self.q == 2 else ctx.q_tables()
-        if _packed is not None:
-            self.rows, self.pivots = _packed
-            return
         if self.q == 2:
-            packed = [self._pack(r) for r in rows]
-            self.rows, self.pivots = _bit_rref(packed)
+            self.rows, self.pivots = _bit_rref([self._pack(r) for r in rows])
         else:
-            self.rows, self.pivots = self._tuple_rref([tuple(r) for r in rows])
+            rref, pivots = field_rref(rows, ctx)
+            self.rows = tuple(tuple(r) for r in rref)
+            self.pivots = tuple(pivots)
 
-    def _pack(self, row) -> int:
+    @staticmethod
+    def _pack(row) -> int:
+        if isinstance(row, int):
+            return row
         v = 0
         for j, c in enumerate(row):
             if c:
@@ -223,28 +161,6 @@ class RowSpace:
     def _unpack(self, r: int) -> tuple[int, ...]:
         return tuple((r >> j) & 1 for j in range(self.width))
 
-    def _tuple_rref(self, rows):
-        add, sub, mul, inv = self._tables
-        a = [list(r) for r in rows]
-        pivots = []
-        r = 0
-        for c in range(self.width):
-            if r == len(a):
-                break
-            sel = next((i for i in range(r, len(a)) if a[i][c]), None)
-            if sel is None:
-                continue
-            a[r], a[sel] = a[sel], a[r]
-            iv = int(inv[a[r][c]])
-            a[r] = [int(mul[iv, v]) for v in a[r]]
-            for i in range(len(a)):
-                if i != r and a[i][c]:
-                    f = a[i][c]
-                    a[i] = [int(sub[v, mul[f, w]]) for v, w in zip(a[i], a[r])]
-            pivots.append(c)
-            r += 1
-        return tuple(tuple(row) for row in a[:r]), tuple(pivots)
-
     @property
     def dim(self) -> int:
         return len(self.rows)
@@ -252,22 +168,23 @@ class RowSpace:
     def basis_rows(self) -> list[tuple[int, ...]]:
         if self.q == 2:
             return [self._unpack(r) for r in self.rows]
-        return [tuple(r) for r in self.rows]
+        return list(self.rows)
 
-    def reduce(self, row) -> tuple:
-        """Reduce a row against the basis; zero result means membership."""
+    def reduce(self, row):
+        """Reduce a row against the basis; zero result means membership.
+        For q = 2 the result is a packed int, otherwise a tuple."""
         if self.q == 2:
-            v = self._pack(row) if not isinstance(row, int) else row
+            v = self._pack(row)
             for r, c in zip(self.rows, self.pivots):
                 if (v >> c) & 1:
                     v ^= r
             return v
-        add, sub, mul, inv = self._tables
+        ctx = self.ctx
         v = list(row)
         for r, c in zip(self.rows, self.pivots):
             if v[c]:
                 f = v[c]
-                v = [int(sub[x, mul[f, y]]) for x, y in zip(v, r)]
+                v = [ctx.sub(x, ctx.mul(f, y)) for x, y in zip(v, r)]
         return tuple(v)
 
     def contains(self, row) -> bool:
@@ -275,23 +192,19 @@ class RowSpace:
         return red == 0 if self.q == 2 else not any(red)
 
     def contains_space(self, other: "RowSpace") -> bool:
-        if self.q == 2:
-            return all(self.reduce(r) == 0 for r in other.rows)
-        return all(not any(self.reduce(r)) for r in other.rows)
+        return all(self.contains(r) for r in other.rows)
 
     def sum(self, other: "RowSpace") -> "RowSpace":
-        assert self.width == other.width and self.q == other.q
-        if self.q == 2:
-            rows, piv = _bit_rref(list(self.rows) + list(other.rows))
-            out = object.__new__(RowSpace)
-            out.q, out.width, out._tables = self.q, self.width, None
-            out.rows, out.pivots = rows, piv
-            return out
-        rows = list(self.rows) + list(other.rows)
-        out = object.__new__(RowSpace)
-        out.q, out.width, out._tables = self.q, self.width, self._tables
-        out.rows, out.pivots = out._tuple_rref(rows)
-        return out
+        if self.width != other.width or self.q != other.q:
+            raise ValueError(
+                f"sum of row spaces in F_{self.q}^{self.width} and "
+                f"F_{other.q}^{other.width}")
+        return RowSpace(self.ctx, self.width, self.rows + other.rows)
+
+    def kernel(self) -> list[list[int]]:
+        """Basis of {v in F_q^width : r . v = 0 for every basis row r}."""
+        return _null_basis(self.basis_rows(), self.pivots, self.width,
+                           self.ctx.neg)
 
     def __eq__(self, other):
         return (isinstance(other, RowSpace) and self.q == other.q
@@ -302,42 +215,6 @@ class RowSpace:
 
     def __repr__(self):
         return f"RowSpace(q={self.q}, width={self.width}, dim={self.dim})"
-
-
-def code_kernel(ctx, rows, width: int) -> list[tuple[int, ...]]:
-    """Kernel {v in F_q^width : rows . v = 0} over F_q codes."""
-    if not rows:
-        return [tuple(1 if i == j else 0 for i in range(width))
-                for j in range(width)]
-    add, sub, mul, inv = ctx.q_tables()
-    a = [list(r) for r in rows]
-    pivots = []
-    r = 0
-    for c in range(width):
-        if r == len(a):
-            break
-        sel = next((i for i in range(r, len(a)) if a[i][c]), None)
-        if sel is None:
-            continue
-        a[r], a[sel] = a[sel], a[r]
-        iv = int(inv[a[r][c]])
-        a[r] = [int(mul[iv, v]) for v in a[r]]
-        for i in range(len(a)):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                a[i] = [int(sub[v, mul[f, w]]) for v, w in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-    free = [c for c in range(width) if c not in pivots]
-    out = []
-    zero_code = 0
-    for f in free:
-        v = [zero_code] * width
-        v[f] = 1
-        for rr, c in enumerate(pivots):
-            v[c] = int(sub[zero_code, a[rr][f]])
-        out.append(tuple(v))
-    return out
 
 
 def _bit_rref(packed_rows):

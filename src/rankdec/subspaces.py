@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import ContextMismatchError, NotApplicableError
 from .fields import FieldContext, is_prime
-from .linalg import field_rref, modp_kernel
+from .linalg import field_kernel, field_rref
 
 
 class Subspace:
@@ -157,7 +157,7 @@ def intersect(u: Subspace, v: Subspace) -> Subspace:
     # y*A = z*B  <=>  (y, z) in kernel of [A^T | -B^T]
     stacked = np.concatenate([a.T, (-b.T) % ctx.p], axis=1)
     out = []
-    for vec in modp_kernel(stacked, ctx.p):
+    for vec in field_kernel(stacked.tolist(), ctx):
         y = np.array(vec[: a.shape[0]], dtype=np.int64)
         digits = (y @ a) % ctx.p
         out.append(ctx.from_digits(int(d) for d in digits))
@@ -203,7 +203,7 @@ def trace_dual(u: Subspace, e: int = 1) -> Subspace:
     result_base = _lcm(u.base_e, e)
     if ctx.m % result_base != 0:
         raise ValueError("incompatible base subfields")
-    p, n = ctx.p, ctx.n
+    n = ctx.n
     a_rows = _fp_rows(u)
     if a_rows.shape[0] == 0:
         return full_space(ctx, result_base)
@@ -217,8 +217,7 @@ def trace_dual(u: Subspace, e: int = 1) -> Subspace:
             aval = ctx.from_digits(int(d) for d in arow)
             col.extend(ctx.digits(ctx.trace_rel(ctx.mul(aval, ej), e)))
         cols.append(col)
-    mat = np.array(cols, dtype=np.int64).T
-    kern = modp_kernel(mat, p)
+    kern = field_kernel([list(r) for r in zip(*cols)], ctx)
     elems = [ctx.from_digits(v) for v in kern]
     return span(ctx, elems, result_base)
 

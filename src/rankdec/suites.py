@@ -96,17 +96,12 @@ def run_duality_suite(seed: int = 0, trials: int = 1000) -> dict:
                 for _ in range(rng.randrange(1, 2 * k + 1))]
         u = systems.System(ctx, k, vecs)
         w_rows = [[rng.randrange(ctx.order) for _ in range(k)]]
-        from .linalg import RowSpace, field_rank
-        from .systems import _flatten
+        from .linalg import field_rank
 
         if field_rank(w_rows, ctx) == 0:
             continue
-        powers = ctx.subfield_power_basis(1)
-        flat = lambda rows: RowSpace(ctx, ctx.m * k, [
-            _flatten(ctx, [ctx.mul(g, c) for c in row], k)
-            for row in rows for g in powers])
-        w_flat = flat(w_rows)
-        wp_flat = flat(systems.fqm_perp(ctx, w_rows))
+        w_flat = systems.flat_span(ctx, k, w_rows)
+        wp_flat = systems.flat_span(ctx, k, systems.fqm_perp(ctx, w_rows))
         ud = systems.perp_prime(u)
         lhs = ud.dim + wp_flat.dim - ud.row_space.sum(wp_flat).dim
         inter = u.dim + w_flat.dim - u.row_space.sum(w_flat).dim

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .errors import CapExceededError
+from .errors import CapExceededError, FalsificationAlarm
 from .fields import FieldContext
 from .linalg import RowSpace, field_kernel, field_rank, field_vecmat
 from .subspaces import Subspace
@@ -74,17 +74,21 @@ def _flatten(ctx, v, k):
         raise ValueError("vector length mismatch")
     out = []
     for comp in v:
-        out.extend(ctx.fq_code(c) for c in ctx.q_coords(comp))
+        out.extend(ctx.q_coords(comp))
     return out
 
 
 def _unflatten(ctx, row, k):
     m = ctx.m
-    comps = []
-    for i in range(k):
-        coords = [ctx.fq_from_code(c) for c in row[i * m:(i + 1) * m]]
-        comps.append(ctx.q_combine(coords))
-    return tuple(comps)
+    return tuple(ctx.q_combine(row[i * m:(i + 1) * m]) for i in range(k))
+
+
+def flat_span(ctx: FieldContext, k: int, rows: Sequence[Sequence[int]]) -> RowSpace:
+    """The F_{q^m}-span of rows in F_{q^m}^k as an F_q row space of
+    F_q^(mk): the flattened multiples of each row by the power basis."""
+    powers = ctx.subfield_power_basis(1)
+    return RowSpace(ctx, ctx.m * k, [_flatten(ctx, [ctx.mul(g, c) for c in row], k)
+                                     for row in rows for g in powers])
 
 
 def system_from_code(code) -> System:
@@ -116,43 +120,22 @@ def product_system(ctx: FieldContext, parts: Sequence[Subspace]) -> System:
     return System(ctx, k, vecs)
 
 
-def line_space(ctx: FieldContext, x: Sequence[int], k: int) -> list[list[int]]:
-    """F_q-basis of <x>_{F_{q^m}}: the m multiples of x by the power basis."""
-    powers = ctx.subfield_power_basis(1)
-    return [[ctx.mul(g, xi) for xi in x] for g in powers]
-
-
 def line_intersection_dim(u: System, x: Sequence[int]) -> int:
     """dim(U n <x>_{F_{q^m}})."""
-    ctx = u.ctx
-    line = RowSpace(ctx, ctx.m * u.k,
-                    [_flatten(ctx, v, u.k) for v in line_space(ctx, x, u.k)])
+    line = flat_span(u.ctx, u.k, [x])
     return u.dim + line.dim - u.row_space.sum(line).dim
 
 
 def hyperplane_intersection_dim(u: System, x: Sequence[int]) -> int:
     """dim(U n x_perp) for the F_{q^m}-hyperplane orthogonal to x."""
     ctx = u.ctx
-    k = u.k
-    j = next((i for i, v in enumerate(x) if v), None)
-    if j is None:
+    if not any(x):
         raise ValueError("x must be nonzero")
-    inv = ctx.inv(x[j])
-    vecs = []
-    for i in range(k):
-        if i == j:
-            continue
-        v = [0] * k
-        v[i] = 1
-        v[j] = ctx.neg(ctx.mul(inv, x[i]))
-        vecs.append(v)
-    rows = []
-    powers = ctx.subfield_power_basis(1)
-    for v in vecs:
-        for g in powers:
-            rows.append(_flatten(ctx, [ctx.mul(g, c) for c in v], k))
-    hyp = RowSpace(ctx, ctx.m * k, rows)
-    assert hyp.dim == ctx.m * (k - 1)
+    hyp = flat_span(ctx, u.k, fqm_perp(ctx, [x]))
+    if hyp.dim != ctx.m * (u.k - 1):
+        raise FalsificationAlarm(
+            f"hyperplane x_perp has F_q-dimension {hyp.dim}, "
+            f"not m(k-1) = {ctx.m * (u.k - 1)}")
     return u.dim + hyp.dim - u.row_space.sum(hyp).dim
 
 
@@ -176,19 +159,13 @@ def perp_prime(u: System) -> System:
                 v[i] = g
                 basis.append(v)
         return System(ctx, k, basis)
-    rows = []
-    for b in u.vectors:
-        row = []
-        for i in range(k):
-            for s in range(m):
-                row.append(ctx.fq_code(ctx.trace_rel(ctx.mul(b[i], powers[s]), 1)))
-        rows.append(row)
-    from .linalg import code_kernel
-
-    kern = code_kernel(ctx, rows, m * k)
-    vecs = [_unflatten(ctx, krow, k) for krow in kern]
-    out = System(ctx, k, vecs)
-    assert out.dim == m * k - u.dim
+    rows = [[ctx.trace_rel(ctx.mul(b[i], g), 1) for i in range(k) for g in powers]
+            for b in u.vectors]
+    kern = RowSpace(ctx, m * k, rows).kernel()
+    out = System(ctx, k, [_unflatten(ctx, krow, k) for krow in kern])
+    if out.dim != m * k - u.dim:
+        raise FalsificationAlarm(
+            f"dual system has dimension {out.dim}, not km - n = {m * k - u.dim}")
     return out
 
 

@@ -441,6 +441,17 @@ class TestDuals:
         dd = geometric_dual(geometric_dual(c))
         assert dd.decomposition.type_vector == c.decomposition.type_vector
 
+    @pytest.mark.parametrize("p,m", [(2, 3), (3, 2)])
+    def test_geometric_dual_undefined_on_full_line(self, p, m):
+        # G = [[1, x, ..., x^(m-1), 0], [0, ..., 0, 1]]: the system holds
+        # the whole line <(1, 0)>, so the dual generator loses rank
+        ctx = FieldContext(p, 1, m)
+        powers = list(ctx.subfield_power_basis(1))
+        code = RankCode(ctx, [powers + [0], [0] * m + [1]])
+        assert is_nondegenerate(code)
+        with pytest.raises(ValueError, match="geometric dual undefined"):
+            geometric_dual(code)
+
 
 class TestSerialization:
     def test_code_roundtrip(self, f64):

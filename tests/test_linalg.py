@@ -1,0 +1,92 @@
+"""RowSpace over F_q on both representations: packed bits for q = 2 and
+context ints reduced by field_rref for q > 2 (including an F_4 tower,
+where F_q elements are not the digits 0..q-1)."""
+
+import random
+
+import pytest
+
+from rankdec import FieldContext
+from rankdec.linalg import RowSpace, field_kernel, field_rank
+
+TOWERS = [(2, 1, 4), (3, 1, 3), (2, 2, 3)]  # q = 2, 3, 4
+
+
+@pytest.fixture(scope="module", params=TOWERS, ids=lambda t: f"q{t[0]**t[1]}m{t[2]}")
+def ctx(request):
+    return FieldContext(*request.param)
+
+
+def _random_rows(ctx, rng, count, width):
+    elems = ctx.fq_elements()
+    return [[rng.choice(elems) for _ in range(width)] for _ in range(count)]
+
+
+def _dot(ctx, u, v):
+    acc = 0
+    for x, y in zip(u, v):
+        acc = ctx.add(acc, ctx.mul(x, y))
+    return acc
+
+
+def _combinations(ctx, rng, rows, count):
+    """count random F_q-combinations of rows, plus the rows themselves
+    scaled by nonzero F_q elements, shuffled."""
+    elems = ctx.fq_elements()
+    width = len(rows[0])
+    out = []
+    for _ in range(count):
+        acc = [0] * width
+        for r in rows:
+            c = rng.choice(elems)
+            acc = [ctx.add(a, ctx.mul(c, x)) for a, x in zip(acc, r)]
+        out.append(acc)
+    for r in rows:
+        c = rng.choice(elems[1:])
+        out.append([ctx.mul(c, x) for x in r])
+    rng.shuffle(out)
+    return out
+
+
+def test_kernel_orthogonal_with_complementary_dimension(ctx):
+    rng = random.Random(31)
+    for _ in range(20):
+        width = rng.randrange(1, 7)
+        rows = _random_rows(ctx, rng, rng.randrange(0, width + 2), width)
+        space = RowSpace(ctx, width, rows)
+        kern = space.kernel()
+        assert len(kern) == width - space.dim
+        assert all(_dot(ctx, b, v) == 0 for b in space.basis_rows() for v in kern)
+        assert field_rank(kern, ctx) == len(kern)
+        if space.dim:  # the packed q = 2 path agrees with field_kernel
+            assert kern == field_kernel(space.basis_rows(), ctx)
+
+
+def test_generating_sets_give_equal_spaces(ctx):
+    rng = random.Random(32)
+    for _ in range(20):
+        width = rng.randrange(1, 7)
+        rows = _random_rows(ctx, rng, rng.randrange(1, width + 1), width)
+        a = RowSpace(ctx, width, rows)
+        b = RowSpace(ctx, width, _combinations(ctx, rng, rows, 3))
+        assert a == b
+        assert hash(a) == hash(b)
+        assert a.dim == field_rank(rows, ctx)
+
+
+def test_sum_contains_both_summands(ctx):
+    rng = random.Random(33)
+    for _ in range(20):
+        width = rng.randrange(1, 7)
+        a = RowSpace(ctx, width, _random_rows(ctx, rng, rng.randrange(0, 3), width))
+        b = RowSpace(ctx, width, _random_rows(ctx, rng, rng.randrange(0, 3), width))
+        s = a.sum(b)
+        assert s.contains_space(a) and s.contains_space(b)
+        assert all(s.contains(r) for r in a.basis_rows() + b.basis_rows())
+        assert s.dim <= a.dim + b.dim
+        assert s == b.sum(a)
+
+
+def test_sum_rejects_mismatched_width(ctx):
+    with pytest.raises(ValueError):
+        RowSpace(ctx, 3, []).sum(RowSpace(ctx, 4, []))
