@@ -46,6 +46,7 @@ from .codes import (
 from .enumeration import DEFAULT_ENUM_CAP
 from .errors import FalsificationAlarm, NotApplicableError
 from .fields import FieldContext, is_prime
+from .gfpoly import prime_factors
 from .subspaces import (
     Subspace,
     is_subfield_linear,
@@ -94,9 +95,15 @@ class MinWeightReport:
         }
 
 
+def _require_field_size(q: int):
+    if q < 2 or len(prime_factors(q)) != 1:
+        raise ValueError(f"q = {q} is not a prime power >= 2")
+
+
 def bounds_nonprime(q: int, m: int, n_k: int, ell: int) -> tuple[int, int]:
     """General sandwich for A_(n_k): lower (q^m-1)(ell+1), upper
     (q^m-1) * sum_(i=0)^(ell) q^(i(m-n_k))."""
+    _require_field_size(q)
     if not 1 <= n_k < m or ell < 0:
         raise ValueError("need 1 <= n_k < m and ell >= 0")
     lower = (q**m - 1) * (ell + 1)
@@ -106,6 +113,7 @@ def bounds_nonprime(q: int, m: int, n_k: int, ell: int) -> tuple[int, int]:
 
 def bound_prime(q: int, m: int, ell: int) -> int:
     """Prime-m bound (q^m-1)(q^(ell+1)-1)/(q-1)."""
+    _require_field_size(q)
     if not is_prime(m):
         raise NotApplicableError(f"m = {m} is not prime")
     if ell < 0:
@@ -237,18 +245,13 @@ def construct_subfield_extremal(ctx: FieldContext, e: int, r: int, k: int,
     # F_{q^e}(xi) must be everything: xi of degree m/e = r over F_{q^e}
     if any(ctx.frobenius(xi, e * d) == xi for d in range(1, r)):
         raise ValueError("xi does not generate the extension over F_{q^e}")
-    sub_basis = _fq_basis_of_subfield(ctx, e)
+    g = ctx.subfield_generator(e)  # of degree e: its powers are an F_q-basis
+    sub_basis = [ctx.pow(g, i) for i in range(e)]
     entries = []
     for i in range(r - 1):
         xi_i = ctx.pow(xi, i)
         entries.extend(ctx.mul(xi_i, w) for w in sub_basis)
     return build_completely_decomposable(ctx, [entries] * k)
-
-
-def _fq_basis_of_subfield(ctx: FieldContext, e: int) -> list[int]:
-    """An F_q-basis of F_{q^e}: powers of a degree-e element."""
-    lam = next(x for x in range(ctx.order) if ctx.degree_over_q(x) == e)
-    return [ctx.pow(lam, i) for i in range(e)]
 
 
 def construct_lambda_code(ctx: FieldContext, lam: int, e: int,

@@ -2,10 +2,12 @@
 
 Subcommands: build, wdist, verify, reproduce, bounds.  Global flags
 --cap/--pcap/--seed/--threads/--format; the environment variable
-RANKDEC_CAP overrides the default enumeration cap.  Exit status: 0 on
+RANKDEC_CAP overrides the default enumeration cap.  ``reproduce`` runs
+one entry of :data:`rankdec.showcases.SHOWCASES`.  Exit status: 0 on
 success, 1 on usage errors, 2 when a cap refuses an enumeration, 3 when
 a computation contradicts a proved statement (falsification alarm) or a
-reproduction target cannot be matched.
+reproduction target cannot be matched.  :func:`main` maps the last two
+errors to their exit codes for every subcommand.
 
 Reports are deterministic: the same seed and flags produce byte
 identical output.
@@ -20,9 +22,9 @@ import sys
 from dataclasses import dataclass
 
 from . import analysis, codes
-from .enumeration import DEFAULT_ENUM_CAP, DEFAULT_PROJ_CAP
+from .enumeration import DEFAULT_ENUM_CAP, DEFAULT_PROJ_CAP, message_space_size
 from .errors import CapExceededError, FalsificationAlarm, NotApplicableError
-from .fields import FieldContext
+from .showcases import SHOWCASES
 from .suites import SUITES, run_suite
 
 EXIT_OK = 0
@@ -84,11 +86,7 @@ def cmd_build(cfg: RunConfig, args) -> int:
         return EXIT_USAGE
     ctx = code.ctx
     nondeg = codes.is_nondegenerate(code)
-    try:
-        mrd = codes.is_mrd(code, cap=cfg.enumeration_cap)
-    except CapExceededError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_CAP
+    mrd = codes.is_mrd(code, cap=cfg.enumeration_cap)
     summary = {
         "field": ctx.to_descriptor(),
         "length": code.n,
@@ -119,37 +117,27 @@ def cmd_wdist(cfg: RunConfig, args) -> int:
         return EXIT_USAGE
     payload = {"length": code.n, "dimension": code.k}
     pretty = []
-    try:
-        if args.method in ("enum", "both"):
-            wd = codes.weight_distribution(code, cap=cfg.enumeration_cap,
-                                           threads=cfg.threads)
-            from .enumeration import message_space_size
-
-            payload.update(wd.to_json(message_space_size(code.ctx, code.k)))
-            pretty.append(f"counts: {list(wd.counts)}")
-            pretty.append(f"minimum distance: {wd.min_distance}")
-        if args.method in ("formula", "both"):
-            dec = code.decomposition
-            if dec is None:
-                found = codes.detect_complete_decomposability(
-                    code, pcap=cfg.projective_cap)
-                if found is None:
-                    print("formula requires a completely decomposable code",
-                          file=sys.stderr)
-                    return EXIT_USAGE
-                code = code.with_decomposition(found)
-            rep = analysis.min_weight_count_formula(code)
-            payload["min_weight_report"] = rep.to_json()
-            pretty.append(
-                f"closed-form count at weight {code.decomposition.type_vector[-1]}: "
-                f"{rep.formula_count}")
-            pretty.append(f"exponents: {rep.to_json()['j_matrix']}")
-    except CapExceededError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_CAP
-    except FalsificationAlarm as exc:
-        print(f"FALSIFICATION ALARM: {exc}", file=sys.stderr)
-        return EXIT_ALARM
+    if args.method in ("enum", "both"):
+        wd = codes.weight_distribution(code, cap=cfg.enumeration_cap,
+                                       threads=cfg.threads)
+        payload.update(wd.to_json(message_space_size(code.ctx, code.k)))
+        pretty.append(f"counts: {list(wd.counts)}")
+        pretty.append(f"minimum distance: {wd.min_distance}")
+    if args.method in ("formula", "both"):
+        if code.decomposition is None:
+            found = codes.detect_complete_decomposability(
+                code, pcap=cfg.projective_cap)
+            if found is None:
+                print("formula requires a completely decomposable code",
+                      file=sys.stderr)
+                return EXIT_USAGE
+            code = code.with_decomposition(found)
+        rep = analysis.min_weight_count_formula(code)
+        payload["min_weight_report"] = rep.to_json()
+        pretty.append(
+            f"closed-form count at weight {code.decomposition.type_vector[-1]}: "
+            f"{rep.formula_count}")
+        pretty.append(f"exponents: {rep.to_json()['j_matrix']}")
     if args.method == "both":
         nk = code.decomposition.type_vector[-1]
         enum_count = payload["counts"][nk]
@@ -169,17 +157,10 @@ def cmd_wdist(cfg: RunConfig, args) -> int:
 
 
 def cmd_verify(cfg: RunConfig, args) -> int:
-    if args.suite != "all" and args.suite not in SUITES:
-        print(f"unknown suite {args.suite}", file=sys.stderr)
+    if args.trials is not None and args.trials < 1:
+        print(f"--trials must be >= 1, not {args.trials}", file=sys.stderr)
         return EXIT_USAGE
-    try:
-        results = run_suite(args.suite, seed=cfg.seed, trials=args.trials)
-    except CapExceededError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_CAP
-    except FalsificationAlarm as exc:
-        print(f"FALSIFICATION ALARM: {exc}", file=sys.stderr)
-        return EXIT_ALARM
+    results = run_suite(args.suite, seed=cfg.seed, trials=args.trials)
     pretty = []
     ok = True
     for suite in results:
@@ -197,178 +178,14 @@ def cmd_verify(cfg: RunConfig, args) -> int:
     return EXIT_OK
 
 
-# the showcase targets: exact distributions the reproductions must hit
-M6_TARGET_DEG6 = (1, 0, 441, 2646, 35280, 127008, 96768)
-M6_TARGET_DEG3 = (1, 0, 441, 4158, 24696, 148176, 84672)
-M7_TARGET_PROGRESSION = (1, 0, 0, 889, 5334, 42672, 341376, 1706880, 0, 0)
-M7_TARGET_GAPPED = (1, 0, 0, 889, 0, 37338, 394716, 1664208, 0, 0)
-
-
-def _lambda_report(ctx, lam):
-    return {"lambda": lam,
-            "minimal_polynomial": list(ctx.minimal_polynomial(lam))}
-
-
-def cmd_reproduce(cfg: RunConfig, args) -> int:
-    try:
-        if args.example == "m6":
-            payload, pretty = _reproduce_m6(cfg)
-        elif args.example == "m7":
-            payload, pretty = _reproduce_m7(cfg)
-        elif args.example == "prop45":
-            payload, pretty = _reproduce_extremal(cfg)
-        else:
-            payload, pretty = _reproduce_lowerbound(cfg)
-    except CapExceededError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_CAP
+def cmd_reproduce(cfg: RunConfig, args, showcases=SHOWCASES) -> int:
+    payload, pretty = showcases[args.example](cfg.enumeration_cap, cfg.threads)
     _emit(cfg, payload, pretty_lines=pretty)
-    if not payload["verdict"] == "matched":
+    if payload["verdict"] != "matched":
         print("FALSIFICATION ALARM: could not match the showcase values",
               file=sys.stderr)
         return EXIT_ALARM
     return EXIT_OK
-
-
-def _search_distribution(ctx, degree, t, target, cap, threads,
-                         block_fn=None) -> tuple[int | None, tuple | None]:
-    for lam in ctx.elements_of_degree(degree):
-        if block_fn is None:
-            c = analysis.construct_lambda_code(ctx, lam, degree, [t] * 3)
-        else:
-            c = codes.build_completely_decomposable(ctx, block_fn(lam))
-        wd = codes.weight_distribution(c, cap=cap, threads=threads)
-        if tuple(wd.counts) == target:
-            return lam, tuple(wd.counts)
-    return None, None
-
-
-def _reproduce_m6(cfg):
-    ctx = FieldContext(2, 1, 6)
-    lam6, _ = _search_distribution(ctx, 6, 2, M6_TARGET_DEG6,
-                                    cfg.enumeration_cap, cfg.threads)
-    lam3, _ = _search_distribution(ctx, 3, 2, M6_TARGET_DEG3,
-                                    cfg.enumeration_cap, cfg.threads)
-    # the count at the minimum weight is lambda-free across admissible degrees
-    all441 = True
-    for e in (3, 6):
-        for lam in ctx.elements_of_degree(e):
-            rep = analysis.min_weight_count_formula(
-                analysis.construct_lambda_code(ctx, lam, e, [2, 2, 2]))
-            all441 = all441 and rep.formula_count == 441
-    matched = lam6 is not None and lam3 is not None and all441
-    payload = {
-        "example": "m6",
-        "target_degree6": list(M6_TARGET_DEG6),
-        "target_degree3": list(M6_TARGET_DEG3),
-        "witness_degree6": _lambda_report(ctx, lam6) if lam6 is not None else None,
-        "witness_degree3": _lambda_report(ctx, lam3) if lam3 is not None else None,
-        "minimum_count_lambda_free": all441,
-        "verdict": "matched" if matched else "unmatched",
-    }
-    pretty = [
-        "showcase m=6, type (2,2,2) over GF(2^6):",
-        f"  degree-6 witness: {payload['witness_degree6']}",
-        f"    distribution {list(M6_TARGET_DEG6)}",
-        f"  degree-3 witness: {payload['witness_degree3']}",
-        f"    distribution {list(M6_TARGET_DEG3)}",
-        f"  count 441 at weight 2 for every admissible lambda: {all441}",
-        f"verdict: {payload['verdict']}",
-    ]
-    return payload, pretty
-
-
-def _reproduce_m7(cfg):
-    ctx = FieldContext(2, 1, 7)
-    witness = None
-    for lam in ctx.elements_of_degree(7):
-        c1 = analysis.construct_lambda_code(ctx, lam, 7, [3, 3, 3])
-        w1 = codes.weight_distribution(c1, cap=cfg.enumeration_cap,
-                                       threads=cfg.threads)
-        if tuple(w1.counts) != M7_TARGET_PROGRESSION:
-            continue
-        c2 = codes.build_completely_decomposable(
-            ctx, [[1, lam, ctx.pow(lam, 3)]] * 3)
-        w2 = codes.weight_distribution(c2, cap=cfg.enumeration_cap,
-                                       threads=cfg.threads)
-        if tuple(w2.counts) == M7_TARGET_GAPPED:
-            witness = lam
-            break
-    matched = witness is not None
-    payload = {
-        "example": "m7",
-        "target_progression": list(M7_TARGET_PROGRESSION),
-        "target_gapped": list(M7_TARGET_GAPPED),
-        "witness": _lambda_report(ctx, witness) if matched else None,
-        "equal_minimum_count": 889,
-        "verdict": "matched" if matched else "unmatched",
-    }
-    pretty = [
-        "showcase m=7, type (3,3,3) over GF(2^7):",
-        f"  shared witness: {payload['witness']}",
-        f"  progression blocks: {list(M7_TARGET_PROGRESSION)}",
-        f"  blocks (1, lam, lam^3): {list(M7_TARGET_GAPPED)}",
-        "  both hit 889 words at the minimum weight 3",
-        f"verdict: {payload['verdict']}",
-    ]
-    return payload, pretty
-
-
-def _reproduce_extremal(cfg):
-    ctx = FieldContext(2, 1, 4)
-    xi = ctx.elements_of_degree(4)[0]
-    c = analysis.construct_subfield_extremal(ctx, 2, 2, 2, xi)
-    wd = codes.weight_distribution(c, cap=cfg.enumeration_cap,
-                                   threads=cfg.threads)
-    spectrum = sorted(i for i, v in enumerate(wd.counts) if v and i)
-    matched = wd[2] == 75 and spectrum == [2, 4]
-    payload = {
-        "example": "prop45",
-        "parameters": {"q": 2, "e": 2, "r": 2, "k": 2},
-        "xi": _lambda_report(ctx, xi),
-        "counts": list(wd.counts),
-        "minimum_weight_count": wd[2],
-        "expected": 75,
-        "spectrum": spectrum,
-        "verdict": "matched" if matched else "unmatched",
-    }
-    pretty = [
-        "hyperplane-block extremal code, q=2 e=2 r=2 k=2:",
-        f"  counts {list(wd.counts)}; weight-2 words: {wd[2]} (expected 75)",
-        f"  nonzero weights {spectrum} (expected [2, 4])",
-        f"verdict: {payload['verdict']}",
-    ]
-    return payload, pretty
-
-
-def _reproduce_lowerbound(cfg):
-    ctx = FieldContext(3, 1, 4)
-    found = analysis.find_lower_attaining_params(ctx, 2, 2)
-    matched = False
-    counts = None
-    if found:
-        xi, mus, lam = found
-        c = analysis.construct_lower_attaining(ctx, 2, 2, xi, mus, lam)
-        wd = codes.weight_distribution(c, cap=cfg.enumeration_cap,
-                                       threads=cfg.threads)
-        counts = list(wd.counts)
-        matched = wd[2] == (3**4 - 1) * 2
-    payload = {
-        "example": "lowerbound",
-        "parameters": {"q": 3, "e": 2, "k": 2},
-        "witnesses": {"xi": found[0], "mu": found[1], "lambda": found[2]}
-        if found else None,
-        "counts": counts,
-        "expected_minimum_count": (3**4 - 1) * 2,
-        "verdict": "matched" if matched else "unmatched",
-    }
-    pretty = [
-        "lower-bound attaining twisted code, q=3 e=2 k=2:",
-        f"  witnesses: {payload['witnesses']}",
-        f"  counts {counts}; weight-2 words expected {(3**4 - 1) * 2}",
-        f"verdict: {payload['verdict']}",
-    ]
-    return payload, pretty
 
 
 def cmd_bounds(cfg: RunConfig, args) -> int:
@@ -433,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--trials", type=int, default=None)
 
     r = sub.add_parser("reproduce", help="recompute a showcase example")
-    r.add_argument("example", choices=("m6", "m7", "prop45", "lowerbound"))
+    r.add_argument("example", choices=tuple(SHOWCASES))
 
     bd = sub.add_parser("bounds", help="closed-form count bounds")
     bd.add_argument("--q", type=int, required=True)
@@ -474,7 +291,20 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE
-    return COMMANDS[args.command](cfg, args)
+    return _run(COMMANDS[args.command], cfg, args)
+
+
+def _run(command, cfg: RunConfig, args) -> int:
+    """Run one subcommand; a refused enumeration exits 2 and a
+    falsification alarm exits 3, each with one line on stderr."""
+    try:
+        return command(cfg, args)
+    except CapExceededError as exc:
+        print(str(exc), file=sys.stderr)
+        return EXIT_CAP
+    except FalsificationAlarm as exc:
+        print(f"FALSIFICATION ALARM: {exc}", file=sys.stderr)
+        return EXIT_ALARM
 
 
 if __name__ == "__main__":

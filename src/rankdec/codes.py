@@ -462,6 +462,23 @@ def build_completely_decomposable(ctx: FieldContext,
     return RankCode(ctx, dec.weight_complementary_generator(), dec)
 
 
+def random_decomposable(ctx: FieldContext, k: int, rng: random.Random,
+                        max_len: int | None = None) -> RankCode:
+    """Direct sum of k random full-weight blocks.  Each block draws its
+    length from 1..max_len (default m - 1), then entries until they are
+    F_q-independent; seeded reports depend on this order of draws."""
+    max_len = max_len or ctx.m - 1
+    blocks = []
+    for _ in range(k):
+        length = rng.randrange(1, max_len + 1)
+        while True:
+            u = [rng.randrange(ctx.order) for _ in range(length)]
+            if rank_weight(ctx, u) == length:
+                blocks.append(u)
+                break
+    return build_completely_decomposable(ctx, blocks)
+
+
 def _require_decomposition(code: RankCode) -> Decomposition:
     if code.decomposition is None:
         raise ValueError("code has no decomposition record; run detection first")

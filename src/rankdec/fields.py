@@ -38,7 +38,7 @@ _TABLE_LIMIT = 1 << 16
 _DEGREE_CAP = 32
 
 
-def _is_prime(n: int) -> bool:
+def is_prime(n: int) -> bool:
     if n < 2:
         return False
     d = 2
@@ -58,7 +58,7 @@ class FieldContext:
 
     def __init__(self, p: int, a: int, m: int, modulus: Sequence[int] | None = None,
                  fq_basis: Sequence[int] | None = None):
-        if not _is_prime(p):
+        if not is_prime(p):
             raise ValueError(f"p = {p} is not prime")
         if a < 1 or m < 1:
             raise ValueError("a and m must be positive")
@@ -83,13 +83,13 @@ class FieldContext:
 
         self._exp = None
         self._log = None
+        self._caches: dict = {}
         if self.order <= _TABLE_LIMIT:
             self._build_tables()
 
         # the modulus root generates the whole tower over F_p, hence has
         # degree exactly m over F_q: its power basis is the default Gamma
         self.x = p if self.n > 1 else 0  # the class of x; for n = 1, F_p itself
-        self._caches: dict = {}
         if fq_basis is None:
             g = self.x if self.n > 1 else 1
             fq_basis = []
@@ -220,20 +220,12 @@ class FieldContext:
         return r
 
     def _build_tables(self):
-        order = self.order
-        # locate a multiplicative generator by order checks
-        n1 = order - 1
-        factors = gfpoly.prime_factors(n1) if n1 > 1 else []
+        # runs before the tables exist, so pow/mul take the table-free path
+        g = self.primitive_element
+        n1 = self.order - 1
         mul = self._mul2 if self.p == 2 else self._mul_generic
-        g = None
-        for cand in range(2, order):
-            if all(self._raw_pow(cand, n1 // r, mul) != 1 for r in factors):
-                g = cand
-                break
-        if g is None:
-            g = 1  # F_2: trivial group
         exp = [0] * n1 if n1 else [0]
-        log = [0] * order
+        log = [0] * self.order
         v = 1
         for i in range(n1):
             exp[i] = v
@@ -241,17 +233,6 @@ class FieldContext:
             v = mul(v, g)
         self._exp = exp
         self._log = log
-        self._generator = g
-
-    def _raw_pow(self, x, e, mul):
-        r = 1
-        b = x
-        while e:
-            if e & 1:
-                r = mul(r, b)
-            b = mul(b, b)
-            e >>= 1
-        return r
 
     # ------------------------------------------------------------------
     # Frobenius, trace, norm, degrees
@@ -580,17 +561,15 @@ class FieldContext:
 
     @property
     def primitive_element(self) -> int:
+        """The smallest integer encoding of a generator of F_{q^m}^*
+        (1 in F_2, whose group is trivial)."""
         key = ("prim",)
         if key not in self._caches:
-            if self._exp is not None:
-                self._caches[key] = self._generator
-            else:
-                n1 = self.order - 1
-                factors = gfpoly.prime_factors(n1)
-                for cand in range(2, self.order):
-                    if all(self.pow(cand, n1 // r) != 1 for r in factors):
-                        self._caches[key] = cand
-                        break
+            n1 = self.order - 1
+            factors = gfpoly.prime_factors(n1) if n1 > 1 else []
+            self._caches[key] = next(
+                (c for c in range(2, self.order)
+                 if all(self.pow(c, n1 // r) != 1 for r in factors)), 1)
         return self._caches[key]
 
     def subfield_generator(self, e: int) -> int:
@@ -638,6 +617,3 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
         raise FalsificationAlarm(f"[{n}, {k}]_{q}: {num} is not divisible by {den}")
     return num // den
 
-
-def is_prime(n: int) -> bool:
-    return _is_prime(n)

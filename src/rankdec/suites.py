@@ -10,32 +10,17 @@ from __future__ import annotations
 
 import random
 
-from . import analysis, codes, subspaces, systems
+from . import analysis, codes, showcases, subspaces, systems
 from .enumeration import message_space_size
 from .errors import FalsificationAlarm
 from .fields import FieldContext
+from .linalg import field_rank
 
 
 def _check(name, instances, passed, **extra):
     out = {"name": name, "instances": instances, "passed": bool(passed)}
     out.update(extra)
     return out
-
-
-def _random_full_weight_block(ctx, length, rng):
-    while True:
-        u = [rng.randrange(ctx.order) for _ in range(length)]
-        if codes.rank_weight(ctx, u) == length:
-            return u
-
-
-def _random_decomposable(ctx, k, rng, max_len=None):
-    max_len = max_len or ctx.m - 1
-    blocks = [
-        _random_full_weight_block(ctx, rng.randrange(1, max_len + 1), rng)
-        for _ in range(k)
-    ]
-    return codes.build_completely_decomposable(ctx, blocks)
 
 
 # ----------------------------------------------------------------------
@@ -96,8 +81,6 @@ def run_duality_suite(seed: int = 0, trials: int = 1000) -> dict:
                 for _ in range(rng.randrange(1, 2 * k + 1))]
         u = systems.System(ctx, k, vecs)
         w_rows = [[rng.randrange(ctx.order) for _ in range(k)]]
-        from .linalg import field_rank
-
         if field_rank(w_rows, ctx) == 0:
             continue
         w_flat = systems.flat_span(ctx, k, w_rows)
@@ -197,7 +180,7 @@ def run_characterization_suite(seed: int = 0, trials: int = 50) -> dict:
               (FieldContext(3, 1, 3), 2)]
     while count < trials:
         ctx, k = params[count % len(params)]
-        c = _random_decomposable(ctx, k, rng)
+        c = codes.random_decomposable(ctx, k, rng)
         b = codes.random_gl_ext(ctx, c.k, seed=rng.randrange(1 << 30))
         amap = codes.random_gl(ctx, c.n, seed=rng.randrange(1 << 30))
         scr = codes.apply_equivalence(c.relabeled(b), amap).strip_decomposition()
@@ -247,7 +230,7 @@ def run_characterization_suite(seed: int = 0, trials: int = 50) -> dict:
     ok = True
     for _ in range(10):
         ctx = FieldContext(2, 1, 6)
-        c = _random_decomposable(ctx, 2, rng)
+        c = codes.random_decomposable(ctx, 2, rng)
         d = codes.geometric_dual(c)
         typ = c.decomposition.type_vector
         expect = tuple(sorted((ctx.m - t for t in typ), reverse=True))
@@ -282,7 +265,7 @@ def run_bounds_suite(seed: int = 0, trials: int = 100,
         ctx, k = params[count % len(params)]
         if message_space_size(ctx, k) > enum_cap:
             continue
-        c = _random_decomposable(ctx, k, rng)
+        c = codes.random_decomposable(ctx, k, rng)
         rep = analysis.min_weight_count_formula(c, enumerate_check=True,
                                                 cap=enum_cap)
         formula_ok = formula_ok and rep.formula_count == rep.enumerated_count
@@ -302,7 +285,7 @@ def run_bounds_suite(seed: int = 0, trials: int = 100,
     ok = True
     for _ in range(8):
         ctx = FieldContext(2, 1, rng.choice([4, 5]))
-        c = _random_decomposable(ctx, 2, rng, max_len=ctx.m - 1)
+        c = codes.random_decomposable(ctx, 2, rng)
         rep = analysis.min_weight_count_formula(c)
         ell = rep.ell
         total = sum(analysis.minimum_weight_family(c, t).size
@@ -313,27 +296,22 @@ def run_bounds_suite(seed: int = 0, trials: int = 100,
                          count, ok))
 
     # extremal constructions attain their bounds
-    f16 = FieldContext(2, 1, 4)
-    xi = f16.elements_of_degree(4)[0]
-    c45 = analysis.construct_subfield_extremal(f16, 2, 2, 2, xi)
+    c45, _ = showcases.prop45_code()
     wd = codes.weight_distribution(c45, cap=enum_cap)
     rep = analysis.min_weight_count_formula(c45)
-    upper_hit = wd[2] == 75 and rep.formula_count == rep.upper_bound
-    spectrum = {i for i, v in enumerate(wd.counts) if v and i} == {2, 4}
+    upper_hit = (wd[2] == showcases.PROP45_MIN_COUNT
+                 and rep.formula_count == rep.upper_bound)
+    spectrum = ([i for i, v in enumerate(wd.counts) if v and i]
+                == showcases.PROP45_SPECTRUM)
     verdict = analysis.check_char_nonprime(c45)
     checks.append(_check("hyperplane-block construction attains the upper bound",
                          1, upper_hit and spectrum
                          and verdict.status == "verified"))
 
-    f81 = FieldContext(3, 1, 4)
-    found = analysis.find_lower_attaining_params(f81, 2, 2)
-    low_ok = False
-    if found:
-        xi3, mus, lam3 = found
-        clow = analysis.construct_lower_attaining(f81, 2, 2, xi3, mus, lam3)
-        rep = analysis.min_weight_count_formula(clow, enumerate_check=True,
-                                                cap=enum_cap)
-        low_ok = rep.formula_count == rep.lower_bound == rep.enumerated_count
+    clow, _ = showcases.lowerbound_code()
+    rep = analysis.min_weight_count_formula(clow, enumerate_check=True,
+                                            cap=enum_cap)
+    low_ok = rep.formula_count == rep.lower_bound == rep.enumerated_count
     checks.append(_check("twisted construction attains the lower bound",
                          1, low_ok))
 
@@ -342,7 +320,7 @@ def run_bounds_suite(seed: int = 0, trials: int = 100,
     count = 0
     ok = True
     for _ in range(15):
-        c = _random_decomposable(ctx, 2, rng, max_len=3)
+        c = codes.random_decomposable(ctx, 2, rng, max_len=3)
         try:
             v = analysis.check_char_prime(c)
         except FalsificationAlarm:

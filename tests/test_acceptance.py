@@ -12,7 +12,6 @@ from rankdec import FieldContext
 from rankdec.analysis import (
     bound_prime,
     construct_lambda_code,
-    construct_subfield_extremal,
     min_weight_count_formula,
     minimum_weight_family,
     trailing_run_length,
@@ -25,43 +24,37 @@ from rankdec.codes import (
     geometric_dual,
     minimal_codeword_census,
     minimal_codewords,
+    random_decomposable,
     random_gl,
-    rank_weight,
     weight_distribution,
 )
 from rankdec.enumeration import (
+    DEFAULT_ENUM_CAP,
     message_from_index,
     message_space_size,
     weights_array,
 )
 from rankdec.fields import is_prime
+from rankdec.showcases import (
+    M6_TARGETS,
+    M7_TARGET_GAPPED,
+    M7_TARGET_PROGRESSION,
+    PROP45_MIN_COUNT,
+    PROP45_SPECTRUM,
+    m6_witness,
+    m7_gapped_code,
+    m7_witness,
+    prop45_code,
+)
 from rankdec.suites import (
     run_characterization_suite,
     run_duality_suite,
     run_products_suite,
 )
 
-M6_DEG6 = (1, 0, 441, 2646, 35280, 127008, 96768)
-M6_DEG3 = (1, 0, 441, 4158, 24696, 148176, 84672)
-M7_PROGRESSION = (1, 0, 0, 889, 5334, 42672, 341376, 1706880, 0, 0)
-M7_GAPPED = (1, 0, 0, 889, 0, 37338, 394716, 1664208, 0, 0)
-
 
 def _pass(n, msg):
     print(f"[PASS] criterion {n}: {msg}")
-
-
-def _random_block(ctx, length, rng):
-    while True:
-        u = [rng.randrange(ctx.order) for _ in range(length)]
-        if rank_weight(ctx, u) == length:
-            return u
-
-
-def _random_decomposable(ctx, k, rng):
-    return build_completely_decomposable(
-        ctx, [_random_block(ctx, rng.randrange(1, ctx.m), rng)
-              for _ in range(k)])
 
 
 @pytest.fixture(scope="module")
@@ -82,7 +75,7 @@ def oracle_codes():
         i += 1
         if message_space_size(ctx, k) > 1 << 24:
             continue
-        code = _random_decomposable(ctx, k, rng)
+        code = random_decomposable(ctx, k, rng)
         rep = min_weight_count_formula(code, enumerate_check=True)
         pool.append((code, rep))
     return pool
@@ -94,21 +87,17 @@ def test_criterion_1_m6_distributions():
     deg3 = ctx.elements_of_degree(3)
     assert len(deg6) + len(deg3) <= 63  # candidate budget
 
-    hit6 = None
-    for lam in deg6:
-        wd = weight_distribution(construct_lambda_code(ctx, lam, 6, [2, 2, 2]))
-        if tuple(wd.counts) == M6_DEG6:
-            hit6 = lam
-            break
+    hit6 = m6_witness(ctx, 6, DEFAULT_ENUM_CAP, 1)
     assert hit6 is not None, "no degree-6 witness for the showcase distribution"
-
-    hit3 = None
-    for lam in deg3:
-        wd = weight_distribution(construct_lambda_code(ctx, lam, 3, [2, 2, 2]))
-        if tuple(wd.counts) == M6_DEG3:
-            hit3 = lam
-            break
+    hit3 = m6_witness(ctx, 3, DEFAULT_ENUM_CAP, 1)
     assert hit3 is not None, "no degree-3 witness for the showcase distribution"
+    # recomputed here: the two distributions share 441 words of weight 2
+    # and differ elsewhere
+    for lam, e in ((hit6, 6), (hit3, 3)):
+        wd = weight_distribution(construct_lambda_code(ctx, lam, e, [2, 2, 2]))
+        assert tuple(wd.counts) == M6_TARGETS[e], (e, lam, wd.counts)
+    assert M6_TARGETS[6][2] == M6_TARGETS[3][2] == 441
+    assert M6_TARGETS[6] != M6_TARGETS[3]
 
     # every admissible lambda (blocks of length 2 strictly inside the
     # generated subfield, or generating the whole field) gives 441
@@ -122,16 +111,14 @@ def test_criterion_1_m6_distributions():
 
 def test_criterion_2_m7_distributions():
     ctx = FieldContext(2, 1, 7)
-    witness = None
-    for lam in ctx.elements_of_degree(7):
-        c1 = construct_lambda_code(ctx, lam, 7, [3, 3, 3])
-        if tuple(weight_distribution(c1).counts) != M7_PROGRESSION:
-            continue
-        c2 = build_completely_decomposable(ctx, [[1, lam, ctx.pow(lam, 3)]] * 3)
-        if tuple(weight_distribution(c2).counts) == M7_GAPPED:
-            witness = lam
-            break
+    witness = m7_witness(ctx, DEFAULT_ENUM_CAP, 1)
     assert witness is not None, "no m=7 witness matches both distributions"
+    c1 = construct_lambda_code(ctx, witness, 7, [3, 3, 3])
+    c2 = m7_gapped_code(ctx, witness)
+    assert c1.decomposition.type_vector == c2.decomposition.type_vector == (3, 3, 3)
+    assert tuple(weight_distribution(c1).counts) == M7_TARGET_PROGRESSION
+    assert tuple(weight_distribution(c2).counts) == M7_TARGET_GAPPED
+    assert M7_TARGET_PROGRESSION[3] == M7_TARGET_GAPPED[3] == 889
     _pass(2, f"m=7 witness {witness}: both showcase distributions matched, "
              f"shared minimum count 889")
 
@@ -156,11 +143,10 @@ def test_criterion_4_bound_sandwich(oracle_codes):
 
 
 def test_criterion_5_subfield_extremal_instance():
-    ctx = FieldContext(2, 1, 4)
-    xi = ctx.elements_of_degree(4)[0]
-    code = construct_subfield_extremal(ctx, 2, 2, 2, xi)
+    code, _ = prop45_code()
     wd = weight_distribution(code)  # 2^8 messages
-    assert wd[2] == 75, wd.counts
+    assert wd[2] == PROP45_MIN_COUNT == 75, wd.counts
+    assert PROP45_SPECTRUM == [2, 4]
     assert all(v == 0 for i, v in enumerate(wd.counts) if i not in (0, 2, 4))
     assert wd[4] == 2**8 - 1 - 75
     _pass(5, "75 words of weight 2, all other nonzero words of weight 4")
@@ -212,7 +198,7 @@ def test_criterion_9_minimal_codewords():
         f27, [[1, h], [1, f27.mul(h, h)]]))
     while len(instances) < 6:
         ctx = rng.choice([f16, f32, f27])
-        code = _random_decomposable(ctx, 2, rng)
+        code = random_decomposable(ctx, 2, rng)
         if message_space_size(ctx, 2) <= 1 << 16 and blocks_scalar_unrelated(code):
             instances.append(code)
     checked = 0
@@ -242,7 +228,7 @@ def test_criterion_10_geometric_dual():
     count = 0
     for ctx, k in ((f64, 2), (f32, 2), (f64, 3)):
         for _ in range(3):
-            code = _random_decomposable(ctx, k, rng)
+            code = random_decomposable(ctx, k, rng)
             typ = code.decomposition.type_vector
             expected = tuple(sorted((ctx.m - t for t in typ), reverse=True))
             dual = geometric_dual(code.strip_decomposition())
@@ -272,7 +258,7 @@ def test_criterion_11_family_partition():
         build_completely_decomposable(
             f27, [[1, f27.elements_of_degree(3)[0]],
                   [1, f27.elements_of_degree(3)[1]]]),
-        _random_decomposable(f16, 3, rng),
+        random_decomposable(f16, 3, rng),
     ]
     for code in instances:
         ctx = code.ctx

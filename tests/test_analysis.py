@@ -61,6 +61,13 @@ class TestBounds:
         with pytest.raises(ValueError):
             bounds_nonprime(2, 4, 4, 1)
 
+    @pytest.mark.parametrize("q", [0, 1, 6, -3, 12])
+    def test_field_size_must_be_a_prime_power(self, q):
+        with pytest.raises(ValueError, match="prime power"):
+            bounds_nonprime(q, 7, 3, 2)
+        with pytest.raises(ValueError, match="prime power"):
+            bound_prime(q, 7, 2)
+
 
 class TestFormula:
     @pytest.mark.parametrize("e", [3, 6])

@@ -1,10 +1,27 @@
 """CLI surface: spec files, reports, exit codes, and determinism."""
 
+import argparse
 import json
+from pathlib import Path
 
 import pytest
 
-from rankdec.cli import EXIT_ALARM, EXIT_CAP, EXIT_OK, EXIT_USAGE, RunConfig, main
+from rankdec.cli import (
+    EXIT_ALARM,
+    EXIT_CAP,
+    EXIT_OK,
+    EXIT_USAGE,
+    RunConfig,
+    _run,
+    cmd_reproduce,
+    main,
+)
+from rankdec.errors import CapExceededError, FalsificationAlarm
+from rankdec.showcases import SHOWCASES
+
+#: the exact ``--format json reproduce <name>`` stdout of each showcase
+REPRODUCE_JSON = json.loads(
+    (Path(__file__).parent / "data" / "reproduce_json.json").read_text())
 
 
 @pytest.fixture
@@ -130,6 +147,13 @@ class TestVerify:
     def test_unknown_suite_usage_error(self):
         assert main(["verify", "nonsense"]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("trials", ["0", "-1"])
+    def test_nonpositive_trials_usage_error(self, capsys, trials):
+        assert main(["verify", "bounds", "--trials", trials]) == EXIT_USAGE
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.count("\n") == 1
+        assert "--trials" in out.err
+
 
 class TestReproduce:
     def test_prop45(self, capsys):
@@ -145,6 +169,17 @@ class TestReproduce:
         payload = json.loads(capsys.readouterr().out)
         assert payload["verdict"] == "matched"
         assert payload["counts"][2] == 160
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("example", sorted(SHOWCASES))
+    def test_json_bytes_pinned(self, capsys, example, threads):
+        rc = main(["--threads", threads, "--format", "json", "reproduce",
+                   example])
+        assert rc == EXIT_OK
+        assert capsys.readouterr().out == REPRODUCE_JSON[example]
+
+    def test_fixture_covers_every_showcase(self):
+        assert sorted(REPRODUCE_JSON) == sorted(SHOWCASES)
 
 
 class TestBounds:
@@ -167,6 +202,22 @@ class TestBounds:
         assert main(["bounds", "--q", "2", "--m", "4", "--nk", "4",
                      "--ell", "1"]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("q", ["0", "1", "6", "-3"])
+    def test_field_size_not_a_prime_power(self, capsys, q):
+        assert main(["bounds", f"--q={q}", "--m", "7", "--nk", "3",
+                     "--ell", "2"]) == EXIT_USAGE
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.count("\n") == 1
+        assert "prime power" in out.err
+
+    def test_prime_power_field_size(self, capsys):
+        rc = main(["--format", "json", "bounds", "--q", "9", "--m", "2",
+                   "--nk", "1", "--ell", "0"])
+        assert rc == EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["lower"], payload["upper"]) == (80, 80)
+        assert payload["prime_upper"] == 80
+
 
 def test_runconfig_validation():
     with pytest.raises(ValueError):
@@ -177,9 +228,27 @@ def test_runconfig_validation():
         RunConfig(output_format="yaml")
 
 
-def test_alarm_exit_on_unmatched(monkeypatch, capsys):
-    # tamper with a reproduction target to force the alarm path
-    from rankdec import cli
+def test_alarm_exit_on_unmatched(capsys):
+    # a stand-in showcase whose target is not hit takes the alarm path
+    def unmatched(cap, threads):
+        return {"example": "m6", "verdict": "unmatched"}, ["verdict: unmatched"]
 
-    monkeypatch.setattr(cli, "M6_TARGET_DEG6", (1, 0, 1, 0, 0, 0, 2**18 - 2))
-    assert main(["reproduce", "m6"]) == EXIT_ALARM
+    args = argparse.Namespace(example="m6")
+    assert cmd_reproduce(RunConfig(), args, {"m6": unmatched}) == EXIT_ALARM
+    out = capsys.readouterr()
+    assert out.out == "verdict: unmatched\n"
+    assert out.err.count("\n") == 1 and "FALSIFICATION ALARM" in out.err
+
+
+@pytest.mark.parametrize("exc, code", [
+    (FalsificationAlarm("a proved count was not reached"), EXIT_ALARM),
+    (CapExceededError(1 << 30, 1 << 24), EXIT_CAP),
+])
+def test_errors_map_to_exit_codes(capsys, exc, code):
+    def command(cfg, args):
+        raise exc
+
+    assert _run(command, RunConfig(), argparse.Namespace()) == code
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.count("\n") == 1
+    assert str(exc) in out.err

@@ -419,6 +419,40 @@ class TestDuals:
                     acc = f64.add(acc, f64.mul(x, y))
                 assert acc == 0
 
+    @pytest.mark.parametrize("p,a,m", [(2, 1, 3), (2, 1, 4), (3, 1, 2),
+                                       (3, 1, 3), (2, 2, 2)])
+    def test_classical_dual_rank_macwilliams(self, p, a, m):
+        # rank MacWilliams identity in binomial-moment form (Delsarte
+        # 1978; Ravagnani 2016), for every nu in 0..n:
+        #   sum_(i<=n-nu) A_i(C) [n-i, nu]_q q^(m nu)
+        #     = |C| sum_(j<=nu) A_j(C^perp) [n-j, nu-j]_q
+        ctx = FieldContext(p, a, m)
+        q = ctx.q
+        rng = random.Random(100 * p + 10 * a + m)
+        for n in (3, 4, 5):
+            for _ in range(4):
+                k = rng.randrange(1, n)
+                while True:
+                    rows = [[rng.randrange(ctx.order) for _ in range(n)]
+                            for _ in range(k)]
+                    try:
+                        code = RankCode(ctx, rows)
+                        break
+                    except ValueError:
+                        continue
+                dual = dual_code(code)
+                assert (dual.n, dual.k) == (n, n - k)
+                a_c = weight_distribution(code).counts
+                a_d = weight_distribution(dual).counts
+                for nu in range(n + 1):
+                    lhs = q ** (m * nu) * sum(
+                        a_c[i] * gaussian_binomial(n - i, nu, q)
+                        for i in range(n - nu + 1))
+                    rhs = ctx.order ** k * sum(
+                        a_d[j] * gaussian_binomial(n - j, nu - j, q)
+                        for j in range(nu + 1))
+                    assert lhs == rhs, (n, k, nu, a_c, a_d)
+
     def test_geometric_dual_blockwise_type(self, f64):
         lam = f64.elements_of_degree(6)[0]
         c = build_completely_decomposable(f64, [[1, lam]] * 3)
