@@ -81,7 +81,7 @@ def cmd_build(cfg: RunConfig, args) -> int:
         return EXIT_USAGE
     try:
         code = codes.code_from_spec(spec)
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:
         print(f"invalid code spec: {exc}", file=sys.stderr)
         return EXIT_USAGE
     ctx = code.ctx
@@ -112,7 +112,7 @@ def cmd_wdist(cfg: RunConfig, args) -> int:
     try:
         with open(args.code) as fh:
             code = codes.RankCode.from_json(json.load(fh))
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         print(f"cannot load code: {exc}", file=sys.stderr)
         return EXIT_USAGE
     payload = {"length": code.n, "dimension": code.k}

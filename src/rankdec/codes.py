@@ -127,11 +127,11 @@ def rank_weight(ctx: FieldContext, v: Sequence[int]) -> int:
     return span(ctx, v).dim
 
 
-def support(ctx: FieldContext, v: Sequence[int], gamma=None) -> RowSpace:
-    """Column span of the n x m expansion of v over F_q: a subspace of
-    F_q^n, independent of the expansion basis."""
+def support(ctx: FieldContext, v: Sequence[int]) -> RowSpace:
+    """Column span of the n x m expansion of v over F_q (in the power
+    basis): a subspace of F_q^n, independent of the expansion basis."""
     n = len(v)
-    coords = [ctx.gamma_coords(entry, gamma) for entry in v]
+    coords = [ctx.q_coords(entry) for entry in v]
     return RowSpace(ctx, n, [[coords[i][s] for i in range(n)]
                              for s in range(ctx.m)])
 
@@ -266,7 +266,9 @@ class RankCode:
                                   self.ctx))
 
     def codewords(self, cap: int = DEFAULT_ENUM_CAP):
-        """All codewords by message index order (desk scale only)."""
+        """All codewords in message index order: codeword t is that of
+        the message whose components are the base-q^m digits of t (desk
+        scale only)."""
         total = message_space_size(self.ctx, self.k)
         if total > cap:
             raise CapExceededError(total, cap, "codeword iteration")

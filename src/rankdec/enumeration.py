@@ -1,10 +1,11 @@
 """Exact weight enumeration kernels.
 
-The message space F_{q^m}^k is an F_q-space of dimension m*k; its
-elements are indexed by base-q digit vectors (digit j scales basis
-message number j, where basis message j = i*m + s puts the s-th power
-of the modulus root into component i).  The codeword map is F_q-linear
-in the message, so the codewords of an affine coset offset + span_Fq(B)
+The message space F_{q^m}^k is an F_p-space of dimension a*m*k, and
+message index t is the message whose component i is the base-q^m digit
+i of t (a field int).  Read in base p, digit j = i*(a*m) + s of t
+scales basis message j, which puts p^s into component i: the int p^s
+is the element x^s of the modulus root.  The codeword map is F_p-linear
+in the message, so the codewords of an affine coset offset + span_Fp(B)
 of basis codewords B are generated by a doubling construction,
 processed in contiguous chunks: each chunk combines a fixed low-digit
 table (which carries the offset) with one high-digit offset codeword.
@@ -17,7 +18,7 @@ Two entry points share the chunk kernel:
 * :func:`weight_counts` enumerates all q^(mk) messages (the linear
   subspace, offset zero).  It is the full-enumeration oracle.
 * :func:`projective_weights` enumerates only the normalised messages
-  (first nonzero coordinate 1), one coset G_i + span_Fq(G_{i+1..k}) per
+  (first nonzero coordinate 1), one coset G_i + span_Fp(G_{i+1..k}) per
   lead position i, giving one weight per point of
   :func:`projective_points`.  Rank weight is invariant under nonzero
   F_{q^m}-scalars, so A_0 = 1 and A_i = (q^m - 1) * P_i for i >= 1,
@@ -57,30 +58,19 @@ def message_space_size(ctx, k: int) -> int:
 
 
 def message_from_index(ctx, k: int, idx: int) -> tuple[int, ...]:
-    """Message vector (field ints) for a message index."""
-    q, m = ctx.q, ctx.m
-    powers = ctx.subfield_power_basis(1)
+    """Message vector (field ints) for a message index: component i is
+    the base-q^m digit i of idx."""
     comps = []
     for _ in range(k):
-        acc = 0
-        for s in range(m):
-            d = idx % q
-            idx //= q
-            if d:
-                acc = ctx.add(acc, ctx.mul(ctx.fq_from_code(d), powers[s]))
-        comps.append(acc)
+        idx, z = divmod(idx, ctx.order)
+        comps.append(z)
     return tuple(comps)
 
 
 def index_of_message(ctx, k: int, msg) -> int:
-    q, m = ctx.q, ctx.m
     idx = 0
-    mult = 1
-    for i in range(k):
-        coords = ctx.q_coords(msg[i])
-        for s in range(m):
-            idx += ctx.fq_code(coords[s]) * mult
-            mult *= q
+    for z in reversed(msg[:k]):
+        idx = idx * ctx.order + z
     return idx
 
 
@@ -89,14 +79,10 @@ def _packed_ok(ctx) -> bool:
 
 
 def _basis_codewords(ctx, generator):
-    """Kernel rows of all basis messages: row i*m + s is x^s * G_i, so
-    row i*m is the generator row G_i itself."""
-    k = len(generator)
-    powers = ctx.subfield_power_basis(1)
-    rows = []
-    for i in range(k):
-        for s in range(ctx.m):
-            rows.append([ctx.mul(powers[s], g) for g in generator[i]])
+    """Kernel rows of all basis messages: row i*(a*m) + s is p^s * G_i,
+    so row i*(a*m) is the generator row G_i itself."""
+    rows = [[ctx.mul(ctx.p**s, g) for g in gen_row]
+            for gen_row in generator for s in range(ctx.n)]
     if _packed_ok(ctx):
         return [np.array(row, dtype=np.uint64) for row in rows]
     out = []
@@ -159,23 +145,25 @@ def _rank_rows_generic(cw: np.ndarray, tables) -> np.ndarray:
 
 
 class _Kernel:
-    """Chunked enumeration of the coset offset + span_Fq(rows), where
+    """Chunked enumeration of the coset offset + span_Fp(rows), where
     rows and offset come from :func:`_basis_codewords`; word number t
-    is offset + sum_j d_j * rows[j] for the base-q digits d_j of t."""
+    is offset + sum_j d_j * rows[j] for the base-p digits d_j of t.
+    With rows from component i on, word t is the message whose
+    components i, i+1, ... are the base-q^m digits of t."""
 
     def __init__(self, ctx, rows, offset, chunk_target: int):
         self.m = ctx.m
-        self.q = q = ctx.q
+        self.p = p = ctx.p
         self.packed = _packed_ok(ctx)
         digits = len(rows)
-        self.words = q**digits
-        # low-digit count: the largest power of q at most the chunk target
+        self.words = p**digits
+        # low-digit count: the largest power of p at most the chunk target
         low = 0
-        while low < digits and q ** (low + 1) <= chunk_target:
+        while low < digits and p ** (low + 1) <= chunk_target:
             low += 1
         low = max(low, min(1, digits))
-        self.chunk_size = q**low
-        self.n_chunks = q ** (digits - low)
+        self.chunk_size = p**low
+        self.n_chunks = p ** (digits - low)
         self.high_rows = rows[low:]
         table = offset[None]
         if self.packed:
@@ -184,9 +172,10 @@ class _Kernel:
         else:
             self.tables = ctx.q_tables()
             add, sub, mul, inv = self.tables
+            # the F_p constant c is its own F_q code
             for j in range(low):
                 parts = [table]
-                for c in range(1, q):
+                for c in range(1, p):
                     parts.append(add[table, mul[c, rows[j]][None, :, :]])
                 table = np.concatenate(parts)
         self.low_table = table
@@ -202,8 +191,7 @@ class _Kernel:
             return self.low_table ^ base
         add, sub, mul, inv = self.tables
         for row in self.high_rows:
-            d = h % self.q
-            h //= self.q
+            h, d = divmod(h, self.p)
             if d:
                 base = add[base, mul[d, row]]
         return add[self.low_table, base[None, :, :]]
@@ -247,7 +235,9 @@ def weight_counts(ctx, generator, cap: int = DEFAULT_ENUM_CAP,
 
 
 def weights_array(ctx, generator, cap: int = DEFAULT_ENUM_CAP) -> np.ndarray:
-    """Per-message weights, aligned with the message index order."""
+    """Per-message weights: entry t is the weight of the codeword of
+    :func:`message_from_index` (t), whose components are the base-q^m
+    digits of t."""
     total = message_space_size(ctx, len(generator))
     if total > cap:
         raise CapExceededError(total, cap, "codeword enumeration")
@@ -270,9 +260,9 @@ def projective_weights(ctx, generator, threads: int = 1,
     generator.  The caller owns the budget: the work is
     :func:`projective_count` words.
     """
-    k, m, qm = len(generator), ctx.m, ctx.order
+    k, n, qm = len(generator), ctx.n, ctx.order
     rows = _basis_codewords(ctx, generator)
-    kernels = [_Kernel(ctx, rows[(i + 1) * m:], rows[i * m], chunk_target)
+    kernels = [_Kernel(ctx, rows[(i + 1) * n:], rows[i * n], chunk_target)
                for i in range(k)]
     starts = np.cumsum([0] + [kern.words for kern in kernels])
     out = np.empty(int(starts[-1]), dtype=np.uint8)
@@ -285,16 +275,6 @@ def projective_weights(ctx, generator, threads: int = 1,
 
     # a pool only pays off beyond one full chunk of work
     _map_chunks(one, jobs, threads if len(out) > chunk_target else 1)
-    if ctx.a != 1:
-        # kernel words run in F_q-digit order, points in field-int order
-        table = ctx.q_index_table()
-        perm = np.zeros(1, dtype=np.int64)
-        for i in range(k - 1, -1, -1):
-            block = slice(int(starts[i]), int(starts[i + 1]))
-            out[block] = out[block][perm]
-            if i:
-                # lead i - 1 frees component i as its least significant digit
-                perm = np.add.outer(perm * qm, table).ravel()
     p = np.bincount(out, minlength=len(generator[0]) + 1)
     counts = [int(x) * (qm - 1) for x in p]
     counts[0] += 1
@@ -309,13 +289,7 @@ def projective_count(ctx, k: int) -> int:
 def projective_points(ctx, k: int):
     """Projective representatives of F_{q^m}^k, first nonzero entry 1,
     iterated in integer order of the free part."""
-    order = ctx.order
     for lead in range(k):
         free = k - lead - 1
-        for idx in range(order**free):
-            rest = []
-            t = idx
-            for _ in range(free):
-                rest.append(t % order)
-                t //= order
-            yield tuple([0] * lead + [1] + rest)
+        for idx in range(ctx.order**free):
+            yield (0,) * lead + (1,) + message_from_index(ctx, free, idx)

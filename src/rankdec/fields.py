@@ -29,7 +29,7 @@ import numpy as np
 
 from . import gfpoly
 from .errors import ContextMismatchError, FalsificationAlarm
-from .linalg import field_inverse, field_kernel, field_rank
+from .linalg import field_inverse, field_kernel
 
 #: fields up to this order get exp/log tables (fast mul/inv/pow)
 _TABLE_LIMIT = 1 << 16
@@ -56,8 +56,7 @@ def divisors(n: int) -> list[int]:
 class FieldContext:
     """One fixed model of the tower F_p < F_{p^a} = F_q < F_{q^m}."""
 
-    def __init__(self, p: int, a: int, m: int, modulus: Sequence[int] | None = None,
-                 fq_basis: Sequence[int] | None = None):
+    def __init__(self, p: int, a: int, m: int, modulus: Sequence[int] | None = None):
         if not is_prime(p):
             raise ValueError(f"p = {p} is not prime")
         if a < 1 or m < 1:
@@ -88,20 +87,8 @@ class FieldContext:
             self._build_tables()
 
         # the modulus root generates the whole tower over F_p, hence has
-        # degree exactly m over F_q: its power basis is the default Gamma
+        # degree exactly m over F_q: its powers are the F_q-basis
         self.x = p if self.n > 1 else 0  # the class of x; for n = 1, F_p itself
-        if fq_basis is None:
-            g = self.x if self.n > 1 else 1
-            fq_basis = []
-            acc = 1
-            for _ in range(m):
-                fq_basis.append(acc)
-                acc = self.mul(acc, g)
-        fq_basis = tuple(fq_basis)
-        if len(fq_basis) != m:
-            raise ValueError(f"fq_basis must have {m} elements")
-        self.fq_basis = fq_basis
-        self._validate_fq_basis()
 
     # ------------------------------------------------------------------
     # encoding helpers
@@ -400,23 +387,16 @@ class FieldContext:
 
     def _coord_matrix_inv(self, e: int) -> np.ndarray:
         """Inverse of the F_p-matrix sending stacked F_{q^e}-coordinates
-        (in the subfield power basis) to element digit vectors."""
+        (in the subfield power basis) to element digit vectors, as an
+        int64 array for vectorised coordinate solves."""
         key = ("coordinv", e)
         if key not in self._caches:
             w = self.fp_basis_of_subfield(e)
-            powers = self.subfield_power_basis(e)
-            cols = []
-            for xi in powers:
-                for wl in w:
-                    cols.append(self.digits(self.mul(wl, xi)))
-            self._caches[key] = self._fp_inverse(cols)
+            cols = [self.digits(self.mul(wl, xi))
+                    for xi in self.subfield_power_basis(e) for wl in w]
+            mat = [list(r) for r in zip(*cols)]
+            self._caches[key] = np.array(field_inverse(mat, self), dtype=np.int64)
         return self._caches[key]
-
-    def _fp_inverse(self, cols) -> np.ndarray:
-        """Inverse of the F_p-matrix with the given digit-vector columns,
-        as an int64 array for vectorised coordinate solves."""
-        mat = [list(r) for r in zip(*cols)]
-        return np.array(field_inverse(mat, self), dtype=np.int64)
 
     def subfield_coords(self, z: int, e: int) -> tuple[int, ...]:
         """Coordinates of z over F_{q^e} in the subfield power basis;
@@ -457,44 +437,6 @@ class FieldContext:
         return self.subfield_combine(coords, 1)
 
     # ------------------------------------------------------------------
-    # coordinates with respect to the fixed F_q-basis Gamma
-    # ------------------------------------------------------------------
-
-    def _validate_fq_basis(self):
-        rows = [self.digits(self.mul(w, g))
-                for g in self.fq_basis for w in self.fp_basis_of_subfield(1)]
-        if field_rank(rows, self) != self.n:
-            raise ValueError("fq_basis elements are not F_q-linearly independent")
-
-    def gamma_coords(self, z: int, gamma: Sequence[int] | None = None) -> tuple[int, ...]:
-        """Coordinates of z over F_q with respect to Gamma (default: the
-        context basis).  Used by support expansion."""
-        if gamma is None:
-            gamma = self.fq_basis
-        gamma = tuple(gamma)
-        key = ("gammainv", gamma)
-        if key not in self._caches:
-            w = self.fp_basis_of_subfield(1)
-            cols = []
-            for g in gamma:
-                for wl in w:
-                    cols.append(self.digits(self.mul(wl, g)))
-            self._caches[key] = self._fp_inverse(cols)
-        minv = self._caches[key]
-        vec = np.array(self.digits(z), dtype=np.int64)
-        sol = (minv @ vec) % self.p
-        w = self.fp_basis_of_subfield(1)
-        out = []
-        for j in range(self.m):
-            c = 0
-            for l in range(self.a):
-                s = int(sol[j * self.a + l])
-                if s:
-                    c = self.add(c, self.mul(w[l], s))
-            out.append(c)
-        return tuple(out)
-
-    # ------------------------------------------------------------------
     # F_q as an abstract small field (codes 0..q-1) for kernels
     # ------------------------------------------------------------------
 
@@ -502,7 +444,9 @@ class FieldContext:
         return self.subfield_elements(1)
 
     def fq_code(self, z: int) -> int:
-        """Index of an F_q element in encoding order (identity for a=1)."""
+        """Index of an F_q element in encoding order (identity for a=1).
+        The constants 0..p-1 are the smallest encodings, so each is its
+        own code."""
         if self.a == 1:
             return z
         key = ("fqcode",)
@@ -510,11 +454,6 @@ class FieldContext:
             elems = self.fq_elements()
             self._caches[key] = {z: i for i, z in enumerate(elems)}
         return self._caches[key][z]
-
-    def fq_from_code(self, c: int) -> int:
-        if self.a == 1:
-            return c
-        return self.fq_elements()[c]
 
     def q_tables(self):
         """(ADD, SUB, MUL, INV) numpy uint8 tables on F_q codes; INV[0] = 0."""
@@ -536,23 +475,6 @@ class FieldContext:
                 if zi:
                     inv[i] = self.fq_code(self.inv(zi))
             self._caches[key] = (add, sub, mul, inv)
-        return self._caches[key]
-
-    def q_index_table(self) -> np.ndarray:
-        """For every element z, the index sum_s fq_code(c_s) * q^s of its
-        F_q-coordinates z = sum_s c_s x^s in the power basis: the order
-        in which the enumeration kernels list F_{q^m}.  The identity for
-        a = 1; int64, cached."""
-        key = ("qindex",)
-        if key not in self._caches:
-            # elements listed by index, one F_q-digit at a time
-            elems = [0]
-            for xs in self.subfield_power_basis(1):
-                scaled = [self.mul(self.fq_from_code(c), xs) for c in range(self.q)]
-                elems = [self.add(z, cx) for cx in scaled for z in elems]
-            table = np.empty(self.order, dtype=np.int64)
-            table[elems] = np.arange(self.order, dtype=np.int64)
-            self._caches[key] = table
         return self._caches[key]
 
     # ------------------------------------------------------------------

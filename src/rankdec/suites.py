@@ -100,7 +100,9 @@ def run_duality_suite(seed: int = 0, trials: int = 1000) -> dict:
 # ----------------------------------------------------------------------
 
 
-def run_products_suite(seed: int = 0, trials: int = 0) -> dict:
+def run_products_suite(seed: int = 0, trials: int | None = None) -> dict:
+    """Exhaustive product checks at m = 5, then two sampled checks with
+    ``trials`` instances each (default 30 and 20)."""
     checks = []
     ctx = FieldContext(2, 1, 5)
     subs = list(subspaces.all_subspaces(ctx, 2))
@@ -126,12 +128,15 @@ def run_products_suite(seed: int = 0, trials: int = 0) -> dict:
     checks.append(_check("critical pairs share a progression witness",
                          critical, crit_ok))
 
-    # complementary-dimension hyperplane products force a scaled dual
+    # complementary-dimension hyperplane products force a scaled dual;
+    # about 3 in 5 sampled pairs qualify, and the attempt budget (60 per
+    # instance, at least 2000) only bounds the loop
     rng = random.Random(seed)
+    wanted = 30 if trials is None else trials
     count = 0
     ok = True
     attempts = 0
-    while count < 30 and attempts < 2000:
+    while count < wanted and attempts < max(2000, 60 * wanted):
         attempts += 1
         u1 = subspaces.random_subspace(ctx, rng.randrange(1, 5), rng)
         u2 = subspaces.random_subspace(ctx, ctx.m - u1.dim, rng)
@@ -148,7 +153,7 @@ def run_products_suite(seed: int = 0, trials: int = 0) -> dict:
     # dual-of-product splitting identity
     count = 0
     ok = True
-    for _ in range(20):
+    for _ in range(20 if trials is None else trials):
         u1 = subspaces.random_subspace(ctx, 2, rng)
         u2 = subspaces.random_subspace(ctx, 2, rng)
         lhs = subspaces.trace_dual(subspaces.product(u1, u2))

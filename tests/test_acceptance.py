@@ -167,6 +167,8 @@ def test_criterion_7_products_suite():
         assert check["passed"], check
     pairs = result["checks"][0]["instances"]
     assert pairs == 155**2
+    # without trials the two sampled checks keep 30 and 20 instances
+    assert [c["instances"] for c in result["checks"][2:]] == [30, 20]
     _pass(7, f"products suite green over all {pairs} pairs at m=5")
 
 

@@ -47,6 +47,24 @@ def code_path(tmp_path, spec_path, capsys):
     return out
 
 
+#: well-formed JSON files of the wrong shape for a spec or a code file
+MALFORMED = {
+    "list": [1, 2],
+    "blocks_int": {"field": {"p": 2, "m": 4}, "blocks": 5},
+    "generator_int": {"field": {"p": 2, "m": 4}, "generator": 7},
+}
+
+
+@pytest.mark.parametrize("command", ["build", "wdist"])
+@pytest.mark.parametrize("shape", sorted(MALFORMED))
+def test_malformed_file_one_line(capsys, tmp_path, command, shape):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(MALFORMED[shape]))
+    assert main([command, str(path)]) == EXIT_USAGE
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.count("\n") == 1
+
+
 class TestBuild:
     def test_summary_and_file(self, capsys, tmp_path, spec_path):
         out = tmp_path / "c.json"
@@ -146,6 +164,20 @@ class TestVerify:
 
     def test_unknown_suite_usage_error(self):
         assert main(["verify", "nonsense"]) == EXIT_USAGE
+
+    def test_products_trials_drive_sampled_checks(self, capsys):
+        rc = main(["--format", "json", "verify", "products", "--trials", "2"])
+        assert rc == EXIT_OK
+        checks = json.loads(capsys.readouterr().out)["suites"][0]["checks"]
+        got = {c["name"]: (c["instances"], c["passed"]) for c in checks}
+        # the exhaustive m = 5 checks keep their counts; the default of
+        # 30 and 20 sampled instances is pinned by acceptance criterion 7
+        assert got == {
+            "product dimension inequality (m=5, all 2x2 pairs)": (24025, True),
+            "critical pairs share a progression witness": (4805, True),
+            "hyperplane products are scaled duals": (2, True),
+            "dual of product splits into shifted duals": (2, True),
+        }
 
     @pytest.mark.parametrize("trials", ["0", "-1"])
     def test_nonpositive_trials_usage_error(self, capsys, trials):

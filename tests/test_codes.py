@@ -38,6 +38,7 @@ from rankdec.codes import (
 )
 from rankdec.enumeration import message_from_index, message_space_size
 from rankdec.fields import gaussian_binomial
+from rankdec.linalg import RowSpace, field_inverse, field_vecmat
 
 
 def identity_code(ctx, k):
@@ -67,12 +68,28 @@ class TestRankWeightAndSupport:
             assert support(f64, v).dim == rank_weight(f64, v)
 
     def test_support_basis_independent(self, f64):
+        # expand v over F_2 in the powers of another generator lam: the
+        # column span equals the support read in the power basis of x
         rng = random.Random(1)
         lam = f64.elements_of_degree(6)[1]
         gamma2 = [f64.pow(lam, i) for i in range(6)]
+        assert gamma2 != list(f64.subfield_power_basis(1))
+        # digits(z) = c * B for the rows B_i = digits(gamma2_i)
+        to_gamma2 = field_inverse([list(f64.digits(g)) for g in gamma2], f64)
+        changed = 0
         for _ in range(15):
             v = [rng.randrange(64) for _ in range(5)]
-            assert support(f64, v) == support(f64, v, gamma=gamma2)
+            coords = [field_vecmat(list(f64.digits(z)), to_gamma2, f64) for z in v]
+            for z, cs in zip(v, coords):
+                acc = 0
+                for c, g in zip(cs, gamma2):
+                    acc = f64.add(acc, f64.mul(c, g))
+                assert acc == z
+            changed += any(list(f64.digits(z)) != cs for z, cs in zip(v, coords))
+            expansion = RowSpace(f64, 5, [[cs[s] for cs in coords]
+                                          for s in range(6)])
+            assert expansion == support(f64, v)
+        assert changed
 
     def test_full_rank_vector(self, f16):
         lam = f16.elements_of_degree(4)[0]

@@ -27,7 +27,7 @@ from rankdec.systems import line_intersection_dim, perp_prime, system_from_code
 
 
 def test_message_index_roundtrip(f16, f81):
-    for ctx, k in ((f16, 2), (f81, 1)):
+    for ctx, k in ((f16, 2), (f81, 1), (FieldContext(2, 2, 3), 2)):
         total = message_space_size(ctx, k)
         seen = set()
         for idx in range(total):
@@ -38,15 +38,18 @@ def test_message_index_roundtrip(f16, f81):
 
 
 def test_weights_array_matches_counts(f16):
-    lam = f16.elements_of_degree(4)[0]
-    c = build_completely_decomposable(f16, [[1, lam], [1, lam]])
-    arr = weights_array(f16, c.generator)
-    counts = weight_counts(f16, c.generator)
-    assert [int((arr == i).sum()) for i in range(c.n + 1)] == counts
-    # spot-check alignment with the scalar path
-    for idx in (0, 1, 17, 100, 255):
-        msg = message_from_index(f16, 2, idx)
-        assert arr[idx] == rank_weight(f16, c.codeword(msg))
+    for ctx in (f16, FieldContext(2, 2, 3)):  # q = 2, m = 4 and q = 4, m = 3
+        lam = ctx.elements_of_degree(ctx.m)[0]
+        c = build_completely_decomposable(ctx, [[1, lam], [1, lam]])
+        arr = weights_array(ctx, c.generator)
+        counts = weight_counts(ctx, c.generator)
+        assert [int((arr == i).sum()) for i in range(c.n + 1)] == counts
+        # entry idx is the weight of the message whose components are
+        # the base-q^m digits of idx
+        for idx in range(len(arr)):
+            msg = message_from_index(ctx, 2, idx)
+            assert msg == (idx % ctx.order, idx // ctx.order)
+            assert arr[idx] == rank_weight(ctx, c.codeword(msg))
 
 
 def test_chunking_invariance(f64):

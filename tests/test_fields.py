@@ -211,12 +211,6 @@ def test_coordinate_roundtrips(f64, f81):
     for ctx, e in [(f64, 1), (f64, 2), (f64, 3), (f81, 1), (f81, 2)]:
         for z in range(ctx.order):
             assert ctx.subfield_combine(ctx.subfield_coords(z, e), e) == z
-    for z in range(f64.order):
-        cs = f64.gamma_coords(z)
-        acc = 0
-        for c, g in zip(cs, f64.fq_basis):
-            acc = f64.add(acc, f64.mul(c, g))
-        assert acc == z
 
 
 def test_tower_with_nonprime_q():
@@ -238,18 +232,6 @@ def test_degenerate_m_equals_one():
     assert ctx.trace_rel(3, 1) == 3
     assert ctx.degree_over_q(4) == 1
     assert ctx.mul(2, 3) == 1
-
-
-def test_custom_fq_basis(f16):
-    from rankdec.codes import support
-
-    lam = f16.elements_of_degree(4)[0]
-    gamma = [1, lam, f16.add(1, f16.mul(lam, lam)), f16.pow(lam, 3)]
-    ctx = FieldContext(2, 1, 4, fq_basis=gamma)
-    v = [1, lam, f16.add(1, lam)]
-    assert support(f16, v) == support(ctx, v)
-    with pytest.raises(ValueError, match="independent"):
-        FieldContext(2, 1, 4, fq_basis=[1, lam, f16.add(1, lam), 0])
 
 
 def test_context_serialization_roundtrip(f64):
