@@ -61,6 +61,22 @@ def _emit(cfg: RunConfig, payload: dict, pretty_lines=None, csv_lines=None):
             print(line)
 
 
+#: one-line shapes of the two input files, for error messages
+SPEC_FORMAT = ('a spec file is {"field": {"p": P, "m": M}, "blocks": '
+               '[{"entries": [...]} or {"geometric": {"lambda_degree": E, '
+               '"t": T}}, ...]}')
+CODE_FORMAT = ('a code file (as written by build) is {"field": {"p": P, '
+               '"m": M}, "generator": [[...], ...]}')
+
+
+def _bad_input(exc: Exception, file_format: str) -> str:
+    """Error text for a spec or code file that could not be used; a
+    missing key is named together with the expected file format."""
+    if isinstance(exc, KeyError):
+        return f"missing key {exc.args[0]!r}; {file_format}"
+    return str(exc)
+
+
 def _distribution_csv(counts):
     yield "weight,count"
     for w, c in enumerate(counts):
@@ -82,7 +98,8 @@ def cmd_build(cfg: RunConfig, args) -> int:
     try:
         code = codes.code_from_spec(spec)
     except (ValueError, KeyError, TypeError) as exc:
-        print(f"invalid code spec: {exc}", file=sys.stderr)
+        print(f"invalid code spec: {_bad_input(exc, SPEC_FORMAT)}",
+              file=sys.stderr)
         return EXIT_USAGE
     ctx = code.ctx
     nondeg = codes.is_nondegenerate(code)
@@ -113,7 +130,8 @@ def cmd_wdist(cfg: RunConfig, args) -> int:
         with open(args.code) as fh:
             code = codes.RankCode.from_json(json.load(fh))
     except (OSError, ValueError, KeyError, TypeError) as exc:
-        print(f"cannot load code: {exc}", file=sys.stderr)
+        print(f"cannot load code: {_bad_input(exc, CODE_FORMAT)}",
+              file=sys.stderr)
         return EXIT_USAGE
     payload = {"length": code.n, "dimension": code.k}
     pretty = []

@@ -33,7 +33,7 @@ from .enumeration import (
     message_from_index,
     message_space_size,
     projective_count,
-    projective_points,
+    projective_point,
     projective_weights,
 )
 from .errors import CapExceededError, FalsificationAlarm
@@ -520,11 +520,8 @@ def detect_complete_decomposability(code: RankCode,
     if npts > pcap:
         raise CapExceededError(npts, pcap, "projective point scan")
     point_weights, _ = projective_weights(ctx, code.generator)
-    cands = [(ctx.m - int(w), x)
-             for x, w in zip(projective_points(ctx, code.k), point_weights)
-             if w < ctx.m]
-    cands.sort(key=lambda t: -t[0])
-    picked = _pick_basis(ctx, cands, code.k, ctx.m * code.k - code.n)
+    ds, points = _line_candidates(ctx, point_weights)
+    picked = _pick_basis(ctx, ds, points, code.k, ctx.m * code.k - code.n)
     if picked is None:
         return None
 
@@ -555,37 +552,50 @@ def detect_complete_decomposability(code: RankCode,
     return _sorted_decomposition(ctx, blocks, amap.inverse())
 
 
-def _pick_basis(ctx, cands, k, target):
+def _line_candidates(ctx, point_weights):
+    """(ds, points): the indices of the projective points with
+    d_x = m - w(xG) >= 1 and their d_x, by d_x descending.  The sort is
+    stable, so ties stay in :func:`projective_points` order."""
+    kept = (point_weights < ctx.m).nonzero()[0]
+    ds = ctx.m - point_weights[kept].astype("int64")
+    order = (-ds).argsort(kind="stable")
+    return ds[order].tolist(), kept[order].tolist()
+
+
+def _pick_basis(ctx, ds, points, k, target):
     """First k F_{q^m}-independent candidates (d, x), in depth-first
-    order over the d-sorted list, whose d total reaches target; None if
-    there are none.  A branch is cut when even the next best d values
-    cannot reach the target."""
+    order over the candidates (d values ds, descending, and projective
+    point indices points), whose d total reaches target; None if there
+    are none.  A branch is cut when even the next best d values cannot
+    reach the target, and a point is built only when the search reaches
+    it."""
     prefix = [0]  # prefix[j]: d total of the first j candidates
-    for d, _ in cands:
+    for d in ds:
         prefix.append(prefix[-1] + d)
     picked = []
-    if _extend_basis(ctx, cands, prefix, k, target, picked, 0, 0, []):
+    if _extend_basis(ctx, ds, points, prefix, k, target, picked, 0, 0, []):
         return picked
     return None
 
 
-def _extend_basis(ctx, cands, prefix, k, target, picked, start, total,
+def _extend_basis(ctx, ds, points, prefix, k, target, picked, start, total,
                   basis_rows) -> bool:
     if len(picked) == k:
         return total == target
     need = k - len(picked)
-    end = len(cands)
+    end = len(ds)
     if total + prefix[min(start + need, end)] - prefix[start] < target:
         return False
     for idx in range(start, end):
-        d, x = cands[idx]
+        d = ds[idx]
         if total + d + prefix[min(idx + need, end)] - prefix[idx + 1] < target:
             return False
+        x = projective_point(ctx, k, points[idx])
         new_rows, _ = field_rref(basis_rows + [list(x)], ctx)
         if len(new_rows) != len(picked) + 1:
             continue
         picked.append((d, x))
-        if _extend_basis(ctx, cands, prefix, k, target, picked, idx + 1,
+        if _extend_basis(ctx, ds, points, prefix, k, target, picked, idx + 1,
                          total + d, [list(r) for r in new_rows]):
             return True
         picked.pop()

@@ -9,9 +9,12 @@ in the message, so the codewords of an affine coset offset + span_Fp(B)
 of basis codewords B are generated by a doubling construction,
 processed in contiguous chunks: each chunk combines a fixed low-digit
 table (which carries the offset) with one high-digit offset codeword.
-Chunks are disjoint, carry private results and are merged by integer
-addition or by position, so results are independent of the chunk size
-and of the number of worker threads.
+Consecutive chunks, across the cosets of one call, are grouped into
+batches of at most the chunk target words, and each batch runs one
+elimination over all its codewords.  Batches are disjoint, carry
+private results and are merged by integer addition or by position, so
+results are independent of the chunk size and of the number of worker
+threads.
 
 Two entry points share the chunk kernel:
 
@@ -30,8 +33,10 @@ Two entry points share the chunk kernel:
 Two backends compute the per-codeword rank weight (the F_q-dimension of
 the span of the n entries):
 
-* packed: q = 2 with prime base field; entries are bit masks and the
-  elimination works on whole uint64 columns;
+* packed: q = 2 with prime base field; entries are bit masks in the
+  narrowest unsigned dtype holding m bits, and the elimination keeps
+  an XOR basis per codeword in echelon form by top bit, so reducing a
+  whole column of codewords is one min-XOR step per bit;
 * generic: any q up to 256; entries are length-m code vectors reduced
   with the context's small-field tables.
 
@@ -39,8 +44,6 @@ Weight of a codeword never exceeds min(n, m); counts are exact ints.
 """
 
 from __future__ import annotations
-
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -78,13 +81,18 @@ def _packed_ok(ctx) -> bool:
     return ctx.p == 2 and ctx.a == 1
 
 
+def _word_dtype(m: int):
+    """Narrowest unsigned dtype holding an m-bit packed entry."""
+    return np.uint8 if m <= 8 else np.uint16 if m <= 16 else np.uint32
+
+
 def _basis_codewords(ctx, generator):
     """Kernel rows of all basis messages: row i*(a*m) + s is p^s * G_i,
     so row i*(a*m) is the generator row G_i itself."""
     rows = [[ctx.mul(ctx.p**s, g) for g in gen_row]
             for gen_row in generator for s in range(ctx.n)]
     if _packed_ok(ctx):
-        return [np.array(row, dtype=np.uint64) for row in rows]
+        return [np.array(row, dtype=_word_dtype(ctx.m)) for row in rows]
     out = []
     for row in rows:
         arr = [[ctx.fq_code(c) for c in ctx.q_coords(entry)] for entry in row]
@@ -93,26 +101,25 @@ def _basis_codewords(ctx, generator):
 
 
 def _rank_rows_packed(cw: np.ndarray, m: int) -> np.ndarray:
+    """Rank over F_2 of the n entries of each row of packed words.
+
+    Each row keeps an XOR basis in echelon form by top bit: piv[b] is
+    zero or has top bit b.  XOR with piv[b] leaves the bits above b
+    alone, so v = min(v, v ^ piv[b]) clears bit b exactly when it is
+    set; done for b = m-1..0 this reduces v to zero iff v lies in the
+    span, and a nonzero remainder has its top bit at a free position.
+    """
     n_rows, n = cw.shape
     piv = np.zeros((m, n_rows), dtype=cw.dtype)
-    rank = np.zeros(n_rows, dtype=np.uint8)
     for j in range(n):
-        v = cw[:, j].copy()
+        v = cw[:, j]
         for b in range(m - 1, -1, -1):
-            has = ((v >> np.uint64(b)) & np.uint64(1)).astype(bool)
-            if not has.any():
-                continue
-            pv = piv[b]
-            exists = pv != 0
-            use = has & exists
-            if use.any():
-                v = np.where(use, v ^ pv, v)
-            new = has & ~exists
-            if new.any():
-                piv[b] = np.where(new, v, pv)
-                rank += new
-                v = np.where(new, np.uint64(0), v)
-    return rank
+            v = np.minimum(v, v ^ piv[b])
+        nz = np.flatnonzero(v)
+        vals = v[nz]
+        # top bit from the float exponent, exact: words have at most 32 bits
+        piv[np.frexp(vals.astype(np.float64))[1] - 1, nz] = vals
+    return np.count_nonzero(piv, axis=0).astype(np.uint8)
 
 
 def _rank_rows_generic(cw: np.ndarray, tables) -> np.ndarray:
@@ -149,7 +156,11 @@ class _Kernel:
     rows and offset come from :func:`_basis_codewords`; word number t
     is offset + sum_j d_j * rows[j] for the base-p digits d_j of t.
     With rows from component i on, word t is the message whose
-    components i, i+1, ... are the base-q^m digits of t."""
+    components i, i+1, ... are the base-q^m digits of t.
+
+    A chunk is a run of ``chunk_size`` consecutive words; the caller
+    groups chunks, of one kernel or of several, into batches and ranks
+    each batch with one elimination (:func:`_map_batches`)."""
 
     def __init__(self, ctx, rows, offset, chunk_target: int):
         self.m = ctx.m
@@ -196,19 +207,45 @@ class _Kernel:
                 base = add[base, mul[d, row]]
         return add[self.low_table, base[None, :, :]]
 
-    def chunk_ranks(self, chunk_idx: int) -> np.ndarray:
-        cw = self.chunk_codewords(chunk_idx)
+    def ranks(self, cw: np.ndarray) -> np.ndarray:
         if self.packed:
             return _rank_rows_packed(cw, self.m)
         return _rank_rows_generic(cw, self.tables)
 
 
-def _map_chunks(fn, jobs, threads: int):
-    """fn over the jobs in order, on a pool of more than one thread."""
-    if threads > 1:
+def _map_batches(kernels, chunk_target: int, threads: int, fn) -> list:
+    """fn(start, ranks) for each batch of words, in order.
+
+    The words of the kernels, concatenated, are cut into batches of
+    whole consecutive chunks, at most chunk_target words each (a larger
+    chunk is a batch of its own; batches may span kernels).  ranks are
+    the weights of words start, start + 1, ...  A pool of threads runs
+    the batches when there is more than one."""
+    jobs, batch, size, start = [], [], 0, 0
+    for kern in kernels:
+        for idx in range(kern.n_chunks):
+            if batch and size + kern.chunk_size > chunk_target:
+                jobs.append((start, batch))
+                batch, start, size = [], start + size, 0
+            batch.append((kern, idx))
+            size += kern.chunk_size
+    if batch:
+        jobs.append((start, batch))
+
+    def one(job):
+        pos, chunks = job
+        parts = [kern.chunk_codewords(idx) for kern, idx in chunks]
+        cw = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        return fn(pos, chunks[0][0].ranks(cw))
+
+    if threads > 1 and len(jobs) > 1:
+        # imported here so single-threaded runs do not load the pool
+        # machinery (about 0.7 MB resident)
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, jobs))
-    return [fn(job) for job in jobs]
+            return list(pool.map(one, jobs))
+    return [one(job) for job in jobs]
 
 
 def weight_counts(ctx, generator, cap: int = DEFAULT_ENUM_CAP,
@@ -221,17 +258,19 @@ def weight_counts(ctx, generator, cap: int = DEFAULT_ENUM_CAP,
     rows = _basis_codewords(ctx, generator)
     kern = _Kernel(ctx, rows, np.zeros_like(rows[0]), chunk_target)
     n = len(generator[0])
-
-    def one(idx):
-        return np.bincount(kern.chunk_ranks(idx), minlength=n + 1)
-
-    parts = _map_chunks(one, range(kern.n_chunks),
-                        threads if kern.n_chunks > 1 else 1)
+    parts = _map_batches([kern], chunk_target, threads,
+                         lambda pos, r: np.bincount(r, minlength=n + 1))
     counts = [int(x) for x in np.sum(parts, axis=0)]
     if sum(counts) != total:
         raise FalsificationAlarm(
             f"weight counts sum to {sum(counts)}, not q^(mk) = {total}")
     return counts
+
+
+def _fill(out: np.ndarray):
+    def put(pos, ranks):
+        out[pos:pos + len(ranks)] = ranks
+    return put
 
 
 def weights_array(ctx, generator, cap: int = DEFAULT_ENUM_CAP) -> np.ndarray:
@@ -244,8 +283,7 @@ def weights_array(ctx, generator, cap: int = DEFAULT_ENUM_CAP) -> np.ndarray:
     rows = _basis_codewords(ctx, generator)
     kern = _Kernel(ctx, rows, np.zeros_like(rows[0]), DEFAULT_CHUNK_TARGET)
     out = np.empty(kern.words, dtype=np.uint8)
-    for idx in range(kern.n_chunks):
-        out[idx * kern.chunk_size:(idx + 1) * kern.chunk_size] = kern.chunk_ranks(idx)
+    _map_batches([kern], DEFAULT_CHUNK_TARGET, 1, _fill(out))
     return out
 
 
@@ -264,17 +302,8 @@ def projective_weights(ctx, generator, threads: int = 1,
     rows = _basis_codewords(ctx, generator)
     kernels = [_Kernel(ctx, rows[(i + 1) * n:], rows[i * n], chunk_target)
                for i in range(k)]
-    starts = np.cumsum([0] + [kern.words for kern in kernels])
-    out = np.empty(int(starts[-1]), dtype=np.uint8)
-    jobs = [(kern, int(start) + idx * kern.chunk_size, idx)
-            for kern, start in zip(kernels, starts) for idx in range(kern.n_chunks)]
-
-    def one(job):
-        kern, pos, idx = job
-        out[pos:pos + kern.chunk_size] = kern.chunk_ranks(idx)
-
-    # a pool only pays off beyond one full chunk of work
-    _map_chunks(one, jobs, threads if len(out) > chunk_target else 1)
+    out = np.empty(sum(kern.words for kern in kernels), dtype=np.uint8)
+    _map_batches(kernels, chunk_target, threads, _fill(out))
     p = np.bincount(out, minlength=len(generator[0]) + 1)
     counts = [int(x) * (qm - 1) for x in p]
     counts[0] += 1
@@ -284,6 +313,17 @@ def projective_weights(ctx, generator, threads: int = 1,
 def projective_count(ctx, k: int) -> int:
     qm = ctx.order  # q^m is the full model
     return (qm**k - 1) // (qm - 1)
+
+
+def projective_point(ctx, k: int, idx: int) -> tuple[int, ...]:
+    """Point number idx of :func:`projective_points`, without listing
+    the points before it."""
+    for lead in range(k):
+        free = k - lead - 1
+        if idx < ctx.order**free:
+            return (0,) * lead + (1,) + message_from_index(ctx, free, idx)
+        idx -= ctx.order**free
+    raise IndexError("projective point index out of range")
 
 
 def projective_points(ctx, k: int):

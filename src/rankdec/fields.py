@@ -355,6 +355,30 @@ class FieldContext:
             self._caches[key] = basis
         return self._caches[key]
 
+    def trace_gram(self) -> np.ndarray:
+        """The F_p Gram matrix T[i, j] = Tr_{q^m/p}(x^i x^j) of the
+        power basis of the modulus root (cached int64 array): for
+        digit vectors a, z, Tr_{q^m/p}(a z) = a T z mod p."""
+        key = ("tracegram",)
+        if key not in self._caches:
+            n, p = self.n, self.p
+            # t[s] = Tr(x^s), the sum of the p-power conjugates of x^s
+            t = []
+            xs = 1
+            for _ in range(2 * n - 1):
+                acc = cur = xs
+                for _ in range(n - 1):
+                    cur = self.pow(cur, p)
+                    acc = self.add(acc, cur)
+                if acc >= p:
+                    raise FalsificationAlarm(
+                        f"absolute trace of x^{len(t)} is {acc}, not in F_{p}")
+                t.append(acc)
+                xs = self.mul(xs, self.x)
+            self._caches[key] = np.array(
+                [[t[i + j] for j in range(n)] for i in range(n)], dtype=np.int64)
+        return self._caches[key]
+
     def subfield_elements(self, e: int) -> list[int]:
         """All q^e elements of F_{q^e}, ascending by encoding (cached)."""
         key = ("subelems", e)
@@ -402,6 +426,8 @@ class FieldContext:
         """Coordinates of z over F_{q^e} in the subfield power basis;
         each coordinate is returned as an element of F_{q^e}."""
         self._check_divisor(e)
+        if e == 1 and self.a == 1:
+            return self.digits(z)
         minv = self._coord_matrix_inv(e)
         vec = np.array(self.digits(z), dtype=np.int64)
         sol = (minv @ vec) % self.p
@@ -418,6 +444,8 @@ class FieldContext:
         return tuple(out)
 
     def subfield_combine(self, coords: Sequence[int], e: int) -> int:
+        if e == 1 and self.a == 1:
+            return self.from_digits(coords)
         powers = self.subfield_power_basis(e)
         acc = 0
         for c, xi in zip(coords, powers):
@@ -425,15 +453,11 @@ class FieldContext:
         return acc
 
     def q_coords(self, z: int) -> tuple[int, ...]:
-        """Coordinates over F_q in the power basis (fast path for a = 1,
-        where they are just the digit vector)."""
-        if self.a == 1:
-            return self.digits(z)
+        """Coordinates over F_q in the power basis (for a = 1 the digit
+        vector)."""
         return self.subfield_coords(z, 1)
 
     def q_combine(self, coords: Sequence[int]) -> int:
-        if self.a == 1:
-            return self.from_digits(coords)
         return self.subfield_combine(coords, 1)
 
     # ------------------------------------------------------------------

@@ -152,8 +152,8 @@ def intersect(u: Subspace, v: Subspace) -> Subspace:
     ctx = u.ctx
     if u.is_zero() or v.is_zero():
         return zero_subspace(ctx, u.base_e)
-    a = _fp_rows(u)
-    b = _fp_rows(v)
+    a = _fp_rows(u, u.base_e)
+    b = _fp_rows(v, v.base_e)
     # y*A = z*B  <=>  (y, z) in kernel of [A^T | -B^T]
     stacked = np.concatenate([a.T, (-b.T) % ctx.p], axis=1)
     out = []
@@ -164,10 +164,11 @@ def intersect(u: Subspace, v: Subspace) -> Subspace:
     return span(ctx, out, u.base_e)
 
 
-def _fp_rows(u: Subspace) -> np.ndarray:
-    """Prime-field coordinate rows spanning u as an F_p-space."""
+def _fp_rows(u: Subspace, e: int) -> np.ndarray:
+    """Prime-field coordinate rows spanning F_{q^e}*u as an F_p-space
+    (e a multiple of u.base_e; e = u.base_e gives u itself)."""
     ctx = u.ctx
-    w = ctx.fp_basis_of_subfield(u.base_e)
+    w = ctx.fp_basis_of_subfield(e)
     rows = [ctx.digits(ctx.mul(b, wl)) for b in u.basis for wl in w]
     if not rows:
         return np.zeros((0, ctx.n), dtype=np.int64)
@@ -194,32 +195,27 @@ def product(u1: Subspace, u2: Subspace) -> Subspace:
 def trace_dual(u: Subspace, e: int = 1) -> Subspace:
     """Orthogonal complement of u under (x, y) -> Tr_{q^m/q^e}(xy).
 
-    The result is linear over the compositum of F_{q^e} and the base
-    subfield of u; for the common case (base 1, e = 1) it is the plain
-    F_q-dual of F_q-dimension m - dim(u).
+    Tr_{q^m/p}(c*y) = Tr_{q^e/p}(c*Tr_{q^m/q^e}(y)) and Tr_{q^e/p} is
+    nondegenerate, so the Tr_{q^m/q^e}-dual of u is the absolute dual
+    of F_{q^e}*u, the F_p-span of the F_{q^r}-multiples of u's basis
+    for r = lcm(base_e, e).  With A the prime-field coordinate rows of
+    that span and T the trace Gram matrix of the context
+    (:meth:`FieldContext.trace_gram`), the dual is ker(A T) mod p.
+
+    The result is F_{q^r}-linear; for the common case (base 1, e = 1)
+    it is the plain F_q-dual of F_q-dimension m - dim(u).
     """
     ctx = u.ctx
     ctx._check_divisor(e)
     result_base = _lcm(u.base_e, e)
     if ctx.m % result_base != 0:
         raise ValueError("incompatible base subfields")
-    n = ctx.n
-    a_rows = _fp_rows(u)
+    a_rows = _fp_rows(u, result_base)
     if a_rows.shape[0] == 0:
         return full_space(ctx, result_base)
-    # constraint matrix over F_p: element z is dual iff Tr(a*z) = 0 for
-    # every F_p-basis element a of u
-    cols = []
-    for j in range(n):
-        ej = ctx.from_digits([1 if i == j else 0 for i in range(n)])
-        col = []
-        for arow in a_rows:
-            aval = ctx.from_digits(int(d) for d in arow)
-            col.extend(ctx.digits(ctx.trace_rel(ctx.mul(aval, ej), e)))
-        cols.append(col)
-    kern = field_kernel([list(r) for r in zip(*cols)], ctx)
-    elems = [ctx.from_digits(v) for v in kern]
-    return span(ctx, elems, result_base)
+    constraints = (a_rows @ ctx.trace_gram()) % ctx.p
+    kern = field_kernel(constraints.tolist(), ctx)
+    return span(ctx, [ctx.from_digits(v) for v in kern], result_base)
 
 
 def _lcm(a: int, b: int) -> int:

@@ -65,6 +65,25 @@ def test_malformed_file_one_line(capsys, tmp_path, command, shape):
     assert out.out == "" and out.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command,payload,key", [
+    ("build", {"field": {"p": 2, "m": 4}, "generator": [[1]]}, "blocks"),
+    ("wdist", {"field": {"p": 2, "m": 4}, "blocks": [{"entries": [1]}]},
+     "generator"),
+    ("build", {"blocks": [{"entries": [1]}]}, "field"),
+])
+def test_missing_key_named(capsys, tmp_path, command, payload, key):
+    """A missing key is named on one stderr line, with the file format
+    the command expected."""
+    path = tmp_path / "missing.json"
+    path.write_text(json.dumps(payload))
+    assert main([command, str(path)]) == EXIT_USAGE
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.count("\n") == 1
+    assert f"missing key '{key}'" in out.err
+    expected = '"blocks": [' if command == "build" else '"generator": [['
+    assert expected in out.err
+
+
 class TestBuild:
     def test_summary_and_file(self, capsys, tmp_path, spec_path):
         out = tmp_path / "c.json"

@@ -9,6 +9,7 @@ import pytest
 
 from rankdec import CapExceededError, FieldContext
 from rankdec.codes import (
+    _line_candidates,
     blocks_scalar_unrelated,
     Decomposition,
     EquivalenceMap,
@@ -36,7 +37,12 @@ from rankdec.codes import (
     type_of,
     weight_distribution,
 )
-from rankdec.enumeration import message_from_index, message_space_size
+from rankdec.enumeration import (
+    message_from_index,
+    message_space_size,
+    projective_points,
+    projective_weights,
+)
 from rankdec.fields import gaussian_binomial
 from rankdec.linalg import RowSpace, field_inverse, field_vecmat
 
@@ -295,6 +301,29 @@ class TestBuildAndDetect:
         assert dec is not None
         assert dec.type_vector == c.decomposition.type_vector
         scr.with_decomposition(dec)  # must validate
+
+    @pytest.mark.parametrize("p,a,m,typ", [
+        (2, 1, 4, (3, 2, 1)), (3, 1, 3, (2, 1, 1)), (2, 2, 3, (2, 1)),
+    ])
+    def test_detect_candidate_order(self, p, a, m, typ):
+        """Detection scans the points with d_x = m - w >= 1 by d_x
+        descending and, within one d_x, in projective_points order."""
+        ctx = FieldContext(p, a, m)
+        rng = random.Random(len(typ))
+        blocks = [[rng.randrange(1, ctx.order) for _ in range(t)] for t in typ]
+        code = apply_equivalence(
+            build_completely_decomposable(ctx, blocks).relabeled(
+                random_gl_ext(ctx, len(typ), seed=1)),
+            random_gl(ctx, sum(typ), seed=2))
+        weights, _ = projective_weights(ctx, code.generator)
+        pts = list(projective_points(ctx, code.k))
+        expected = sorted(((m - int(w), i) for i, w in enumerate(weights) if w < m),
+                          key=lambda t: -t[0])
+        ds, points = _line_candidates(ctx, weights)
+        assert list(zip(ds, points)) == expected
+        assert len(set(ds)) > 1 and len(expected) < len(pts)
+        for d, i in zip(ds, points):
+            assert rank_weight(ctx, code.codeword(pts[i])) == m - d
 
     def test_detect_scattered_is_none(self, f64):
         # spans of (x, x^q) pairs meet every F_{q^m}-line in dim <= 1,

@@ -3,6 +3,7 @@ rank backends, and the cap contract."""
 
 import random
 
+import numpy as np
 import pytest
 
 from rankdec import CapExceededError, FieldContext
@@ -14,10 +15,14 @@ from rankdec.codes import (
     rank_weight,
 )
 from rankdec.enumeration import (
+    _rank_rows_generic,
+    _rank_rows_packed,
+    _word_dtype,
     index_of_message,
     message_from_index,
     message_space_size,
     projective_count,
+    projective_point,
     projective_points,
     projective_weights,
     weight_counts,
@@ -108,6 +113,29 @@ def test_projective_points(f16):
     for p in pts:
         lead = next(i for i, v in enumerate(p) if v)
         assert p[lead] == 1
+    assert [projective_point(f16, 2, i) for i in range(len(pts))] == pts
+    with pytest.raises(IndexError):
+        projective_point(f16, 2, len(pts))
+
+
+@pytest.mark.parametrize("m", [1, 5, 8, 9, 16, 17])
+def test_packed_kernel_against_table_kernel(m):
+    """On random q = 2 words the packed elimination (m-bit masks in
+    the narrowest dtype) equals the table elimination on the same words
+    as F_2 digit vectors, across every dtype width and its boundary."""
+    rng = np.random.default_rng(m)
+    tables = FieldContext(2, 1, 1).q_tables()
+    for n in (1, 3, m + 2):
+        words = rng.integers(0, 1 << m, size=(200, n), dtype=np.int64)
+        # low-rank rows too: entries drawn from a few fixed words
+        few = rng.integers(0, 1 << m, size=3, dtype=np.int64)
+        words[:50] = few[rng.integers(0, 3, size=(50, n))]
+        words[50:60] = 0
+        words[60:70] = 1 << (m - 1)
+        digits = ((words[:, :, None] >> np.arange(m)) & 1).astype(np.uint8)
+        packed = _rank_rows_packed(words.astype(_word_dtype(m)), m)
+        assert packed.tolist() == _rank_rows_generic(digits, tables).tolist()
+    assert np.dtype(_word_dtype(m)).itemsize == (1 if m <= 8 else 2 if m <= 16 else 4)
 
 
 def _scrambled(ctx, typ, seed):
@@ -137,12 +165,16 @@ def test_projective_counts_match_full_enumeration(p, a, m, typ):
     ctx = FieldContext(p, a, m)
     c = _scrambled(ctx, typ, seed=len(typ))
     full = weight_counts(ctx, c.generator)
+    ref, _ = projective_weights(ctx, c.generator)
     for target in (1, 1 << 3, 1 << 16):
         for threads in (1, 2):
             weights, counts = projective_weights(
                 ctx, c.generator, threads=threads, chunk_target=target)
             assert counts == full
             assert len(weights) == projective_count(ctx, c.k)
+            # batches cross coset boundaries: the per-point weights, not
+            # only their counts, must not depend on the batching
+            assert np.array_equal(weights, ref)
 
 
 @pytest.mark.parametrize("p,a,m,typ", [

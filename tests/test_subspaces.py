@@ -177,6 +177,31 @@ class TestTraceDual:
             assert lhs == rhs
 
 
+@pytest.mark.parametrize("p,a,m,e", [
+    (2, 2, 3, 1), (2, 2, 3, 3), (3, 1, 4, 1), (3, 1, 4, 2),
+    (2, 2, 4, 1), (2, 2, 4, 2),
+])
+@pytest.mark.parametrize("same_base", [False, True])
+def test_trace_dual_definition(p, a, m, e, same_base):
+    """The dual against its definition, with the relative trace as the
+    oracle: Tr_{q^m/q^e}(a z) = 0 on a basis of u and a basis of its
+    dual, the dual is F_{q^e}-linear, its dimension over F_{q^e} is
+    m/e - dim(F_{q^e} u), and the double dual is F_{q^e} u."""
+    ctx = FieldContext(p, a, m)
+    base = e if same_base else 1
+    rng = random.Random(p * 100 + m * 10 + e)
+    for dim in range(m // base + 1):
+        u = span(ctx, [rng.randrange(ctx.order) for _ in range(dim)], base)
+        dual = trace_dual(u, e)
+        assert dual.base_e == e
+        for x in u.basis:
+            for z in dual.basis:
+                assert ctx.trace_rel(ctx.mul(x, z), e) == 0
+        ext = span(ctx, u.basis, base_e=e)  # F_{q^e} u
+        assert dual.dim == m // e - ext.dim
+        assert trace_dual(dual, e) == ext
+
+
 class TestGeometricDuals:
     @pytest.mark.parametrize("m", [4, 5])
     def test_generator_duality_exhaustive(self, m):
