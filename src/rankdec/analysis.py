@@ -129,12 +129,13 @@ def block_interaction_exponents(code: RankCode) -> dict[tuple[int, int], int]:
     ctx = code.ctx
     k = dec.k
     ell = trailing_run_length(dec.type_vector)
-    spans = [span(ctx, u) for u in dec.blocks]
-    duals = [trace_dual(s) for s in spans]
+    # only blocks k-ell..k enter, and only k-ell..k-1 through their duals
+    spans = {i: span(ctx, dec.blocks[i - 1]) for i in range(k - ell, k + 1)}
+    duals = {i: trace_dual(spans[i]) for i in range(k - ell, k)}
     out = {}
     for i in range(k - ell, k):        # 1-based i in {k-ell, ..., k-1}
         for h in range(i + 1, k + 1):
-            j = ctx.m - product(duals[i - 1], spans[h - 1]).dim
+            j = ctx.m - product(duals[i], spans[h]).dim
             if not 0 <= j <= ctx.m - dec.type_vector[-1]:
                 raise FalsificationAlarm(
                     f"exponent j_({i},{h}) = {j} outside [0, m - n_k]")

@@ -69,7 +69,7 @@ class EquivalenceMap:
             for v in r:
                 if not ctx.in_subfield(v, 1):
                     raise ValueError("entries must lie in F_q")
-        if field_rank([list(r) for r in rows], ctx) != n:
+        if RowSpace(ctx, n, rows).dim != n:
             raise ValueError("matrix is singular over F_q")
         self.ctx = ctx
         self.rows = rows
@@ -104,7 +104,7 @@ def random_gl(ctx: FieldContext, n: int, seed: int = 0) -> EquivalenceMap:
     qelems = ctx.fq_elements()
     while True:
         rows = [[rng.choice(qelems) for _ in range(n)] for _ in range(n)]
-        if field_rank(rows, ctx) == n:
+        if RowSpace(ctx, n, rows).dim == n:
             return EquivalenceMap(ctx, rows)
 
 
@@ -130,10 +130,7 @@ def rank_weight(ctx: FieldContext, v: Sequence[int]) -> int:
 def support(ctx: FieldContext, v: Sequence[int]) -> RowSpace:
     """Column span of the n x m expansion of v over F_q (in the power
     basis): a subspace of F_q^n, independent of the expansion basis."""
-    n = len(v)
-    coords = [ctx.q_coords(entry) for entry in v]
-    return RowSpace(ctx, n, [[coords[i][s] for i in range(n)]
-                             for s in range(ctx.m)])
+    return RowSpace(ctx, len(v), ctx.subfield_coords_all(v, 1).T.tolist())
 
 
 @dataclass(frozen=True)
@@ -304,9 +301,11 @@ class RankCode:
         dec = None
         if "decomposition" in d:
             rec = d["decomposition"]
-            dec = Decomposition(tuple(rec["type"]),
-                                tuple(tuple(u) for u in rec["blocks"]),
-                                EquivalenceMap(ctx, rec["col_map"]))
+            dec = Decomposition(
+                tuple(rec["type"]),
+                tuple(tuple(ctx.check_element(v) for v in u) for u in rec["blocks"]),
+                EquivalenceMap(ctx, [[ctx.check_element(v) for v in r]
+                                     for r in rec["col_map"]]))
         return cls(ctx, d["generator"], dec)
 
     def __repr__(self):
@@ -819,10 +818,12 @@ def code_from_spec(d: dict) -> RankCode:
             lam = g.get("lambda")
             if lam is None:
                 lam = ctx.find_element_of_degree(e, seed=int(g.get("seed", 0)))
-            elif ctx.degree_over_q(lam) != e:
-                raise ValueError(
-                    f"block {i}: lambda = {lam} has degree "
-                    f"{ctx.degree_over_q(lam)}, not {e}")
+            else:
+                lam = ctx.check_element(lam)
+                if ctx.degree_over_q(lam) != e:
+                    raise ValueError(
+                        f"block {i}: lambda = {lam} has degree "
+                        f"{ctx.degree_over_q(lam)}, not {e}")
             if t > e:
                 raise ValueError(f"block {i}: t = {t} exceeds lambda degree {e}")
             blocks.append([ctx.pow(lam, j) for j in range(t)])

@@ -89,15 +89,15 @@ def _word_dtype(m: int):
 def _basis_codewords(ctx, generator):
     """Kernel rows of all basis messages: row i*(a*m) + s is p^s * G_i,
     so row i*(a*m) is the generator row G_i itself."""
-    rows = [[ctx.mul(ctx.p**s, g) for g in gen_row]
+    rows = [ctx.scale_row(ctx.p**s, gen_row)
             for gen_row in generator for s in range(ctx.n)]
     if _packed_ok(ctx):
         return [np.array(row, dtype=_word_dtype(ctx.m)) for row in rows]
-    out = []
-    for row in rows:
-        arr = [[ctx.fq_code(c) for c in ctx.q_coords(entry)] for entry in row]
-        out.append(np.array(arr, dtype=np.uint8))
-    return out
+    coords = ctx.subfield_coords_all([v for row in rows for v in row], 1)
+    # the F_q code of an element is its index in the ascending F_q
+    # element list (:meth:`FieldContext.fq_code`)
+    codes = np.searchsorted(ctx.fq_elements(), coords).astype(np.uint8)
+    return list(codes.reshape(len(rows), -1, ctx.m))
 
 
 def _rank_rows_packed(cw: np.ndarray, m: int) -> np.ndarray:

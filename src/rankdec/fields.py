@@ -7,6 +7,16 @@ encodes the little-endian base-p digit vector of the element's
 coordinates in the power basis of the modulus root.  For p = 2 the int
 therefore *is* the coefficient bit mask.
 
+Fields of order at most 2^16 are *tabled*: the context keeps the lists
+exp[i] = g^i and log[exp[i]] = i of the primitive element g, and for
+odd p the Zech list zech[d] = log(1 + g^d), so a product, an inverse,
+a sum (x + y = x * (1 + y/x)) and a negation (-1 = g^((q^m - 1)/2)) are
+one or two list lookups, and subfield membership is divisibility of
+the log.  exp has exactly q^m - 1 entries, so exp[i - (q^m - 1)] is
+g^i for every 0 <= i < 2(q^m - 1) (a negative index counts from the
+end): sums of two logs need no reduction.  Larger fields compute
+digit-wise and by polynomial arithmetic.
+
 Every intermediate field F_{q^e} (e | m) lives inside the same model as
 the fixed set of the q^e-power Frobenius, so a single context supports
 all relative traces, norms and subfield coordinate systems used
@@ -23,6 +33,7 @@ context may be shared freely across threads.
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -31,7 +42,7 @@ from . import gfpoly
 from .errors import ContextMismatchError, FalsificationAlarm
 from .linalg import field_inverse, field_kernel
 
-#: fields up to this order get exp/log tables (fast mul/inv/pow)
+#: fields up to this order get exp/log (and, for odd p, Zech) lists
 _TABLE_LIMIT = 1 << 16
 
 #: hard cap on the prime-field degree a*m of a context
@@ -82,6 +93,7 @@ class FieldContext:
 
         self._exp = None
         self._log = None
+        self._zech = None
         self._caches: dict = {}
         if self.order <= _TABLE_LIMIT:
             self._build_tables()
@@ -110,6 +122,14 @@ class FieldContext:
         return v
 
     def check_element(self, x: int) -> int:
+        """x as a Python int, if it encodes an element: an integer
+        (Python or numpy, not a bool) in [0, q^m)."""
+        if type(x) is not int:
+            if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+                raise ValueError(
+                    f"{x!r} is not an element encoding: an integer in "
+                    f"[0, {self.order}) is required")
+            x = int(x)
         if not 0 <= x < self.order:
             raise ValueError(f"{x} is not an element encoding in [0, {self.order})")
         return x
@@ -119,8 +139,21 @@ class FieldContext:
     # ------------------------------------------------------------------
 
     def add(self, x: int, y: int) -> int:
+        """x + y: XOR for p = 2; for odd p one Zech-table lookup on a
+        tabled field, x + y = x * (1 + y/x), and a base-p digit loop
+        otherwise."""
         if self.p == 2:
             return x ^ y
+        zech = self._zech
+        if zech is not None:
+            if not x:
+                return y
+            if not y:
+                return x
+            log = self._log
+            lx = log[x]
+            z = zech[log[y] - lx]
+            return self._exp[lx + z - len(zech)] if z >= 0 else 0
         p = self.p
         out = 0
         mult = 1
@@ -132,8 +165,16 @@ class FieldContext:
         return out
 
     def neg(self, x: int) -> int:
+        """-x: x itself for p = 2; for odd p, -1 = g^((q^m - 1)/2) on a
+        tabled field, so -x is one exp lookup, and a digit loop
+        otherwise."""
         if self.p == 2:
             return x
+        if self._zech is not None:
+            if not x:
+                return 0
+            n1 = len(self._exp)
+            return self._exp[self._log[x] - n1 // 2]
         p = self.p
         out = 0
         mult = 1
@@ -144,17 +185,61 @@ class FieldContext:
         return out
 
     def sub(self, x: int, y: int) -> int:
+        if self.p == 2:
+            return x ^ y
         return self.add(x, self.neg(y))
 
     def mul(self, x: int, y: int) -> int:
-        if self._exp is not None:
+        exp = self._exp
+        if exp is not None:
             if x == 0 or y == 0:
                 return 0
-            n1 = self.order - 1
-            return self._exp[(self._log[x] + self._log[y]) % n1]
+            return exp[self._log[x] + self._log[y] - len(exp)]
         if self.p == 2:
             return self._mul2(x, y)
         return self._mul_generic(x, y)
+
+    def scale_row(self, c: int, row: Sequence[int]) -> list[int]:
+        """[c * v for v in row], one comprehension on a tabled field."""
+        exp = self._exp
+        if exp is None:
+            return [self.mul(c, v) for v in row]
+        if not c:
+            return [0] * len(row)
+        log = self._log
+        lc = log[c] - len(exp)
+        return [exp[lc + log[v]] if v else 0 for v in row]
+
+    def add_scaled_row(self, v: Sequence[int], f: int,
+                       w: Sequence[int]) -> list[int]:
+        """The row v + f * w: the one row update of eliminations and
+        products, with no per-entry method call on a tabled field."""
+        exp = self._exp
+        if exp is None:
+            return [self.add(x, self.mul(f, y)) for x, y in zip(v, w)]
+        if not f:
+            return list(v)
+        log = self._log
+        n1 = len(exp)
+        lf = log[f] - n1
+        if self.p == 2:
+            return [x ^ exp[lf + log[y]] if y else x for x, y in zip(v, w)]
+        zech = self._zech
+        out = []
+        for x, y in zip(v, w):
+            if not y:
+                out.append(x)
+                continue
+            t = lf + log[y]  # f*y = g^t, -n1 <= t < n1 - 1
+            if not x:
+                out.append(exp[t])
+                continue
+            # x + g^t = g^t * (1 + x / g^t)
+            if t < 0:
+                t += n1
+            z = zech[log[x] - t]
+            out.append(exp[t + z - n1] if z >= 0 else 0)
+        return out
 
     def _mul2(self, x: int, y: int) -> int:
         mod_int, n = self._mod_int, self.n
@@ -178,8 +263,7 @@ class FieldContext:
         if x == 0:
             raise ZeroDivisionError("inversion of zero")
         if self._exp is not None:
-            n1 = self.order - 1
-            return self._exp[(n1 - self._log[x]) % n1]
+            return self._exp[-self._log[x]]
         f = gfpoly.poly_inv_mod(list(self.digits(x)), list(self.modulus), self.p)
         return self.from_digits(f)
 
@@ -207,19 +291,50 @@ class FieldContext:
         return r
 
     def _build_tables(self):
-        # runs before the tables exist, so pow/mul take the table-free path
+        """The exp/log lists of the primitive element g, exp[i] = g^i
+        for 0 <= i < q^m - 1 and log[exp[i]] = i (log[0] = 0 is never
+        read as a logarithm), and for odd p the Zech list
+        zech[d] = log(1 + g^d), or -1 where 1 + g^d = 0.
+
+        Multiplication by g is an F_p-linear map of the digit vectors
+        whose matrix has the digits of g * x^j as row j; exp follows
+        the permutation x -> g*x from 1.  For p = 2 the permutation is
+        built by doubling, g*(x + 2^j) = g*x XOR g*2^j for x < 2^j; for
+        odd p it is one matrix product over the digit matrix of all
+        elements.  1 + y adds 1 to digit 0 of y, which gives the Zech
+        list from exp.
+        """
+        # runs before the tables exist, so mul and pow take the
+        # table-free path
         g = self.primitive_element
-        n1 = self.order - 1
-        mul = self._mul2 if self.p == 2 else self._mul_generic
-        exp = [0] * n1 if n1 else [0]
-        log = [0] * self.order
+        p, n, order = self.p, self.n, self.order
+        n1 = order - 1
+        rows = [self.mul(g, p**j) for j in range(n)]  # g * x^j
+        if p == 2:
+            step = [0]
+            for r in rows:
+                step += [t ^ r for t in step]
+        else:
+            # row x: the little-endian digits of x (the last index axis
+            # runs fastest)
+            digit_mat = np.indices((p,) * n).reshape(n, -1)[::-1].T
+            g_mat = np.array([self.digits(r) for r in rows], dtype=np.int64)
+            weights = p ** np.arange(n, dtype=np.int64)
+            step = ((digit_mat @ g_mat) % p @ weights).tolist()
+        exp = [0] * n1
+        log = [0] * order
         v = 1
         for i in range(n1):
             exp[i] = v
             log[v] = i
-            v = mul(v, g)
+            v = step[v]
         self._exp = exp
         self._log = log
+        if p != 2:
+            # 1 + y: digit 0 of y goes up by one, p - 1 wraps to 0
+            self._zech = [log[y + 1] if y % p != p - 1
+                          else log[y + 1 - p] if y + 1 != p else -1
+                          for y in exp]
 
     # ------------------------------------------------------------------
     # Frobenius, trace, norm, degrees
@@ -261,16 +376,23 @@ class FieldContext:
             acc = op(acc, cur)
         return acc
 
+    def _log_step(self, e: int) -> int:
+        """(q^m - 1)/(q^e - 1): on a tabled field x is in F_{q^e} iff
+        this divides log x (F_{q^e}^* is the subgroup of that index)."""
+        return (self.order - 1) // (self.q**e - 1)
+
     def in_subfield(self, x: int, e: int) -> bool:
         self._check_divisor(e)
+        if self._log is not None:
+            return self._log[x] % self._log_step(e) == 0
         return self.frobenius(x, e) == x
 
     def degree_over_q(self, x: int) -> int:
         """Smallest e | m with x in F_{q^e}; 0 and F_q elements have degree 1."""
         for e in divisors(self.m):
-            if self.frobenius(x, e) == x:
+            if self.in_subfield(x, e):
                 return e
-        raise AssertionError("element outside its own field")  # unreachable
+        raise FalsificationAlarm(f"{x} lies in no subfield, not even F_(q^{self.m})")
 
     def find_element_of_degree(self, e: int, seed: int = 0) -> int:
         """Deterministic-under-seed element with F_q(x) = F_{q^e}."""
@@ -284,8 +406,21 @@ class FieldContext:
                 return x
 
     def elements_of_degree(self, e: int) -> list[int]:
+        """All x with F_q(x) = F_{q^e}, ascending; on a tabled field
+        read off the exp list: g^i lies in F_{q^e} and in no F_{q^d}
+        for a proper divisor d of e."""
         self._check_divisor(e)
-        return [x for x in range(self.order) if self.degree_over_q(x) == e]
+        if self._log is None:
+            return [x for x in range(self.order) if self.degree_over_q(x) == e]
+        # F_{q^d}^* is exp[::(q^m - 1)/(q^d - 1)]: mark F_{q^e}, then
+        # clear its proper subfields
+        keep = bytearray(self.order)
+        for d in reversed(divisors(e)):
+            flag = d == e
+            for x in self._exp[::self._log_step(d)]:
+                keep[x] = flag
+        keep[0] = e == 1
+        return list(compress(range(self.order), keep))
 
     # ------------------------------------------------------------------
     # minimal polynomials
@@ -425,23 +560,41 @@ class FieldContext:
     def subfield_coords(self, z: int, e: int) -> tuple[int, ...]:
         """Coordinates of z over F_{q^e} in the subfield power basis;
         each coordinate is returned as an element of F_{q^e}."""
+        return tuple(self.subfield_coords_all([z], e)[0].tolist())
+
+    def subfield_coords_all(self, values: Sequence[int], e: int) -> np.ndarray:
+        """:meth:`subfield_coords` of every value, one row each: an array
+        of shape (len(values), m/e), int64 when every element fits and
+        of Python ints otherwise.
+
+        One product with the inverse coordinate matrix gives the a*e
+        F_p-coordinates of each F_{q^e}-coordinate in the basis w of
+        :meth:`fp_basis_of_subfield`; scaling by an F_p constant and
+        adding are digit-wise, so the coordinate's digit vector is that
+        combination of the digit vectors of w (for a = 1 and e = 1 the
+        coordinates are the digits themselves)."""
         self._check_divisor(e)
+        p = self.p
+        weights = self._digit_weights()
+        vals = np.asarray(values, dtype=weights.dtype).reshape(-1, 1)
+        digits = (vals // weights % p).astype(np.int64)
         if e == 1 and self.a == 1:
-            return self.digits(z)
-        minv = self._coord_matrix_inv(e)
-        vec = np.array(self.digits(z), dtype=np.int64)
-        sol = (minv @ vec) % self.p
+            return digits
         w = self.fp_basis_of_subfield(e)
-        ae = len(w)
-        out = []
-        for i in range(self.m // e):
-            c = 0
-            for l in range(ae):
-                s = int(sol[i * ae + l])
-                if s:
-                    c = self.add(c, self.mul(w[l], s))
-            out.append(c)
-        return tuple(out)
+        w_digits = np.array([self.digits(wl) for wl in w], dtype=np.int64)
+        sol = (digits @ self._coord_matrix_inv(e).T) % p
+        coord_digits = sol.reshape(len(vals), self.m // e, len(w)) @ w_digits % p
+        return coord_digits @ weights
+
+    def _digit_weights(self) -> np.ndarray:
+        """p^0, ..., p^(n-1), which turn digit vectors into element ints:
+        int64 when every element fits, Python ints otherwise."""
+        key = ("digitweights",)
+        if key not in self._caches:
+            dtype = np.int64 if self.order <= 1 << 63 else object
+            self._caches[key] = np.array([self.p**i for i in range(self.n)],
+                                         dtype=dtype)
+        return self._caches[key]
 
     def subfield_combine(self, coords: Sequence[int], e: int) -> int:
         if e == 1 and self.a == 1:

@@ -6,10 +6,17 @@ representation.
   closed under the context's operations; in particular an F_p digit
   c < p is the context element c, so prime-field coordinate matrices
   (the plumbing of field contexts and subspaces) go through it too.
+  Its row normalisations and updates, and the rows of
+  :func:`field_matmul`, are whole-row operations of the context
+  (:meth:`FieldContext.scale_row`, :meth:`FieldContext.add_scaled_row`):
+  on a tabled field (order at most 2^16) each is one pass over the row
+  that reads the exp/log lists (and the Zech list for odd p), with no
+  per-entry method call.
 * :class:`RowSpace`, a canonical row space inside F_q^width, packs its
   rows into ints for q = 2 and reduces them with :func:`_bit_rref`
   (rank/support/hyperplane scans live here); for q > 2 its rows are
-  context ints reduced with :func:`field_rref`.
+  context ints reduced with :func:`field_rref`.  Ranks of F_q-matrices
+  are RowSpace dimensions.
 
 Both eliminations share one kernel read-out, :func:`_null_basis`.
 Everything is small and dense; the only genuinely hot loops are in
@@ -29,30 +36,36 @@ def field_rref(rows, ctx):
     """RREF of a matrix whose entries are element ints of ctx.
 
     Works over any subfield closed under ctx's operations.  Returns
-    (list of nonzero canonical rows, pivot column list).
+    (list of nonzero canonical rows, pivot column list).  Each pivot
+    row is normalised and each other row updated by one row operation
+    of the context (:meth:`FieldContext.scale_row`,
+    :meth:`FieldContext.add_scaled_row`).
     """
     a = [list(r) for r in rows]
     if not a:
         return [], []
-    cols = len(a[0])
+    n_rows = len(a)
     pivots = []
     r = 0
-    for c in range(cols):
-        if r == len(a):
-            break
-        sel = next((i for i in range(r, len(a)) if a[i][c]), None)
-        if sel is None:
+    for c in range(len(a[0])):
+        for sel in range(r, n_rows):
+            if a[sel][c]:
+                break
+        else:
             continue
-        a[r], a[sel] = a[sel], a[r]
-        inv = ctx.inv(a[r][c])
-        a[r] = [ctx.mul(inv, v) for v in a[r]]
-        for i in range(len(a)):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                a[i] = [ctx.sub(v, ctx.mul(f, w)) for v, w in zip(a[i], a[r])]
+        piv = a[sel]
+        a[sel] = a[r]
+        if piv[c] != 1:
+            piv = ctx.scale_row(ctx.inv(piv[c]), piv)
+        a[r] = piv
+        for i, row in enumerate(a):
+            if row[c] and i != r:
+                a[i] = ctx.add_scaled_row(row, ctx.neg(row[c]), piv)
         pivots.append(c)
         r += 1
-    return [row for row in a[:r]], pivots
+        if r == n_rows:
+            break
+    return a[:r], pivots
 
 
 def _null_basis(rref, pivots, width: int, neg) -> list[list[int]]:
@@ -94,21 +107,16 @@ def field_inverse(rows, ctx) -> list[list[int]]:
 
 
 def field_matmul(a, b, ctx):
-    rows = len(a)
-    inner = len(b)
+    """a @ b: row i of the product is the sum of a[i][t] * b[t], one
+    row update per nonzero entry of a."""
     cols = len(b[0]) if b else 0
-    out = [[0] * cols for _ in range(rows)]
-    for i in range(rows):
-        ai = a[i]
-        oi = out[i]
-        for t in range(inner):
-            v = ai[t]
-            if not v:
-                continue
-            bt = b[t]
-            for j in range(cols):
-                if bt[j]:
-                    oi[j] = ctx.add(oi[j], ctx.mul(v, bt[j]))
+    out = []
+    for ai in a:
+        oi = [0] * cols
+        for v, bt in zip(ai, b):
+            if v:
+                oi = ctx.add_scaled_row(oi, v, bt)
+        out.append(oi)
     return out
 
 
@@ -183,8 +191,7 @@ class RowSpace:
         v = list(row)
         for r, c in zip(self.rows, self.pivots):
             if v[c]:
-                f = v[c]
-                v = [ctx.sub(x, ctx.mul(f, y)) for x, y in zip(v, r)]
+                v = ctx.add_scaled_row(v, ctx.neg(v[c]), r)
         return tuple(v)
 
     def contains(self, row) -> bool:

@@ -62,8 +62,7 @@ class Subspace:
         v = list(vec)
         for row, c in zip(self._coord_rows, self._pivots):
             if v[c]:
-                f = v[c]
-                v = [ctx.sub(a, ctx.mul(f, b)) for a, b in zip(v, row)]
+                v = ctx.add_scaled_row(v, ctx.neg(v[c]), row)
         return v
 
     def contains(self, x: int) -> bool:
@@ -126,8 +125,8 @@ class Subspace:
 def span(ctx: FieldContext, elements: Iterable[int], base_e: int = 1) -> Subspace:
     """Canonical F_{q^base_e}-span of the given field elements."""
     ctx._check_divisor(base_e)
-    rows = [list(ctx.subfield_coords(ctx.check_element(x), base_e))
-            for x in elements]
+    rows = ctx.subfield_coords_all([ctx.check_element(x) for x in elements],
+                                   base_e).tolist()
     rref, pivots = field_rref(rows, ctx)
     basis = [ctx.subfield_combine(r, base_e) for r in rref]
     return Subspace(ctx, base_e, basis, [tuple(r) for r in rref], tuple(pivots))

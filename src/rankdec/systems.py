@@ -72,10 +72,7 @@ class System:
 def _flatten(ctx, v, k):
     if len(v) != k:
         raise ValueError("vector length mismatch")
-    out = []
-    for comp in v:
-        out.extend(ctx.q_coords(comp))
-    return out
+    return ctx.subfield_coords_all(v, 1).ravel().tolist()
 
 
 def _unflatten(ctx, row, k):

@@ -84,6 +84,46 @@ def test_missing_key_named(capsys, tmp_path, command, payload, key):
     assert expected in out.err
 
 
+#: element values that are not integers, as JSON reads them
+NOT_INTEGERS = [1.5, 2.0, "a", True, False]
+
+
+@pytest.mark.parametrize("value", NOT_INTEGERS, ids=repr)
+@pytest.mark.parametrize("where", ["entries", "lambda"])
+def test_build_rejects_non_integer_element(capsys, tmp_path, where, value):
+    """A non-integer element in a spec is named on one stderr line."""
+    block = ({"entries": [1, value]} if where == "entries" else
+             {"geometric": {"lambda_degree": 4, "t": 2, "lambda": value}})
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({"field": {"p": 2, "m": 4}, "blocks": [block]}))
+    assert main(["build", str(path), "--out", str(tmp_path / "c.json")]) == EXIT_USAGE
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.count("\n") == 1
+    assert f"{value!r} is not an element encoding" in out.err
+    assert not (tmp_path / "c.json").exists()
+
+
+@pytest.mark.parametrize("value", NOT_INTEGERS, ids=repr)
+@pytest.mark.parametrize("where", ["generator", "blocks", "col_map"])
+def test_wdist_rejects_non_integer_element(capsys, tmp_path, where, value):
+    """A non-integer element in a code file (generator or decomposition
+    record) is named on one stderr line; true/false are not read as
+    1/0."""
+    code = {"field": {"p": 2, "m": 4}, "generator": [[1, 2, 4]],
+            "decomposition": {"type": [3], "blocks": [[1, 2, 4]],
+                              "col_map": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}}
+    if where == "generator":
+        code["generator"][0][2] = value
+    else:
+        code["decomposition"][where][0][0] = value
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(code))
+    assert main(["wdist", str(path)]) == EXIT_USAGE
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.count("\n") == 1
+    assert f"{value!r} is not an element encoding" in out.err
+
+
 class TestBuild:
     def test_summary_and_file(self, capsys, tmp_path, spec_path):
         out = tmp_path / "c.json"

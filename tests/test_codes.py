@@ -268,6 +268,19 @@ class TestDirectSumAndEquivalence:
         one = random_gl(FieldContext(3, 1, 2), 1, seed=0)
         assert one.rows[0][0] != 0
 
+    @pytest.mark.parametrize("field", [(2, 1, 4), (3, 1, 2), (2, 2, 2)])
+    def test_equivalence_map_checks(self, field):
+        """Singular matrices and entries outside F_q are refused on the
+        packed (q = 2) and the context-int (q > 2) rank paths."""
+        ctx = FieldContext(*field)
+        a = [list(r) for r in random_gl(ctx, 3, seed=4).rows]
+        EquivalenceMap(ctx, a)
+        with pytest.raises(ValueError, match="singular"):
+            EquivalenceMap(ctx, [a[0], a[1], a[0]])
+        outside = next(x for x in range(ctx.order) if x not in ctx.fq_elements())
+        with pytest.raises(ValueError, match="F_q"):
+            EquivalenceMap(ctx, [a[0], a[1], [outside, 0, 0]])
+
 
 class TestBuildAndDetect:
     def test_build_sorts_blocks(self, f64):

@@ -269,3 +269,17 @@ def test_inverse_without_tables():
     ctx = FieldContext(2, 1, 17)
     for x in (1, 2, 3, 0b1011, 12345, 1 << 16, (1 << 17) - 1):
         assert ctx.mul(x, ctx.inv(x)) == 1
+
+
+def test_check_element_accepts_only_integers(f16):
+    import numpy as np
+
+    for x in (3, np.int64(3), np.uint8(3)):
+        got = f16.check_element(x)
+        assert got == 3 and type(got) is int
+    for bad in (True, False, 3.0, 1.5, "3", None):
+        with pytest.raises(ValueError, match="is not an element encoding"):
+            f16.check_element(bad)
+    for bad in (-1, 16):
+        with pytest.raises(ValueError):
+            f16.check_element(bad)

@@ -7,7 +7,14 @@ import random
 import pytest
 
 from rankdec import FieldContext
-from rankdec.linalg import RowSpace, field_kernel, field_rank
+from rankdec.linalg import (
+    RowSpace,
+    field_inverse,
+    field_kernel,
+    field_matmul,
+    field_rank,
+    field_rref,
+)
 
 TOWERS = [(2, 1, 4), (3, 1, 3), (2, 2, 3)]  # q = 2, 3, 4
 
@@ -90,3 +97,56 @@ def test_sum_contains_both_summands(ctx):
 def test_sum_rejects_mismatched_width(ctx):
     with pytest.raises(ValueError):
         RowSpace(ctx, 3, []).sum(RowSpace(ctx, 4, []))
+
+
+class _CountingContext(FieldContext):
+    """A context that counts its per-element add/sub/mul calls."""
+
+    def __init__(self, *args):
+        self.calls = 0
+        super().__init__(*args)
+
+    def add(self, x, y):
+        self.calls += 1
+        return super().add(x, y)
+
+    def sub(self, x, y):
+        self.calls += 1
+        return super().sub(x, y)
+
+    def mul(self, x, y):
+        self.calls += 1
+        return super().mul(x, y)
+
+
+@pytest.mark.parametrize("field", [(2, 1, 7), (3, 1, 4), (2, 2, 3)])
+def test_tabled_elimination_has_no_element_calls(field):
+    """On a tabled field the row operations read the exp/log (and Zech)
+    lists directly: no add/sub/mul call per entry."""
+    ctx = _CountingContext(*field)
+    rng = random.Random(3)
+    mat = [[rng.randrange(ctx.order) for _ in range(9)] for _ in range(6)]
+    ctx.calls = 0
+    rref, pivots = field_rref(mat, ctx)
+    assert ctx.calls == 0
+    assert len(pivots) == 6
+    assert field_matmul(mat, [[int(i == j) for j in range(9)] for i in range(9)],
+                        ctx) == mat
+    assert ctx.calls == 0
+
+
+def test_field_inverse_inverts_and_refuses_singular(ctx):
+    """A * field_inverse(A) is the identity for invertible F_q-matrices,
+    and a singular matrix is refused, on every tower."""
+    rng = random.Random(11)
+    for n in (1, 3, 6):
+        while True:
+            mat = _random_rows(ctx, rng, n, n)
+            if field_rank(mat, ctx) == n:
+                break
+        assert field_matmul(mat, field_inverse(mat, ctx), ctx) == \
+            [[int(i == j) for j in range(n)] for i in range(n)]
+    singular = _random_rows(ctx, rng, 3, 4)
+    singular.append(list(singular[0]))
+    with pytest.raises(ValueError, match="singular"):
+        field_inverse(singular, ctx)

@@ -18,3 +18,19 @@ def test_no_assert_statement(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert not lines, f"{path.name}: assert statement at line(s) {lines}"
+
+
+def _raised_name(node: ast.Raise):
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return exc.id if isinstance(exc, ast.Name) else None
+
+
+@pytest.mark.parametrize("path", SRC, ids=lambda p: p.stem)
+def test_no_raise_assertion_error(path):
+    # an impossible state is a FalsificationAlarm, which callers map to
+    # its own exit code; a bare AssertionError would read as a crash
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Raise) and node.exc is not None
+             and _raised_name(node) == "AssertionError"]
+    assert not lines, f"{path.name}: raise AssertionError at line(s) {lines}"
