@@ -19,7 +19,6 @@ from rankdec.codes import (
     random_gl_ext,
     weight_distribution,
 )
-from rankdec.systems import max_hyperplane_intersection, system_from_code
 
 ctx = FieldContext(2, 1, 6)
 lam = ctx.find_element_of_degree(6, seed=0)
@@ -30,12 +29,6 @@ print(f"code: [{code.n},{code.k}] over {ctx!r}, "
 wd = weight_distribution(code)
 print(f"distribution (2^18 codewords enumerated): {list(wd.counts)}")
 print(f"minimum distance {wd.min_distance} = smallest block length")
-print()
-
-u = system_from_code(code)
-geo = code.n - max_hyperplane_intersection(u)
-print(f"geometric route: n - max hyperplane intersection = {geo} "
-      f"(agrees: {geo == wd.min_distance})")
 print()
 
 amap = random_gl(ctx, code.n, seed=11)

@@ -5,7 +5,8 @@ The package provides a finite-field tower (:mod:`rankdec.fields`), a
 subspace calculus with trace duality and subspace products
 (:mod:`rankdec.subspaces`), rank-metric codes with exact weight
 enumeration (:mod:`rankdec.codes`, :mod:`rankdec.enumeration`), the
-geometric side as systems in F_{q^m}^k (:mod:`rankdec.systems`),
+geometric side as systems in F_{q^m}^k with their trace duality
+(:mod:`rankdec.systems`),
 closed-form minimum-weight counts with bounds and extremal
 constructions (:mod:`rankdec.analysis`), verification suites
 (:mod:`rankdec.suites`) and a CLI (:mod:`rankdec.cli`).
@@ -78,14 +79,7 @@ from .subspaces import (
     verify_dual_geometric,
     verify_dual_subfield,
 )
-from .systems import (
-    System,
-    max_hyperplane_intersection,
-    perp_prime,
-    product_system,
-    system_from_code,
-    weight_via_system,
-)
+from .systems import System, perp_prime, system_from_code
 
 __all__ = [
     # fields
@@ -106,8 +100,7 @@ __all__ = [
     "is_minimal_codeword", "minimal_codeword_census", "dual_code",
     "geometric_dual", "code_from_spec",
     # systems
-    "System", "system_from_code", "product_system", "perp_prime",
-    "weight_via_system", "max_hyperplane_intersection",
+    "System", "system_from_code", "perp_prime",
     # analysis
     "MinWeightReport", "Verdict", "trailing_run_length",
     "min_weight_count_formula", "minimum_weight_family",

@@ -51,6 +51,7 @@ from .subspaces import (
     Subspace,
     is_subfield_linear,
     product,
+    scalar_into,
     scale,
     span,
     trace_dual,
@@ -413,7 +414,7 @@ def check_char_nonprime(code: RankCode,
     h = normalized[-1][2]
     scalars = {}
     for i, u0, v in normalized:
-        d = _scalar_relating(ctx, v, h)
+        d = scalar_into(v, h)
         if d is None:
             raise FalsificationAlarm(
                 "bound attained but trailing blocks are not scalar "
@@ -422,23 +423,6 @@ def check_char_nonprime(code: RankCode,
     return Verdict("verified", f"m = {r} * {e}, n_k = (r-1)e",
                    {"e": e, "r": r, "hyperplane": list(h.basis),
                     "scalars": scalars})
-
-
-def _scalar_relating(ctx, u: Subspace, v: Subspace) -> Optional[int]:
-    """Some d with u = d*v, or None."""
-    b = next(x for x in v.basis if x)
-    binv = ctx.inv(b)
-    seen = set()
-    for x in u.elements():
-        if not x:
-            continue
-        d = ctx.mul(x, binv)
-        if d in seen:
-            continue
-        seen.add(d)
-        if scale(d, v) == u:
-            return d
-    return None
 
 
 def check_char_prime(code: RankCode,
@@ -462,7 +446,7 @@ def check_char_prime(code: RankCode,
     scalars = {}
     structural = True
     for i in range(k - ell - 1, k - 1):
-        d = _scalar_relating(ctx, spans[i], u_last)
+        d = scalar_into(spans[i], u_last)
         if d is None:
             structural = False
             break

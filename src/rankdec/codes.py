@@ -46,7 +46,7 @@ from .linalg import (
     field_rref,
     field_vecmat,
 )
-from .subspaces import span, trace_dual
+from .subspaces import scalar_into, span, trace_dual
 
 
 # ----------------------------------------------------------------------
@@ -673,21 +673,11 @@ def blocks_scalar_unrelated(code: RankCode) -> bool:
     """True iff no block span is a scalar multiple of (or scalar-embeds
     into) another block span: the hypothesis under which the minimal
     codewords are exactly the single-block families."""
-    from .subspaces import scale
-
     dec = _require_decomposition(code)
-    ctx = code.ctx
-    spans = [span(ctx, u) for u in dec.blocks]
-    for i, ui in enumerate(spans):
-        for j, uj in enumerate(spans):
-            if i == j:
-                continue
-            if uj.dim > ui.dim:
-                continue
-            for c in range(1, ctx.order):
-                if ui.contains_space(scale(c, uj)):
-                    return False
-    return True
+    spans = [span(code.ctx, u) for u in dec.blocks]
+    return not any(i != j and uj.dim <= ui.dim
+                   and scalar_into(ui, uj) is not None
+                   for i, ui in enumerate(spans) for j, uj in enumerate(spans))
 
 
 def is_minimal_codeword(code: RankCode, c: Sequence[int],

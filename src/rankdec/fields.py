@@ -605,14 +605,6 @@ class FieldContext:
             acc = self.add(acc, self.mul(c, xi))
         return acc
 
-    def q_coords(self, z: int) -> tuple[int, ...]:
-        """Coordinates over F_q in the power basis (for a = 1 the digit
-        vector)."""
-        return self.subfield_coords(z, 1)
-
-    def q_combine(self, coords: Sequence[int]) -> int:
-        return self.subfield_combine(coords, 1)
-
     # ------------------------------------------------------------------
     # F_q as an abstract small field (codes 0..q-1) for kernels
     # ------------------------------------------------------------------

@@ -13,10 +13,10 @@ representation.
   that reads the exp/log lists (and the Zech list for odd p), with no
   per-entry method call.
 * :class:`RowSpace`, a canonical row space inside F_q^width, packs its
-  rows into ints for q = 2 and reduces them with :func:`_bit_rref`
-  (rank/support/hyperplane scans live here); for q > 2 its rows are
-  context ints reduced with :func:`field_rref`.  Ranks of F_q-matrices
-  are RowSpace dimensions.
+  rows into ints for q = 2 and reduces them with :func:`_bit_rref`;
+  for q > 2 its rows are context ints reduced with :func:`field_rref`.
+  Ranks of F_q-matrices, flattened systems and their trace duals are
+  RowSpaces.
 
 Both eliminations share one kernel read-out, :func:`_null_basis`.
 Everything is small and dense; the only genuinely hot loops are in

@@ -353,19 +353,22 @@ def critical_complement_witness(u1: Subspace, u2: Subspace) -> Optional[int]:
         raise ValueError("dimensions are not complementary")
     if product(u1, u2).dim != ctx.m - 1:
         raise ValueError("product is not a hyperplane")
-    dual = trace_dual(u1)
-    w = next(b for b in dual.basis if b)
-    winv = ctx.inv(w)
-    seen = set()
-    for x in u2.elements():
-        if not x:
-            continue
-        c = ctx.mul(x, winv)
-        if c in seen:
-            continue
-        seen.add(c)
-        if scale(c, dual) == u2:
-            return c
+    return scalar_into(u2, trace_dual(u1))
+
+
+def scalar_into(u: Subspace, v: Subspace) -> Optional[int]:
+    """Some nonzero d with d*v contained in u, or None (v nonzero).
+
+    Every such d maps the first basis vector b of v into u, so the
+    candidates are x/b for the nonzero x in u, tried in the order of
+    :meth:`Subspace.elements`.  When dim v = dim u, d*v = u."""
+    ctx = u.ctx
+    binv = ctx.inv(v.basis[0])
+    for x in u.elements():
+        if x:
+            d = ctx.mul(x, binv)
+            if all(u.contains(ctx.mul(d, b)) for b in v.basis):
+                return d
     return None
 
 
@@ -404,7 +407,7 @@ def all_subspaces(ctx: FieldContext, dim: int):
                 rows[r][pc] = 1
             for (r, c), v in zip(free_positions, fill):
                 rows[r][c] = v
-            elems = [ctx.q_combine(row) for row in rows]
+            elems = [ctx.subfield_combine(row, 1) for row in rows]
             yield span(ctx, elems)
 
 

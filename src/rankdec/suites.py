@@ -14,7 +14,7 @@ from . import analysis, codes, showcases, subspaces, systems
 from .enumeration import message_space_size
 from .errors import FalsificationAlarm
 from .fields import FieldContext
-from .linalg import field_rank
+from .linalg import field_kernel, field_rank
 
 
 def _check(name, instances, passed, **extra):
@@ -84,7 +84,7 @@ def run_duality_suite(seed: int = 0, trials: int = 1000) -> dict:
         if field_rank(w_rows, ctx) == 0:
             continue
         w_flat = systems.flat_span(ctx, k, w_rows)
-        wp_flat = systems.flat_span(ctx, k, systems.fqm_perp(ctx, w_rows))
+        wp_flat = systems.flat_span(ctx, k, field_kernel(w_rows, ctx))
         ud = systems.perp_prime(u)
         lhs = ud.dim + wp_flat.dim - ud.row_space.sum(wp_flat).dim
         inter = u.dim + w_flat.dim - u.row_space.sum(w_flat).dim

@@ -6,6 +6,7 @@ import random
 import numpy as np
 import pytest
 
+from oracles import line_dim
 from rankdec import CapExceededError, FieldContext
 from rankdec.codes import (
     apply_equivalence,
@@ -28,7 +29,7 @@ from rankdec.enumeration import (
     weight_counts,
     weights_array,
 )
-from rankdec.systems import line_intersection_dim, perp_prime, system_from_code
+from rankdec.systems import perp_prime, system_from_code
 
 
 def test_message_index_roundtrip(f16, f81):
@@ -192,4 +193,4 @@ def test_projective_weights_are_line_dimensions(p, a, m, typ):
     assert len(pts) == len(weights)
     for x, w in zip(pts, weights):
         assert rank_weight(ctx, c.codeword(x)) == w
-        assert line_intersection_dim(udual, x) == m - w
+        assert line_dim(udual, x) == m - w

@@ -219,7 +219,7 @@ def test_tower_with_nonprime_q():
     assert len(ctx.fq_elements()) == 4
     for z in range(16):
         assert ctx.in_subfield(ctx.trace_rel(z, 1), 1)
-        assert ctx.q_combine(ctx.q_coords(z)) == z
+        assert ctx.subfield_combine(ctx.subfield_coords(z, 1), 1) == z
     add, sub, mul, inv = ctx.q_tables()
     assert add.shape == (4, 4)
     for i in range(1, 4):

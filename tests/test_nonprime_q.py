@@ -7,6 +7,7 @@ from collections import Counter
 
 import pytest
 
+from oracles import hyperplane_weight
 from rankdec import FieldContext
 from rankdec.analysis import min_weight_count_formula
 from rankdec.codes import (
@@ -27,7 +28,7 @@ from rankdec.subspaces import (
     verify_dual_geometric,
     verify_dual_subfield,
 )
-from rankdec.systems import system_from_code, weight_via_system
+from rankdec.systems import system_from_code
 
 
 @pytest.fixture(scope="module")
@@ -93,7 +94,7 @@ def test_geometric_route_agrees(q4m3):
     u = system_from_code(c)
     for idx in range(1, message_space_size(q4m3, 2), 29):
         x = message_from_index(q4m3, 2, idx)
-        assert weight_via_system(u, x) == rank_weight(q4m3, c.codeword(x))
+        assert hyperplane_weight(u, x) == rank_weight(q4m3, c.codeword(x))
 
 
 def test_detection_roundtrip_and_dual(q4m3):

@@ -1,10 +1,13 @@
-"""Systems (the geometric side): weight formulas against enumeration,
-the ambient trace duality, product systems, and hyperplane scans."""
+"""Systems (the geometric side): the hyperplane and line oracles of
+``oracles`` against the code-side weights, and the ambient trace
+duality."""
 
 import random
 
 import pytest
 
+from oracles import block_system, hyperplane_weight, line_dim
+from rankdec import FieldContext
 from rankdec.codes import (
     RankCode,
     build_completely_decomposable,
@@ -12,19 +15,14 @@ from rankdec.codes import (
     random_gl_ext,
     rank_weight,
 )
-from rankdec.enumeration import message_from_index, message_space_size
-from rankdec.subspaces import span, trace_dual
-from rankdec.systems import (
-    System,
-    apply_gl_k,
-    fqm_perp,
-    line_intersection_dim,
-    max_hyperplane_intersection,
-    perp_prime,
-    product_system,
-    system_from_code,
-    weight_via_system,
+from rankdec.enumeration import (
+    message_from_index,
+    message_space_size,
+    projective_points,
 )
+from rankdec.linalg import field_kernel, field_rank, field_vecmat
+from rankdec.subspaces import span, trace_dual
+from rankdec.systems import System, flat_span, perp_prime, system_from_code
 
 
 def identity_code(ctx, k):
@@ -32,17 +30,24 @@ def identity_code(ctx, k):
                           for i in range(k)])
 
 
+def max_hyperplane_intersection(u):
+    """max over F_{q^m}-hyperplanes x_perp of dim(U n x_perp)."""
+    return max(u.dim - hyperplane_weight(u, x)
+               for x in projective_points(u.ctx, u.k))
+
+
 class TestSystemFromCode:
     def test_identity_embeds_fq(self, f16):
         u = system_from_code(identity_code(f16, 3))
-        assert u.dim == 3 and u.spans_ambient
+        assert u.dim == 3
+        assert field_rank([list(v) for v in u.vectors], f16) == 3
 
     def test_decomposable_gives_product(self, f64):
         lam = f64.elements_of_degree(6)[0]
         c = build_completely_decomposable(f64, [[1, lam], [1, lam]])
         u = system_from_code(c)
         parts = [span(f64, [1, lam])] * 2
-        assert u == product_system(f64, parts)
+        assert u == block_system(f64, parts)
 
     def test_degenerate_rejected(self, f64):
         lam = f64.elements_of_degree(6)[0]
@@ -58,7 +63,8 @@ class TestSystemFromCode:
         c2 = c.relabeled(b)
         u2 = system_from_code(c2)
         bt = [[b[i][j] for i in range(2)] for j in range(2)]  # transpose
-        assert apply_gl_k(u, bt) == u2
+        assert System(f64, 2, [field_vecmat(list(v), bt, f64)
+                               for v in u.vectors]) == u2
 
 
 class TestWeightViaSystem:
@@ -69,19 +75,14 @@ class TestWeightViaSystem:
         u = system_from_code(c)
         for idx in range(1, message_space_size(f16, 2)):
             x = message_from_index(f16, 2, idx)
-            assert weight_via_system(u, x) == rank_weight(f16, c.codeword(x))
+            assert hyperplane_weight(u, x) == rank_weight(f16, c.codeword(x))
 
     def test_unit_vectors_on_product_system(self, f64):
         lam = f64.elements_of_degree(6)[0]
         parts = [span(f64, [1, lam, f64.mul(lam, lam)]), span(f64, [1, lam])]
-        u = product_system(f64, parts)
-        assert weight_via_system(u, (1, 0)) == 5 - 3 + 1  # n - sum(others)
-        assert weight_via_system(u, (0, 1)) == 2
-
-    def test_zero_message_rejected(self, f16):
-        u = system_from_code(identity_code(f16, 2))
-        with pytest.raises(ValueError):
-            weight_via_system(u, (0, 0))
+        u = block_system(f64, parts)
+        assert hyperplane_weight(u, (1, 0)) == 5 - 3 + 1  # n - sum(others)
+        assert hyperplane_weight(u, (0, 1)) == 2
 
 
 class TestPerpPrime:
@@ -91,7 +92,7 @@ class TestPerpPrime:
         assert ud.dim == 2 * 4 - 2
         # blockwise: dual of F_q x F_q is Ker(Tr) x Ker(Tr)
         z = trace_dual(span(f16, [1]))
-        assert ud == product_system(f16, [z, z])
+        assert ud == block_system(f16, [z, z])
 
     def test_involution_and_inclusion_reversal(self, f64):
         rng = random.Random(2)
@@ -112,8 +113,8 @@ class TestPerpPrime:
         lam = f64.elements_of_degree(6)[2]
         u1 = span(f64, [1, lam])
         u2 = span(f64, [1, lam, f64.mul(lam, lam)])
-        u = product_system(f64, [u1, u2])
-        assert perp_prime(u) == product_system(
+        u = block_system(f64, [u1, u2])
+        assert perp_prime(u) == block_system(
             f64, [trace_dual(u1), trace_dual(u2)])
 
     def test_line_dimension_weight_relation(self, f16):
@@ -124,27 +125,19 @@ class TestPerpPrime:
         for idx in range(1, message_space_size(f16, 2)):
             x = message_from_index(f16, 2, idx)
             w = rank_weight(f16, c.codeword(x))
-            assert line_intersection_dim(ud, x) == f16.m - w
+            assert line_dim(ud, x) == f16.m - w
 
 
 class TestProductSystem:
     def test_all_ones_parts(self, f16):
         parts = [span(f16, [1])] * 3
-        u = product_system(f16, parts)
+        u = block_system(f16, parts)
         assert u == system_from_code(identity_code(f16, 3))
 
     def test_dimension_adds(self, f64):
         lam = f64.elements_of_degree(6)[0]
         parts = [span(f64, [1, lam])] * 3
-        assert product_system(f64, parts).dim == 6
-
-    def test_rejects_zero_or_full_parts(self, f16):
-        from rankdec.subspaces import full_space, zero_subspace
-
-        with pytest.raises(ValueError):
-            product_system(f16, [zero_subspace(f16), span(f16, [1])])
-        with pytest.raises(ValueError):
-            product_system(f16, [full_space(f16), span(f16, [1])])
+        assert block_system(f64, parts).dim == 6
 
 
 class TestHyperplaneScan:
@@ -180,30 +173,6 @@ class TestHyperplaneScan:
             assert min_distance(c) == c.n - max_hyperplane_intersection(u)
 
 
-class TestApplyGlK:
-    def test_identity_and_roundtrip(self, f16):
-        u = system_from_code(identity_code(f16, 2))
-        eye = [[1, 0], [0, 1]]
-        assert apply_gl_k(u, eye) == u
-        b = random_gl_ext(f16, 2, seed=5)
-        from rankdec.linalg import field_inverse
-
-        binv = field_inverse([list(r) for r in b], f16)
-        assert apply_gl_k(apply_gl_k(u, b), binv) == u
-
-    def test_diagonal_scales_product_parts(self, f64):
-        from rankdec.subspaces import scale
-
-        lam = f64.elements_of_degree(6)[0]
-        u1 = span(f64, [1, lam])
-        u2 = span(f64, [1, f64.mul(lam, lam)])
-        u = product_system(f64, [u1, u2])
-        d1, d2 = 5, 9
-        diag = [[d1, 0], [0, d2]]
-        assert apply_gl_k(u, diag) == product_system(
-            f64, [scale(d1, u1), scale(d2, u2)])
-
-
 class TestAmbientDualityIdentity:
     def test_dimension_identity_sampled(self, f16):
         """dim(U' n W_perp) = dim(U n W) + km - dim U - dim W for an
@@ -215,22 +184,10 @@ class TestAmbientDualityIdentity:
                     for _ in range(rng.randrange(1, 5))]
             u = System(f16, k, vecs)
             w_rows = [[rng.randrange(16) for _ in range(k)]]
-            from rankdec.linalg import field_rank
-
             if field_rank(w_rows, f16) == 0:
                 continue
-            wperp = fqm_perp(f16, w_rows)
-            # flatten both sides to F_q row spaces
-            from rankdec.systems import _flatten
-            from rankdec.linalg import RowSpace
-
-            powers = f16.subfield_power_basis(1)
-            w_flat = RowSpace(f16, m * k, [
-                _flatten(f16, [f16.mul(g, c) for c in row], k)
-                for row in w_rows for g in powers])
-            wperp_flat = RowSpace(f16, m * k, [
-                _flatten(f16, [f16.mul(g, c) for c in row], k)
-                for row in wperp for g in powers])
+            w_flat = flat_span(f16, k, w_rows)
+            wperp_flat = flat_span(f16, k, field_kernel(w_rows, f16))
             udual = perp_prime(u)
             lhs = (udual.dim + wperp_flat.dim
                    - udual.row_space.sum(wperp_flat).dim)
@@ -240,15 +197,32 @@ class TestAmbientDualityIdentity:
     def test_product_precondition_lines(self, f64):
         # every direction meets a product system in dimension < m
         lam = f64.elements_of_degree(6)[0]
-        u = product_system(f64, [span(f64, [1, lam])] * 2)
-        from rankdec.enumeration import projective_points
-
+        u = block_system(f64, [span(f64, [1, lam])] * 2)
         for x in projective_points(f64, 2):
-            assert line_intersection_dim(u, x) < f64.m
+            assert line_dim(u, x) < f64.m
 
 
-def test_system_serialization(f16):
-    rng = random.Random(9)
-    u = System(f16, 2, [[rng.randrange(16), rng.randrange(16)]
-                        for _ in range(3)])
-    assert System.from_json(f16, u.to_json()) == u
+@pytest.mark.parametrize("p,a,m", [(3, 1, 3), (2, 2, 3), (5, 1, 3), (3, 2, 2)])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_perp_prime_over_towers(p, a, m, k):
+    """perp_prime against the definition sum_i Tr_{q^m/q}(u_i v_i) = 0,
+    evaluated with trace_rel (not the trace Gram matrix), on the empty
+    system and random ones."""
+    ctx = FieldContext(p, a, m)
+    rng = random.Random(100 * p + 10 * a + m + k)
+    sizes = [0] + [rng.randrange(1, k * m + 1) for _ in range(2)]
+    for size in sizes:
+        u = System(ctx, k, [[rng.randrange(ctx.order) for _ in range(k)]
+                            for _ in range(size)])
+        ud = perp_prime(u)
+        assert ud.dim == k * m - u.dim
+        for x in u.vectors:
+            for y in ud.vectors:
+                acc = 0
+                for xi, yi in zip(x, y):
+                    acc = ctx.add(acc, ctx.trace_rel(ctx.mul(xi, yi), 1))
+                assert acc == 0
+        assert perp_prime(ud) == u
+        if k == 1:
+            block = span(ctx, [v[0] for v in u.vectors])
+            assert ud == block_system(ctx, [trace_dual(block)])
