@@ -33,12 +33,16 @@ Two entry points share the chunk kernel:
 Two backends compute the per-codeword rank weight (the F_q-dimension of
 the span of the n entries):
 
-* packed: q = 2 with prime base field; entries are bit masks in the
-  narrowest unsigned dtype holding m bits, and the elimination keeps
-  an XOR basis per codeword in echelon form by top bit, so reducing a
-  whole column of codewords is one min-XOR step per bit;
-* generic: any q up to 256; entries are length-m code vectors reduced
-  with the context's small-field tables.
+* packed: every even q, via the a-fold F_2 expansion.  For q = 2^a
+  with F_2-basis beta_1..beta_a of F_q, the F_q-span of x_1..x_n is,
+  as an F_2-space, the span of the a*n products beta_l * x_j, so the
+  rank over F_q is the F_2-rank of the expanded word divided by a.
+  Entries are field ints (a*m-bit masks) in the narrowest unsigned
+  dtype, and the elimination keeps an XOR basis per codeword in
+  echelon form by top bit, so reducing a whole column of codewords is
+  one min-XOR step per bit;
+* generic: odd p, with q up to 256; entries are length-m code vectors
+  reduced with the context's small-field tables.
 
 Weight of a codeword never exceeds min(n, m); counts are exact ints.
 """
@@ -78,21 +82,31 @@ def index_of_message(ctx, k: int, msg) -> int:
 
 
 def _packed_ok(ctx) -> bool:
-    return ctx.p == 2 and ctx.a == 1
+    return ctx.p == 2
 
 
-def _word_dtype(m: int):
-    """Narrowest unsigned dtype holding an m-bit packed entry."""
-    return np.uint8 if m <= 8 else np.uint16 if m <= 16 else np.uint32
+def _word_dtype(bits: int):
+    """Narrowest unsigned dtype holding a packed entry of that many bits."""
+    return np.uint8 if bits <= 8 else np.uint16 if bits <= 16 else np.uint32
 
 
 def _basis_codewords(ctx, generator):
     """Kernel rows of all basis messages: row i*(a*m) + s is p^s * G_i,
-    so row i*(a*m) is the generator row G_i itself."""
+    so row i*(a*m) is the generator row G_i itself.  For even q = 2^a
+    with a > 1 a packed row r is its a-fold expansion
+    (beta_1 * r, ..., beta_a * r) over the F_2-basis beta of F_q; the
+    expansion is F_2-linear, so XOR combinations of expanded rows are
+    the expansions of the combined rows."""
     rows = [ctx.scale_row(ctx.p**s, gen_row)
             for gen_row in generator for s in range(ctx.n)]
     if _packed_ok(ctx):
-        return [np.array(row, dtype=_word_dtype(ctx.m)) for row in rows]
+        if ctx.a > 1:
+            beta = ctx.fp_basis_of_subfield(1)
+            rows = [[v for b in beta for v in ctx.scale_row(b, row)]
+                    for row in rows]
+        # a*m bits: the degree cap of 32 keeps them within uint32 and
+        # within the exact range of the kernel's float top-bit step
+        return [np.array(row, dtype=_word_dtype(ctx.n)) for row in rows]
     coords = ctx.subfield_coords_all([v for row in rows for v in row], 1)
     # the F_q code of an element is its index in the ascending F_q
     # element list (:meth:`FieldContext.fq_code`)
@@ -160,10 +174,13 @@ class _Kernel:
 
     A chunk is a run of ``chunk_size`` consecutive words; the caller
     groups chunks, of one kernel or of several, into batches and ranks
-    each batch with one elimination (:func:`_map_batches`)."""
+    each batch with one elimination (:func:`_map_batches`).  Backends:
+    packed for every even q, via the a-fold F_2 expansion (the F_2-rank
+    divided by a); generic for odd p."""
 
     def __init__(self, ctx, rows, offset, chunk_target: int):
-        self.m = ctx.m
+        self.bits = ctx.n
+        self.a = ctx.a
         self.p = p = ctx.p
         self.packed = _packed_ok(ctx)
         digits = len(rows)
@@ -208,9 +225,17 @@ class _Kernel:
         return add[self.low_table, base[None, :, :]]
 
     def ranks(self, cw: np.ndarray) -> np.ndarray:
-        if self.packed:
-            return _rank_rows_packed(cw, self.m)
-        return _rank_rows_generic(cw, self.tables)
+        if not self.packed:
+            return _rank_rows_generic(cw, self.tables)
+        ranks = _rank_rows_packed(cw, self.bits)
+        if self.a == 1:
+            return ranks
+        # an F_q-span has F_2-dimension a times its F_q-dimension
+        ranks, rest = np.divmod(ranks, self.a)
+        if rest.any():
+            raise FalsificationAlarm(
+                f"an F_2-rank of an expanded word is not a multiple of a = {self.a}")
+        return ranks
 
 
 def _map_batches(kernels, chunk_target: int, threads: int, fn) -> list:

@@ -190,14 +190,36 @@ class FieldContext:
         return self.add(x, self.neg(y))
 
     def mul(self, x: int, y: int) -> int:
+        """x * y: one exp/log lookup on a tabled field; otherwise shift
+        and XOR for p = 2, digit-wise scaling for odd p when a factor is
+        an F_p constant (an int below p), and polynomial arithmetic."""
         exp = self._exp
         if exp is not None:
             if x == 0 or y == 0:
                 return 0
             return exp[self._log[x] + self._log[y] - len(exp)]
-        if self.p == 2:
+        p = self.p
+        if p == 2:
             return self._mul2(x, y)
+        if y < p:
+            x, y = y, x
+        if x < p:
+            return self._scale_digits(x, y)
         return self._mul_generic(x, y)
+
+    def _scale_digits(self, c: int, y: int) -> int:
+        """c * y for an F_p constant 0 <= c < p: each base-p digit of y
+        times c mod p."""
+        if c <= 1:
+            return y if c else 0
+        p = self.p
+        out = 0
+        mult = 1
+        while y:
+            y, d = divmod(y, p)
+            out += c * d % p * mult
+            mult *= p
+        return out
 
     def scale_row(self, c: int, row: Sequence[int]) -> list[int]:
         """[c * v for v in row], one comprehension on a tabled field."""

@@ -75,16 +75,18 @@ def test_threaded_counts_identical(f64):
 
 
 def test_generic_backend_against_packed():
-    """A q = 4 tower forces the table backend; a brute scalar loop pins
-    both against the definition."""
-    ctx = FieldContext(2, 2, 3)
-    lam = ctx.elements_of_degree(3)[0]
-    c = build_completely_decomposable(ctx, [[1, lam], [1, lam]])
-    counts = weight_counts(ctx, c.generator)
-    brute = [0] * (c.n + 1)
-    for idx in range(message_space_size(ctx, 2)):
-        brute[rank_weight(ctx, c.codeword(message_from_index(ctx, 2, idx)))] += 1
-    assert counts == brute
+    """A q = 4 tower takes the packed kernel on the 2-fold F_2 expansion
+    of its words and a q = 9 tower the table backend; a brute scalar
+    loop pins both against the definition."""
+    ctx4, ctx9 = FieldContext(2, 2, 3), FieldContext(3, 2, 2)
+    lam4, lam9 = ctx4.elements_of_degree(3)[0], ctx9.elements_of_degree(2)[0]
+    for ctx, blocks in ((ctx4, [[1, lam4], [1, lam4]]), (ctx9, [[1], [lam9]])):
+        c = build_completely_decomposable(ctx, blocks)
+        counts = weight_counts(ctx, c.generator)
+        brute = [0] * (c.n + 1)
+        for idx in range(message_space_size(ctx, 2)):
+            brute[rank_weight(ctx, c.codeword(message_from_index(ctx, 2, idx)))] += 1
+        assert counts == brute
 
 
 def test_cap_contract(f64):

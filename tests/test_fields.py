@@ -271,6 +271,22 @@ def test_inverse_without_tables():
         assert ctx.mul(x, ctx.inv(x)) == 1
 
 
+@pytest.mark.parametrize("p,m", [(5, 28), (3, 21)])
+def test_constant_products_without_tables(p, m):
+    """F_(5^28) and F_(3^21) have no tables, so a product with an F_p
+    constant (an int below p) scales digit-wise; it equals the
+    polynomial product and the schoolbook oracle, in either order."""
+    ctx = FieldContext(p, 1, m)
+    rng = random.Random(p * m)
+    vals = [0, 1, p - 1, p, ctx.order - 1] + [rng.randrange(ctx.order)
+                                             for _ in range(20)]
+    for c in range(p):
+        for y in vals:
+            want = ctx._mul_generic(c, y)
+            assert want == schoolbook_mul(ctx, c, y)
+            assert ctx.mul(c, y) == want == ctx.mul(y, c)
+
+
 def test_check_element_accepts_only_integers(f16):
     import numpy as np
 

@@ -1,6 +1,6 @@
-"""Integration pass over towers with non-prime q (a > 1): the generic
-table backends must agree with brute force everywhere the bit-packed
-q = 2 paths are bypassed."""
+"""Integration pass over towers with non-prime q (a > 1): for even q
+the packed kernel ranks the a-fold F_2 expansion of each word, and
+every path must agree with brute force and the closed form."""
 
 import random
 from collections import Counter
@@ -11,6 +11,7 @@ from oracles import hyperplane_weight
 from rankdec import FieldContext
 from rankdec.analysis import min_weight_count_formula
 from rankdec.codes import (
+    RankCode,
     apply_equivalence,
     build_completely_decomposable,
     detect_complete_decomposability,
@@ -20,7 +21,14 @@ from rankdec.codes import (
     rank_weight,
     weight_distribution,
 )
-from rankdec.enumeration import message_from_index, message_space_size
+from rankdec.enumeration import (
+    message_from_index,
+    message_space_size,
+    projective_count,
+    projective_point,
+    projective_weights,
+    weight_counts,
+)
 from rankdec.subspaces import (
     cauchy_davenport_check,
     random_subspace,
@@ -108,3 +116,42 @@ def test_detection_roundtrip_and_dual(q4m3):
     scr.with_decomposition(dec)
     dual = geometric_dual(c)
     assert dual.decomposition.type_vector == (1, 1)
+
+
+@pytest.mark.parametrize("p,a,m", [(2, 2, 3), (2, 3, 2), (2, 4, 2), (2, 9, 2)],
+                         ids=["F4^3", "F8^2", "F16^2", "F512^2"])
+def test_even_towers_through_the_packed_kernel(p, a, m):
+    """k = 2 codes over F_(4^3), F_(8^2), F_(16^2) and F_(2^9)^2, behind
+    a random basis change and coordinate map: the per-point weights of
+    the a-fold F_2 expansion are the scalar rank weights on sampled
+    points, and the distribution is the full enumeration's.  F_(2^9)^2
+    has q > 256 and no tables; its 2^36 messages are past any full
+    enumeration, so the closed form checks its minimum-weight count and
+    the full enumeration one row."""
+    ctx = FieldContext(p, a, m)
+    rng = random.Random(a)
+    blocks = []
+    for t in (m - 1, 1):  # block lengths below m
+        while True:
+            u = [rng.randrange(ctx.order) for _ in range(t)]
+            if rank_weight(ctx, u) == t:
+                blocks.append(u)
+                break
+    c = build_completely_decomposable(ctx, blocks)
+    scr = apply_equivalence(c.relabeled(random_gl_ext(ctx, 2, seed=a)),
+                            random_gl(ctx, c.n, seed=a)).strip_decomposition()
+    weights, counts = projective_weights(ctx, scr.generator)
+    total = projective_count(ctx, 2)
+    assert len(weights) == total
+    for idx in [0, 1, total - 1] + [rng.randrange(total) for _ in range(40)]:
+        x = projective_point(ctx, 2, idx)
+        assert weights[idx] == rank_weight(ctx, scr.codeword(x))
+    messages = message_space_size(ctx, 2)
+    wd = weight_distribution(scr, cap=messages)
+    assert list(wd.counts) == counts and sum(counts) == messages
+    n_k = c.decomposition.type_vector[-1]
+    assert wd.counts[n_k] == min_weight_count_formula(c).formula_count
+    # the full enumeration: of the whole code where it fits, else of
+    # its first row (2^18 messages over F_(2^9)^2)
+    sub = scr if messages <= 1 << 16 else RankCode(ctx, scr.generator[:1])
+    assert weight_counts(ctx, sub.generator) == list(weight_distribution(sub).counts)
