@@ -467,12 +467,3 @@ def check_char_prime(code: RankCode,
     return Verdict("not-applicable",
                    f"bound not attained ({count} < {bound}); no structure claimed")
 
-
-def hyperplane_product_spaces(ctx: FieldContext, dim: int):
-    """Exploration helper: yields the F_q-subspaces U of the given
-    dimension with dim(U^dual * U) = m - 1 (exhaustive; small fields)."""
-    from .subspaces import all_subspaces
-
-    for u in all_subspaces(ctx, dim):
-        if product(trace_dual(u), u).dim == ctx.m - 1:
-            yield u

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, Optional, Sequence
 
 from .enumeration import (
@@ -56,7 +57,14 @@ from .subspaces import scalar_into, span, trace_dual
 
 class EquivalenceMap:
     """Invertible n x n matrix over F_q; entries are field-context ints
-    that must lie in F_q."""
+    that must lie in F_q.
+
+    The public constructor checks the shape, that every entry lies in
+    F_q and that the matrix is invertible; code files and
+    :func:`random_gl` go through it.  Maps derived from valid ones
+    (:meth:`identity`, :meth:`inverse`, :meth:`compose` and the
+    coordinate maps that decomposition records and detection build) are
+    valid by construction and skip the checks."""
 
     __slots__ = ("ctx", "rows")
 
@@ -74,21 +82,29 @@ class EquivalenceMap:
         self.ctx = ctx
         self.rows = rows
 
+    @classmethod
+    def _unchecked(cls, ctx: FieldContext, rows) -> "EquivalenceMap":
+        """A map that is invertible over F_q by construction."""
+        amap = object.__new__(cls)
+        amap.ctx, amap.rows = ctx, tuple(tuple(r) for r in rows)
+        return amap
+
     @property
     def n(self) -> int:
         return len(self.rows)
 
     @classmethod
     def identity(cls, ctx: FieldContext, n: int) -> "EquivalenceMap":
-        return cls(ctx, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls._unchecked(
+            ctx, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
     def inverse(self) -> "EquivalenceMap":
-        return EquivalenceMap(self.ctx, field_inverse([list(r) for r in self.rows],
-                                                      self.ctx))
+        return self._unchecked(self.ctx, field_inverse(
+            [list(r) for r in self.rows], self.ctx))
 
     def compose(self, other: "EquivalenceMap") -> "EquivalenceMap":
         """self followed by other (matrix product self * other)."""
-        return EquivalenceMap(self.ctx, field_matmul(
+        return self._unchecked(self.ctx, field_matmul(
             [list(r) for r in self.rows], [list(r) for r in other.rows], self.ctx))
 
     def __eq__(self, other):
@@ -152,20 +168,12 @@ class Decomposition:
         return sum(self.type_vector)
 
     def block_offsets(self) -> list[int]:
-        offs = [0]
-        for t in self.type_vector:
-            offs.append(offs[-1] + t)
-        return offs
+        return [0, *accumulate(self.type_vector)]
 
     def weight_complementary_generator(self) -> tuple[tuple[int, ...], ...]:
-        n = self.n
         offs = self.block_offsets()
-        rows = []
-        for i, u in enumerate(self.blocks):
-            row = [0] * n
-            row[offs[i]:offs[i + 1]] = list(u)
-            rows.append(tuple(row))
-        return tuple(rows)
+        return tuple((0,) * offs[i] + tuple(u) + (0,) * (self.n - offs[i + 1])
+                     for i, u in enumerate(self.blocks))
 
 
 class WeightDistribution:
@@ -234,8 +242,14 @@ class RankCode:
 
     def _validate_decomposition(self, dec: Decomposition):
         ctx = self.ctx
+        for t in dec.type_vector:
+            if not isinstance(t, int) or isinstance(t, bool):
+                raise ValueError(f"decomposition type entry {t!r} is not an integer")
         if dec.n != self.n or dec.k != self.k:
             raise ValueError("decomposition shape mismatch")
+        if dec.col_map.n != self.n:
+            raise ValueError(f"decomposition col_map is {dec.col_map.n} x "
+                             f"{dec.col_map.n}, not n x n with n = {self.n}")
         if list(dec.type_vector) != sorted(dec.type_vector, reverse=True):
             raise ValueError("type vector must be non-increasing")
         for u, ni in zip(dec.blocks, dec.type_vector):
@@ -276,7 +290,11 @@ class RankCode:
         return RankCode(self.ctx, self.generator)
 
     def with_decomposition(self, dec: Decomposition) -> "RankCode":
-        return RankCode(self.ctx, self.generator, dec)
+        """The same code with the record attached, checked in full."""
+        self._validate_decomposition(dec)
+        out = object.__new__(RankCode)
+        out.ctx, out.generator, out.decomposition = self.ctx, self.generator, dec
+        return out
 
     def relabeled(self, b_rows) -> "RankCode":
         """Same code, new basis: generator B * G."""
@@ -318,11 +336,12 @@ class RankCode:
 
 
 def code_support(code: RankCode) -> RowSpace:
-    """Sum of the row supports; equals F_q^n iff the code is nondegenerate."""
-    acc = support(code.ctx, code.generator[0])
-    for row in code.generator[1:]:
-        acc = acc.sum(support(code.ctx, row))
-    return acc
+    """Sum of the row supports, one elimination over the k*m coordinate
+    rows; equals F_q^n iff the code is nondegenerate."""
+    ctx, k, n = code.ctx, code.k, code.n
+    coords = ctx.subfield_coords_all([v for row in code.generator for v in row], 1)
+    return RowSpace(ctx, n, coords.reshape(k, n, ctx.m).transpose(0, 2, 1)
+                    .reshape(k * ctx.m, n).tolist())
 
 
 def is_nondegenerate(code: RankCode) -> bool:
@@ -379,51 +398,33 @@ def direct_sum(codes: Sequence[RankCode]) -> RankCode:
         coff += c.n
     dec = None
     if all(c.decomposition is not None for c in codes):
-        dec = _merge_decompositions(ctx, codes)
+        dec = _sorted_decomposition(
+            ctx, [u for c in codes for u in c.decomposition.blocks],
+            _blockdiag_fq(ctx, [c.decomposition.col_map for c in codes]))
     return RankCode(ctx, gen, dec)
-
-
-def _merge_decompositions(ctx, codes) -> Decomposition:
-    blocks = []
-    for c in codes:
-        blocks.extend(c.decomposition.blocks)
-    inner = _blockdiag_fq(ctx, [c.decomposition.col_map for c in codes],
-                          [c.n for c in codes])
-    return _sorted_decomposition(ctx, blocks, inner)
 
 
 def _sorted_decomposition(ctx, blocks, inner: EquivalenceMap) -> Decomposition:
     """The record of blocks laid out side by side, where ``inner`` maps
     that layout onto the stored coordinates: the blocks are sorted by
     non-increasing length (stably) and the permutation of their columns
-    is pushed into the coordinate map."""
+    is pushed into the coordinate map as a reordering of its rows."""
     lens = [len(u) for u in blocks]
     order = sorted(range(len(blocks)), key=lambda i: -lens[i])
-    offs = [0]  # block offsets in the unsorted layout
-    for length in lens:
-        offs.append(offs[-1] + length)
-    n = offs[-1]
-    perm = [[0] * n for _ in range(n)]
-    row = 0
-    for i in order:
-        for l in range(lens[i]):
-            perm[row][offs[i] + l] = 1
-            row += 1
+    offs = [0, *accumulate(lens)]  # block offsets in the unsorted layout
+    rows = [inner.rows[j] for i in order for j in range(offs[i], offs[i + 1])]
     return Decomposition(tuple(lens[i] for i in order),
                          tuple(blocks[i] for i in order),
-                         EquivalenceMap(ctx, perm).compose(inner))
+                         EquivalenceMap._unchecked(ctx, rows))
 
 
-def _blockdiag_fq(ctx, maps, sizes) -> EquivalenceMap:
-    n = sum(sizes)
-    rows = [[0] * n for _ in range(n)]
-    off = 0
-    for mp, sz in zip(maps, sizes):
-        for i in range(sz):
-            for j in range(sz):
-                rows[off + i][off + j] = mp.rows[i][j]
-        off += sz
-    return EquivalenceMap(ctx, rows)
+def _blockdiag_fq(ctx, maps) -> EquivalenceMap:
+    n = sum(mp.n for mp in maps)
+    rows, off = [], 0
+    for mp in maps:
+        rows.extend((0,) * off + r + (0,) * (n - off - mp.n) for r in mp.rows)
+        off += mp.n
+    return EquivalenceMap._unchecked(ctx, rows)
 
 
 def apply_equivalence(code: RankCode, amap: EquivalenceMap) -> RankCode:
@@ -531,16 +532,12 @@ def detect_complete_decomposability(code: RankCode,
     if sum(weights) != code.n:
         raise FalsificationAlarm(
             f"picked basis has weights {weights}, which do not sum to n = {code.n}")
-    # coordinate change sending each support onto its own block
-    p_rows = []
-    for s in supports:
-        p_rows.extend(list(r) for r in s.basis_rows())
-    amap = EquivalenceMap(ctx, field_inverse(p_rows, ctx))
-    moved = [field_vecmat(list(c), [list(r) for r in amap.rows], ctx)
-             for c in cwords]
-    offs = [0]
-    for w in weights:
-        offs.append(offs[-1] + w)
+    # P stacks the support bases; P^-1 sends each support onto its own
+    # block, and P maps the block layout back onto the stored coordinates
+    p_rows = [list(r) for s in supports for r in s.basis_rows()]
+    p_inv = field_inverse(p_rows, ctx)
+    moved = [field_vecmat(list(c), p_inv, ctx) for c in cwords]
+    offs = [0, *accumulate(weights)]
     blocks = []
     for i, row in enumerate(moved):
         if any(v for j, v in enumerate(row) if not offs[i] <= j < offs[i + 1]):
@@ -548,7 +545,8 @@ def detect_complete_decomposability(code: RankCode,
                 f"codeword {i} is not supported on its own block after the "
                 "coordinate change")
         blocks.append(tuple(row[offs[i]:offs[i + 1]]))
-    return _sorted_decomposition(ctx, blocks, amap.inverse())
+    return _sorted_decomposition(ctx, blocks,
+                                 EquivalenceMap._unchecked(ctx, p_rows))
 
 
 def _line_candidates(ctx, point_weights):
@@ -568,9 +566,7 @@ def _pick_basis(ctx, ds, points, k, target):
     are none.  A branch is cut when even the next best d values cannot
     reach the target, and a point is built only when the search reaches
     it."""
-    prefix = [0]  # prefix[j]: d total of the first j candidates
-    for d in ds:
-        prefix.append(prefix[-1] + d)
+    prefix = [0, *accumulate(ds)]  # prefix[j]: d total of the first j candidates
     picked = []
     if _extend_basis(ctx, ds, points, prefix, k, target, picked, 0, 0, []):
         return picked
@@ -578,7 +574,10 @@ def _pick_basis(ctx, ds, points, k, target):
 
 
 def _extend_basis(ctx, ds, points, prefix, k, target, picked, start, total,
-                  basis_rows) -> bool:
+                  echelon) -> bool:
+    """Depth-first step of :func:`_pick_basis`.  ``echelon`` holds the
+    picked points as (pivot, row) pairs, 1 at the pivot and 0 at earlier
+    pivots: a candidate is independent iff reducing it leaves it nonzero."""
     if len(picked) == k:
         return total == target
     need = k - len(picked)
@@ -590,12 +589,17 @@ def _extend_basis(ctx, ds, points, prefix, k, target, picked, start, total,
         if total + d + prefix[min(idx + need, end)] - prefix[idx + 1] < target:
             return False
         x = projective_point(ctx, k, points[idx])
-        new_rows, _ = field_rref(basis_rows + [list(x)], ctx)
-        if len(new_rows) != len(picked) + 1:
+        v = list(x)
+        for c, row in echelon:
+            if v[c]:
+                v = ctx.add_scaled_row(v, ctx.neg(v[c]), row)
+        piv = next((c for c, e in enumerate(v) if e), None)
+        if piv is None:
             continue
         picked.append((d, x))
         if _extend_basis(ctx, ds, points, prefix, k, target, picked, idx + 1,
-                         total + d, [list(r) for r in new_rows]):
+                         total + d,
+                         echelon + [(piv, ctx.scale_row(ctx.inv(v[piv]), v))]):
             return True
         picked.pop()
     return False

@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import ContextMismatchError, NotApplicableError
 from .fields import FieldContext, is_prime
-from .linalg import field_kernel, field_rref
+from .linalg import _bit_rref, field_kernel, field_rref
 
 
 class Subspace:
@@ -125,8 +125,12 @@ class Subspace:
 def span(ctx: FieldContext, elements: Iterable[int], base_e: int = 1) -> Subspace:
     """Canonical F_{q^base_e}-span of the given field elements."""
     ctx._check_divisor(base_e)
-    rows = ctx.subfield_coords_all([ctx.check_element(x) for x in elements],
-                                   base_e).tolist()
+    elems = [ctx.check_element(x) for x in elements]
+    if ctx.q == 2 and base_e == 1:  # an element int is its packed F_2 row
+        basis, pivots = _bit_rref(elems)
+        coord_rows = [tuple((r >> j) & 1 for j in range(ctx.m)) for r in basis]
+        return Subspace(ctx, 1, basis, coord_rows, pivots)
+    rows = ctx.subfield_coords_all(elems, base_e).tolist()
     rref, pivots = field_rref(rows, ctx)
     basis = [ctx.subfield_combine(r, base_e) for r in rref]
     return Subspace(ctx, base_e, basis, [tuple(r) for r in rref], tuple(pivots))

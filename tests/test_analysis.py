@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from oracles import hyperplane_product_spaces
 from rankdec import FalsificationAlarm, NotApplicableError
 from rankdec.analysis import (
     bound_prime,
@@ -16,7 +17,6 @@ from rankdec.analysis import (
     construct_lower_attaining,
     construct_subfield_extremal,
     find_lower_attaining_params,
-    hyperplane_product_spaces,
     min_weight_count_formula,
     minimum_weight_family,
     trailing_run_length,

@@ -124,6 +124,39 @@ def test_wdist_rejects_non_integer_element(capsys, tmp_path, where, value):
     assert f"{value!r} is not an element encoding" in out.err
 
 
+def _wdist_bad_record(capsys, tmp_path, **record):
+    """Exit code and stderr of ``wdist`` on a [3, 1] code over F_2^4 whose
+    decomposition record takes the given fields."""
+    dec = {"type": [3], "blocks": [[1, 2, 4]],
+           "col_map": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}
+    dec.update(record)
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"field": {"p": 2, "m": 4},
+                                "generator": [[1, 2, 4]], "decomposition": dec}))
+    rc = main(["wdist", str(path)])
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.count("\n") == 1
+    return rc, out.err
+
+
+@pytest.mark.parametrize("size", [0, 2, 4])
+def test_wdist_names_col_map_of_wrong_size(capsys, tmp_path, size):
+    """A square col_map that is not n x n is named as such, not reported
+    as a record that fails to generate the code."""
+    col_map = [[int(i == j) for j in range(size)] for i in range(size)]
+    rc, err = _wdist_bad_record(capsys, tmp_path, col_map=col_map)
+    assert rc == EXIT_USAGE
+    assert f"col_map is {size} x {size}, not n x n with n = 3" in err
+
+
+@pytest.mark.parametrize("typ", ["ab", [2.5], [True]], ids=repr)
+def test_wdist_names_non_integer_type(capsys, tmp_path, typ):
+    rc, err = _wdist_bad_record(capsys, tmp_path, type=typ)
+    assert rc == EXIT_USAGE
+    first = list(typ)[0]
+    assert f"decomposition type entry {first!r} is not an integer" in err
+
+
 class TestBuild:
     def test_summary_and_file(self, capsys, tmp_path, spec_path):
         out = tmp_path / "c.json"

@@ -2,8 +2,10 @@
 independent oracles, block constructions, detection round-trips,
 minimal codewords, and duals."""
 
+import json
 import random
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -47,9 +49,26 @@ from rankdec.fields import gaussian_binomial
 from rankdec.linalg import RowSpace, field_inverse, field_vecmat
 
 
+#: detection results (type, blocks, col_map rows) for seeded scrambled
+#: codes over F_2^4..7, F_3^3, F_3^4 and F_(4^3) with k <= 3
+DETECT_PINS = json.loads(
+    (Path(__file__).parent / "data" / "detect_decompositions.json").read_text())
+
+
 def identity_code(ctx, k):
     return RankCode(ctx, [[1 if i == j else 0 for j in range(k)]
                           for i in range(k)])
+
+
+def full_weight_blocks(ctx, typ, rng):
+    """One random block of F_q-independent entries per length in typ."""
+    blocks = []
+    for t in typ:
+        u = [rng.randrange(1, ctx.order) for _ in range(t)]
+        while rank_weight(ctx, u) != t:
+            u = [rng.randrange(1, ctx.order) for _ in range(t)]
+        blocks.append(u)
+    return blocks
 
 
 class TestRankWeightAndSupport:
@@ -281,6 +300,29 @@ class TestDirectSumAndEquivalence:
         with pytest.raises(ValueError, match="F_q"):
             EquivalenceMap(ctx, [a[0], a[1], [outside, 0, 0]])
 
+    @pytest.mark.parametrize("field,typ", [
+        ((2, 1, 5), (3, 2, 1)), ((3, 1, 4), (3, 2)), ((2, 2, 3), (2, 2, 1)),
+    ])
+    def test_derived_maps_pass_the_public_checks(self, field, typ):
+        """The maps built without the constructor's checks (identity,
+        inverse, compose, and the col_maps of direct_sum,
+        apply_equivalence and detection) are rebuilt unchanged by it."""
+        ctx = FieldContext(*field)
+        n = sum(typ)
+        for seed in range(3):
+            c = build_completely_decomposable(
+                ctx, full_weight_blocks(ctx, typ, random.Random(seed)))
+            amap = random_gl(ctx, n, seed=seed)
+            scr = apply_equivalence(
+                c.relabeled(random_gl_ext(ctx, c.k, seed=seed)), amap)
+            dec = detect_complete_decomposability(scr.strip_decomposition())
+            maps = [EquivalenceMap.identity(ctx, n), amap.inverse(),
+                    amap.compose(random_gl(ctx, n, seed=seed + 10)),
+                    scr.decomposition.col_map, dec.col_map,
+                    direct_sum([scr, c]).decomposition.col_map]
+            for m in maps:
+                assert EquivalenceMap(ctx, m.rows) == m
+
 
 class TestBuildAndDetect:
     def test_build_sorts_blocks(self, f64):
@@ -337,6 +379,18 @@ class TestBuildAndDetect:
         assert len(set(ds)) > 1 and len(expected) < len(pts)
         for d, i in zip(ds, points):
             assert rank_weight(ctx, code.codeword(pts[i])) == m - d
+
+    @pytest.mark.parametrize("pin", DETECT_PINS, ids=lambda d: "{p}_{a}_{m}-".format(
+        **d["field"]) + "".join(map(str, d["type"])))
+    def test_detect_pinned_decompositions(self, pin):
+        """Detection returns the pinned record (type, blocks and col_map)
+        for each stored code, and the code accepts it."""
+        code = RankCode(FieldContext.from_descriptor(pin["field"]), pin["generator"])
+        dec = detect_complete_decomposability(code)
+        assert list(dec.type_vector) == pin["type"]
+        assert [list(u) for u in dec.blocks] == pin["blocks"]
+        assert [list(r) for r in dec.col_map.rows] == pin["col_map"]
+        code.with_decomposition(dec)
 
     def test_detect_scattered_is_none(self, f64):
         # spans of (x, x^q) pairs meet every F_{q^m}-line in dim <= 1,

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from rankdec import ContextMismatchError, FieldContext, NotApplicableError
+from rankdec.linalg import field_rref
 from rankdec.subspaces import (
     all_subspaces,
     cauchy_davenport_check,
@@ -68,6 +69,23 @@ class TestSpanBasics:
         a = span(f16, [1, lam])
         b = span(f16, [f16.add(1, lam), lam])
         assert a == b and hash(a) == hash(b)
+
+    @pytest.mark.parametrize("m", [1, 5, 9, 16, 17])
+    def test_q2_span_matches_coordinate_elimination(self, m):
+        """For q = 2 span eliminates the element ints as packed F_2 rows;
+        basis, pivots and coordinate rows equal those of the elimination
+        of the F_2 coordinate rows (F_2^17 has no exp/log tables)."""
+        ctx = FieldContext(2, 1, m)
+        rng = random.Random(m)
+        for trial in range(60):
+            gens = [rng.randrange(ctx.order) for _ in range(rng.randrange(m + 3))]
+            if trial % 2 and gens:  # sums of the draws: a dependent list
+                gens = [gens[0] ^ g ^ rng.choice(gens) for g in gens]
+            rref, pivots = field_rref(ctx.subfield_coords_all(gens, 1).tolist(), ctx)
+            u = span(ctx, gens)
+            assert u.basis == tuple(ctx.subfield_combine(r, 1) for r in rref)
+            assert u._pivots == tuple(pivots)
+            assert u._coord_rows == [tuple(r) for r in rref]
 
     def test_closure_under_combinations(self, f64):
         rng = random.Random(0)
