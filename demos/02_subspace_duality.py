@@ -38,8 +38,8 @@ for t in (1, 2, 3):
     print(f"  t={t}: Ker(Tr_(q^6/q^3)) + c*<1..mu^{3 - t - 1}>, "
           f"c = {c}: {holds}")
 z = kernel_of_trace(ctx, 3)
-print(f"  the kernel itself: dimension {z.dim} over F_(q^3), "
-      f"{z.restrict_base(1).dim} over F_q")
+print(f"  the kernel itself: dimension {z.dim // 3} over F_(q^3), "
+      f"{z.dim} over F_q")
 print()
 
 prime = FieldContext(2, 1, 5)

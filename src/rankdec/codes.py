@@ -47,7 +47,7 @@ from .linalg import (
     field_rref,
     field_vecmat,
 )
-from .subspaces import scalar_into, span, trace_dual
+from .subspaces import coordinate_space, scalar_into, span, trace_dual
 
 
 # ----------------------------------------------------------------------
@@ -60,11 +60,12 @@ class EquivalenceMap:
     that must lie in F_q.
 
     The public constructor checks the shape, that every entry lies in
-    F_q and that the matrix is invertible; code files and
-    :func:`random_gl` go through it.  Maps derived from valid ones
-    (:meth:`identity`, :meth:`inverse`, :meth:`compose` and the
-    coordinate maps that decomposition records and detection build) are
-    valid by construction and skip the checks."""
+    F_q and that the matrix is invertible; code files go through it.
+    Maps valid by construction skip the checks: :func:`random_gl`
+    (entries drawn from F_q, kept only at full rank) and maps derived
+    from valid ones (:meth:`identity`, :meth:`inverse`, :meth:`compose`
+    and the coordinate maps that decomposition records and detection
+    build)."""
 
     __slots__ = ("ctx", "rows")
 
@@ -121,7 +122,7 @@ def random_gl(ctx: FieldContext, n: int, seed: int = 0) -> EquivalenceMap:
     while True:
         rows = [[rng.choice(qelems) for _ in range(n)] for _ in range(n)]
         if RowSpace(ctx, n, rows).dim == n:
-            return EquivalenceMap(ctx, rows)
+            return EquivalenceMap._unchecked(ctx, rows)
 
 
 def random_gl_ext(ctx: FieldContext, k: int, seed: int = 0):
@@ -140,13 +141,13 @@ def random_gl_ext(ctx: FieldContext, k: int, seed: int = 0):
 
 def rank_weight(ctx: FieldContext, v: Sequence[int]) -> int:
     """F_q-dimension of the span of the entries."""
-    return span(ctx, v).dim
+    return coordinate_space(ctx, v).dim
 
 
 def support(ctx: FieldContext, v: Sequence[int]) -> RowSpace:
     """Column span of the n x m expansion of v over F_q (in the power
     basis): a subspace of F_q^n, independent of the expansion basis."""
-    return RowSpace(ctx, len(v), ctx.subfield_coords_all(v, 1).T.tolist())
+    return RowSpace(ctx, len(v), ctx.fq_coords_all(v).T.tolist())
 
 
 @dataclass(frozen=True)
@@ -339,7 +340,7 @@ def code_support(code: RankCode) -> RowSpace:
     """Sum of the row supports, one elimination over the k*m coordinate
     rows; equals F_q^n iff the code is nondegenerate."""
     ctx, k, n = code.ctx, code.k, code.n
-    coords = ctx.subfield_coords_all([v for row in code.generator for v in row], 1)
+    coords = ctx.fq_coords_all([v for row in code.generator for v in row])
     return RowSpace(ctx, n, coords.reshape(k, n, ctx.m).transpose(0, 2, 1)
                     .reshape(k * ctx.m, n).tolist())
 

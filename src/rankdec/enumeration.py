@@ -107,7 +107,7 @@ def _basis_codewords(ctx, generator):
         # a*m bits: the degree cap of 32 keeps them within uint32 and
         # within the exact range of the kernel's float top-bit step
         return [np.array(row, dtype=_word_dtype(ctx.n)) for row in rows]
-    coords = ctx.subfield_coords_all([v for row in rows for v in row], 1)
+    coords = ctx.fq_coords_all([v for row in rows for v in row])
     # the F_q code of an element is its index in the ascending F_q
     # element list (:meth:`FieldContext.fq_code`)
     codes = np.searchsorted(ctx.fq_elements(), coords).astype(np.uint8)

@@ -19,8 +19,8 @@ digit-wise and by polynomial arithmetic.
 
 Every intermediate field F_{q^e} (e | m) lives inside the same model as
 the fixed set of the q^e-power Frobenius, so a single context supports
-all relative traces, norms and subfield coordinate systems used
-elsewhere in the package.
+all relative traces, norms and subfield bases used elsewhere in the
+package.
 
 The default modulus is the monic irreducible of degree a*m over F_p
 whose non-leading coefficient vector has the smallest integer encoding;
@@ -555,57 +555,55 @@ class FieldContext:
             self._caches[key] = elems
         return self._caches[key]
 
-    def subfield_power_basis(self, e: int) -> tuple[int, ...]:
-        """Powers x^0..x^(m/e - 1) of the modulus root: an F_{q^e}-basis
-        of F_{q^m} (the root has degree m/e over every F_{q^e})."""
-        s = self.m // self._check_divisor(e)
+    def fq_power_basis(self) -> tuple[int, ...]:
+        """Powers x^0..x^(m-1) of the modulus root: an F_q-basis of
+        F_{q^m} (the root has degree m over F_q)."""
         out = []
         acc = 1
-        for _ in range(s):
+        for _ in range(self.m):
             out.append(acc)
             acc = self.mul(acc, self.x if self.n > 1 else 1)
         return tuple(out)
 
-    def _coord_matrix_inv(self, e: int) -> np.ndarray:
-        """Inverse of the F_p-matrix sending stacked F_{q^e}-coordinates
-        (in the subfield power basis) to element digit vectors, as an
-        int64 array for vectorised coordinate solves."""
-        key = ("coordinv", e)
+    def _fq_coord_matrix_inv(self) -> np.ndarray:
+        """Inverse of the F_p-matrix sending stacked F_q-coordinates (in
+        the power basis) to element digit vectors, as an int64 array for
+        vectorised coordinate solves."""
+        key = ("coordinv",)
         if key not in self._caches:
-            w = self.fp_basis_of_subfield(e)
+            w = self.fp_basis_of_subfield(1)
             cols = [self.digits(self.mul(wl, xi))
-                    for xi in self.subfield_power_basis(e) for wl in w]
+                    for xi in self.fq_power_basis() for wl in w]
             mat = [list(r) for r in zip(*cols)]
             self._caches[key] = np.array(field_inverse(mat, self), dtype=np.int64)
         return self._caches[key]
 
-    def subfield_coords(self, z: int, e: int) -> tuple[int, ...]:
-        """Coordinates of z over F_{q^e} in the subfield power basis;
-        each coordinate is returned as an element of F_{q^e}."""
-        return tuple(self.subfield_coords_all([z], e)[0].tolist())
+    def fq_coords(self, z: int) -> tuple[int, ...]:
+        """Coordinates of z over F_q in the power basis; each coordinate
+        is returned as an element of F_q."""
+        return tuple(self.fq_coords_all([z])[0].tolist())
 
-    def subfield_coords_all(self, values: Sequence[int], e: int) -> np.ndarray:
-        """:meth:`subfield_coords` of every value, one row each: an array
-        of shape (len(values), m/e), int64 when every element fits and
-        of Python ints otherwise.
+    def fq_coords_all(self, values: Sequence[int]) -> np.ndarray:
+        """:meth:`fq_coords` of every value, one row each: an array of
+        shape (len(values), m), int64 when every element fits and of
+        Python ints otherwise.
 
-        One product with the inverse coordinate matrix gives the a*e
-        F_p-coordinates of each F_{q^e}-coordinate in the basis w of
+        For a = 1 the coordinates are the digits themselves.  Otherwise
+        one product with the inverse coordinate matrix gives the a
+        F_p-coordinates of each F_q-coordinate in the basis w of
         :meth:`fp_basis_of_subfield`; scaling by an F_p constant and
         adding are digit-wise, so the coordinate's digit vector is that
-        combination of the digit vectors of w (for a = 1 and e = 1 the
-        coordinates are the digits themselves)."""
-        self._check_divisor(e)
+        combination of the digit vectors of w."""
         p = self.p
         weights = self._digit_weights()
         vals = np.asarray(values, dtype=weights.dtype).reshape(-1, 1)
         digits = (vals // weights % p).astype(np.int64)
-        if e == 1 and self.a == 1:
+        if self.a == 1:
             return digits
-        w = self.fp_basis_of_subfield(e)
+        w = self.fp_basis_of_subfield(1)
         w_digits = np.array([self.digits(wl) for wl in w], dtype=np.int64)
-        sol = (digits @ self._coord_matrix_inv(e).T) % p
-        coord_digits = sol.reshape(len(vals), self.m // e, len(w)) @ w_digits % p
+        sol = (digits @ self._fq_coord_matrix_inv().T) % p
+        coord_digits = sol.reshape(len(vals), self.m, len(w)) @ w_digits % p
         return coord_digits @ weights
 
     def _digit_weights(self) -> np.ndarray:
@@ -618,12 +616,12 @@ class FieldContext:
                                          dtype=dtype)
         return self._caches[key]
 
-    def subfield_combine(self, coords: Sequence[int], e: int) -> int:
-        if e == 1 and self.a == 1:
+    def fq_combine(self, coords: Sequence[int]) -> int:
+        """The element with the given F_q-coordinates (:meth:`fq_coords`)."""
+        if self.a == 1:
             return self.from_digits(coords)
-        powers = self.subfield_power_basis(e)
         acc = 0
-        for c, xi in zip(coords, powers):
+        for c, xi in zip(coords, self.fq_power_basis()):
             acc = self.add(acc, self.mul(c, xi))
         return acc
 

@@ -15,7 +15,9 @@ representation.
 * :class:`RowSpace`, a canonical row space inside F_q^width, packs its
   rows into ints for q = 2 and reduces them with :func:`_bit_rref`;
   for q > 2 its rows are context ints reduced with :func:`field_rref`.
-  Ranks of F_q-matrices, flattened systems and their trace duals are
+  Ranks of F_q-matrices, subspaces of F_{q^m} (a
+  :class:`rankdec.subspaces.Subspace` is the RowSpace of its elements'
+  F_q-coordinate rows), flattened systems and their trace duals are
   RowSpaces.
 
 Both eliminations share one kernel read-out, :func:`_null_basis`.

@@ -1,11 +1,13 @@
-"""Calculus of F_{q^e}-subspaces of F_{q^m}.
+"""Calculus of F_q-subspaces of F_{q^m}.
 
-A :class:`Subspace` is an F_{q^e}-linear subspace of the top field for
-some divisor e of m (``base_e``; e = 1 gives the plain F_q case used
-almost everywhere).  Subspaces are canonicalised on construction: the
-coordinate matrix of the basis over F_{q^base_e} (in the subfield power
-basis) is put in reduced row echelon form, so equality of subspaces is
-equality of canonical bases.
+A :class:`Subspace` is the :class:`~rankdec.linalg.RowSpace` in F_q^m
+of its elements' F_q-coordinate rows (:meth:`FieldContext.fq_coords`,
+in the power basis of the modulus root); for q = 2 an element int is
+its own packed row.  Its ``basis`` is the canonical (RREF) rows read back as
+element ints, so equality of subspaces is equality of canonical bases.
+An F_{q^e}-linear subspace is the same point set with F_q-dimension e
+times its F_{q^e}-dimension; :func:`is_subfield_linear` tells which
+subfields a subspace is linear over.
 
 Besides the usual lattice operations this module implements the
 multiplicative structure that drives the minimum-weight counts:
@@ -18,9 +20,6 @@ multiplicative structure that drives the minimum-weight counts:
   dim(U1*U2) >= dim U1 + dim U2 - 1 whenever dim(U1*U2) <= m - 1,
   together with the classification of its critical pairs by scaled
   geometric-progression spaces c*<1, lam, ..., lam^(d-1)>.
-
-Operations never coerce between different base subfields implicitly;
-``restrict_base`` makes the conversion explicit.
 """
 
 from __future__ import annotations
@@ -29,147 +28,102 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .errors import ContextMismatchError, NotApplicableError
+from .errors import NotApplicableError
 from .fields import FieldContext, is_prime
-from .linalg import _bit_rref, field_kernel, field_rref
+from .linalg import RowSpace, field_kernel
 
 
 class Subspace:
-    """Canonical F_{q^base_e}-subspace of F_{q^m}; use :func:`span` to build."""
+    """Canonical F_q-subspace of F_{q^m}; use :func:`span` to build."""
 
-    __slots__ = ("ctx", "base_e", "basis", "_coord_rows", "_pivots")
+    __slots__ = ("ctx", "space", "basis")
 
-    def __init__(self, ctx: FieldContext, base_e: int, canonical_basis,
-                 coord_rows, pivots):
+    def __init__(self, ctx: FieldContext, space: RowSpace):
         self.ctx = ctx
-        self.base_e = base_e
-        self.basis = tuple(canonical_basis)
-        self._coord_rows = coord_rows
-        self._pivots = pivots
+        self.space = space
+        self.basis = (space.rows if ctx.q == 2
+                      else tuple(ctx.fq_combine(r) for r in space.rows))
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return self.space.dim
 
     def is_zero(self) -> bool:
         return not self.basis
 
-    def coords(self, x: int):
-        return self.ctx.subfield_coords(x, self.base_e)
-
-    def reduce_coords(self, vec):
-        ctx = self.ctx
-        v = list(vec)
-        for row, c in zip(self._coord_rows, self._pivots):
-            if v[c]:
-                v = ctx.add_scaled_row(v, ctx.neg(v[c]), row)
-        return v
-
     def contains(self, x: int) -> bool:
-        return not any(self.reduce_coords(self.coords(x)))
+        ctx = self.ctx
+        return self.space.contains(x if ctx.q == 2 else ctx.fq_coords(x))
 
     def contains_space(self, other: "Subspace") -> bool:
-        self._require_compatible(other)
-        return all(self.contains(b) for b in other.basis)
+        self.ctx.require_same(other.ctx)
+        return self.space.contains_space(other.space)
 
     def elements(self) -> list[int]:
-        """All q^(base_e * dim) elements; guarded for desk-scale sizes."""
+        """All q^dim elements; guarded for desk-scale sizes."""
         ctx = self.ctx
-        size = ctx.q ** (self.base_e * self.dim)
+        size = ctx.q ** self.dim
         if size > 1 << 20:
             raise ValueError(f"subspace too large to enumerate ({size} elements)")
-        scalars = ctx.subfield_elements(self.base_e)
+        scalars = ctx.fq_elements()
         out = [0]
         for b in self.basis:
             out = [ctx.add(z, ctx.mul(s, b)) for s in scalars for z in out]
         return sorted(set(out))
 
-    def restrict_base(self, d: int) -> "Subspace":
-        """The same point set viewed as an F_{q^d}-space, d | base_e."""
-        if self.base_e % d != 0:
-            raise ValueError(f"{d} does not divide base_e = {self.base_e}")
-        if d == self.base_e:
-            return self
-        ctx = self.ctx
-        g = ctx.subfield_generator(self.base_e)
-        mid_basis = [ctx.pow(g, i) for i in range(self.base_e // d)]
-        elems = [ctx.mul(b, w) for b in self.basis for w in mid_basis]
-        return span(ctx, elems, base_e=d)
-
-    def _require_compatible(self, other: "Subspace"):
-        self.ctx.require_same(other.ctx)
-        if self.base_e != other.base_e:
-            raise ContextMismatchError(
-                f"mixed base subfields {self.base_e} vs {other.base_e}; "
-                "use restrict_base for an explicit conversion")
-
-    def to_json(self) -> dict:
-        return {"base_e": self.base_e, "basis": list(self.basis)}
-
-    @classmethod
-    def from_json(cls, ctx: FieldContext, d: dict) -> "Subspace":
-        return span(ctx, d["basis"], base_e=int(d.get("base_e", 1)))
-
     def __eq__(self, other):
         return (isinstance(other, Subspace) and self.ctx.same_as(other.ctx)
-                and self.base_e == other.base_e and self.basis == other.basis)
+                and self.basis == other.basis)
 
     def __hash__(self):
-        return hash((self.base_e, self.basis))
+        return hash(self.basis)
 
     def __repr__(self):
-        return (f"Subspace(dim={self.dim} over F_{self.ctx.q}^{self.base_e}, "
-                f"basis={list(self.basis)})")
+        return f"Subspace(dim={self.dim} over F_{self.ctx.q}, basis={list(self.basis)})"
 
 
-def span(ctx: FieldContext, elements: Iterable[int], base_e: int = 1) -> Subspace:
-    """Canonical F_{q^base_e}-span of the given field elements."""
-    ctx._check_divisor(base_e)
+def coordinate_space(ctx: FieldContext, elements: Iterable[int]) -> RowSpace:
+    """The row space in F_q^m of the F_q-coordinate rows of the given
+    field elements; its dimension is that of their F_q-span."""
     elems = [ctx.check_element(x) for x in elements]
-    if ctx.q == 2 and base_e == 1:  # an element int is its packed F_2 row
-        basis, pivots = _bit_rref(elems)
-        coord_rows = [tuple((r >> j) & 1 for j in range(ctx.m)) for r in basis]
-        return Subspace(ctx, 1, basis, coord_rows, pivots)
-    rows = ctx.subfield_coords_all(elems, base_e).tolist()
-    rref, pivots = field_rref(rows, ctx)
-    basis = [ctx.subfield_combine(r, base_e) for r in rref]
-    return Subspace(ctx, base_e, basis, [tuple(r) for r in rref], tuple(pivots))
+    rows = elems if ctx.q == 2 else ctx.fq_coords_all(elems).tolist()
+    return RowSpace(ctx, ctx.m, rows)
 
 
-def zero_subspace(ctx: FieldContext, base_e: int = 1) -> Subspace:
-    return span(ctx, [], base_e)
+def span(ctx: FieldContext, elements: Iterable[int]) -> Subspace:
+    """Canonical F_q-span of the given field elements."""
+    return Subspace(ctx, coordinate_space(ctx, elements))
 
 
-def full_space(ctx: FieldContext, base_e: int = 1) -> Subspace:
-    return span(ctx, ctx.subfield_power_basis(base_e), base_e)
+def zero_subspace(ctx: FieldContext) -> Subspace:
+    return span(ctx, [])
+
+
+def full_space(ctx: FieldContext) -> Subspace:
+    return span(ctx, ctx.fq_power_basis())
 
 
 def subspace_sum(u: Subspace, v: Subspace) -> Subspace:
-    u._require_compatible(v)
-    return span(u.ctx, list(u.basis) + list(v.basis), u.base_e)
+    u.ctx.require_same(v.ctx)
+    return Subspace(u.ctx, u.space.sum(v.space))
 
 
 def intersect(u: Subspace, v: Subspace) -> Subspace:
-    """U n V via the prime-field coordinate spaces."""
-    u._require_compatible(v)
+    """U n V by Zassenhaus's method: in the echelon form of the
+    coordinate rows (a, a) for a in U and (b, 0) for b in V, the rows
+    that vanish on the first half hold a basis of U n V in the second."""
     ctx = u.ctx
-    if u.is_zero() or v.is_zero():
-        return zero_subspace(ctx, u.base_e)
-    a = _fp_rows(u, u.base_e)
-    b = _fp_rows(v, v.base_e)
-    # y*A = z*B  <=>  (y, z) in kernel of [A^T | -B^T]
-    stacked = np.concatenate([a.T, (-b.T) % ctx.p], axis=1)
-    out = []
-    for vec in field_kernel(stacked.tolist(), ctx):
-        y = np.array(vec[: a.shape[0]], dtype=np.int64)
-        digits = (y @ a) % ctx.p
-        out.append(ctx.from_digits(int(d) for d in digits))
-    return span(ctx, out, u.base_e)
+    ctx.require_same(v.ctx)
+    m = ctx.m
+    zero = (0,) * m
+    both = RowSpace(ctx, 2 * m, [a + a for a in u.space.basis_rows()]
+                    + [b + zero for b in v.space.basis_rows()])
+    rows = [r[m:] for r, c in zip(both.basis_rows(), both.pivots) if c >= m]
+    return Subspace(ctx, RowSpace(ctx, m, rows))
 
 
 def _fp_rows(u: Subspace, e: int) -> np.ndarray:
-    """Prime-field coordinate rows spanning F_{q^e}*u as an F_p-space
-    (e a multiple of u.base_e; e = u.base_e gives u itself)."""
+    """Prime-field coordinate rows spanning F_{q^e}*u as an F_p-space."""
     ctx = u.ctx
     w = ctx.fp_basis_of_subfield(e)
     rows = [ctx.digits(ctx.mul(b, wl)) for b in u.basis for wl in w]
@@ -182,17 +136,14 @@ def scale(c: int, u: Subspace) -> Subspace:
     if c == 0:
         raise ValueError("scaling a subspace by zero")
     ctx = u.ctx
-    return span(ctx, [ctx.mul(c, b) for b in u.basis], u.base_e)
+    return span(ctx, [ctx.mul(c, b) for b in u.basis])
 
 
 def product(u1: Subspace, u2: Subspace) -> Subspace:
     """F_q-span of {a*b : a in U1, b in U2}, as a sum of scaled copies."""
-    u1._require_compatible(u2)
-    if u1.base_e != 1:
-        raise ContextMismatchError("subspace products are taken over F_q")
     ctx = u1.ctx
-    elems = [ctx.mul(a, b) for a in u1.basis for b in u2.basis]
-    return span(ctx, elems, 1)
+    ctx.require_same(u2.ctx)
+    return span(ctx, [ctx.mul(a, b) for a in u1.basis for b in u2.basis])
 
 
 def trace_dual(u: Subspace, e: int = 1) -> Subspace:
@@ -200,46 +151,36 @@ def trace_dual(u: Subspace, e: int = 1) -> Subspace:
 
     Tr_{q^m/p}(c*y) = Tr_{q^e/p}(c*Tr_{q^m/q^e}(y)) and Tr_{q^e/p} is
     nondegenerate, so the Tr_{q^m/q^e}-dual of u is the absolute dual
-    of F_{q^e}*u, the F_p-span of the F_{q^r}-multiples of u's basis
-    for r = lcm(base_e, e).  With A the prime-field coordinate rows of
-    that span and T the trace Gram matrix of the context
-    (:meth:`FieldContext.trace_gram`), the dual is ker(A T) mod p.
+    of F_{q^e}*u, the F_p-span of the F_{q^e}-multiples of u's basis.
+    With A the prime-field coordinate rows of that span and T the trace
+    Gram matrix of the context (:meth:`FieldContext.trace_gram`), the
+    dual is ker(A T) mod p.
 
-    The result is F_{q^r}-linear; for the common case (base 1, e = 1)
-    it is the plain F_q-dual of F_q-dimension m - dim(u).
+    The result is F_{q^e}-linear, of F_q-dimension m - dim(F_{q^e}*u);
+    for e = 1 it is the plain F_q-dual of dimension m - dim(u).
     """
     ctx = u.ctx
-    ctx._check_divisor(e)
-    result_base = _lcm(u.base_e, e)
-    if ctx.m % result_base != 0:
-        raise ValueError("incompatible base subfields")
-    a_rows = _fp_rows(u, result_base)
+    a_rows = _fp_rows(u, e)
     if a_rows.shape[0] == 0:
-        return full_space(ctx, result_base)
+        return full_space(ctx)
     constraints = (a_rows @ ctx.trace_gram()) % ctx.p
     kern = field_kernel(constraints.tolist(), ctx)
-    return span(ctx, [ctx.from_digits(v) for v in kern], result_base)
-
-
-def _lcm(a: int, b: int) -> int:
-    import math
-
-    return a * b // math.gcd(a, b)
+    return span(ctx, [ctx.from_digits(v) for v in kern])
 
 
 def kernel_of_trace(ctx: FieldContext, e: int) -> Subspace:
-    """Ker(Tr_{q^m/q^e}) as an F_{q^e}-space of dimension m/e - 1."""
-    return trace_dual(span(ctx, [1], base_e=e), e)
+    """Ker(Tr_{q^m/q^e}), an F_{q^e}-linear space of F_q-dimension m - e."""
+    return trace_dual(span(ctx, [1]), e)
 
 
-def geometric_subspace(ctx: FieldContext, lam: int, t: int, base_e: int = 1) -> Subspace:
-    """<1, lam, ..., lam^(t-1)> over F_{q^base_e}; powers must stay free."""
+def geometric_subspace(ctx: FieldContext, lam: int, t: int) -> Subspace:
+    """<1, lam, ..., lam^(t-1)> over F_q; powers must stay free."""
     if t < 1:
         raise ValueError("t must be positive")
-    if base_e == 1 and t > ctx.degree_over_q(lam):
+    if t > ctx.degree_over_q(lam):
         raise ValueError(
             f"t = {t} exceeds the degree {ctx.degree_over_q(lam)} of the element")
-    out = span(ctx, [ctx.pow(lam, i) for i in range(t)], base_e)
+    out = span(ctx, [ctx.pow(lam, i) for i in range(t)])
     if out.dim != t:
         raise ValueError("powers are dependent at the requested length")
     return out
@@ -272,7 +213,7 @@ def verify_dual_subfield(ctx: FieldContext, lam: int, t: int):
     if not 1 <= t <= e:
         raise ValueError("t out of range")
     dual = trace_dual(geometric_subspace(ctx, lam, t))
-    z = kernel_of_trace(ctx, e).restrict_base(1)
+    z = kernel_of_trace(ctx, e)
     if t == e:
         return dual == z, 0
     tail = geometric_subspace(ctx, lam, e - t)
@@ -309,8 +250,6 @@ def geometric_witnesses(u: Subspace) -> dict[int, int]:
     copies lam^(-i) * u.
     """
     ctx = u.ctx
-    if u.base_e != 1:
-        raise ContextMismatchError("geometric detection works over F_q")
     if ctx.order > 1 << 16:
         raise ValueError("field too large for exhaustive witness search")
     d = u.dim
@@ -411,8 +350,7 @@ def all_subspaces(ctx: FieldContext, dim: int):
                 rows[r][pc] = 1
             for (r, c), v in zip(free_positions, fill):
                 rows[r][c] = v
-            elems = [ctx.subfield_combine(row, 1) for row in rows]
-            yield span(ctx, elems)
+            yield Subspace(ctx, RowSpace(ctx, m, rows))
 
 
 def random_subspace(ctx: FieldContext, dim: int, rng) -> Subspace:

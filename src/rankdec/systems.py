@@ -53,19 +53,19 @@ class System:
 def _flatten(ctx, v, k):
     if len(v) != k:
         raise ValueError("vector length mismatch")
-    return ctx.subfield_coords_all(v, 1).ravel().tolist()
+    return ctx.fq_coords_all(v).ravel().tolist()
 
 
 def _unflatten(ctx, row, k):
     m = ctx.m
-    return tuple(ctx.subfield_combine(row[i * m:(i + 1) * m], 1)
+    return tuple(ctx.fq_combine(row[i * m:(i + 1) * m])
                  for i in range(k))
 
 
 def flat_span(ctx: FieldContext, k: int, rows: Sequence[Sequence[int]]) -> RowSpace:
     """The F_{q^m}-span of rows in F_{q^m}^k as an F_q row space of
     F_q^(mk): the flattened multiples of each row by the power basis."""
-    powers = ctx.subfield_power_basis(1)
+    powers = ctx.fq_power_basis()
     return RowSpace(ctx, ctx.m * k, [_flatten(ctx, [ctx.mul(g, c) for c in row], k)
                                      for row in rows for g in powers])
 

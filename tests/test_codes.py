@@ -47,6 +47,7 @@ from rankdec.enumeration import (
 )
 from rankdec.fields import gaussian_binomial
 from rankdec.linalg import RowSpace, field_inverse, field_vecmat
+from rankdec.subspaces import span
 
 
 #: detection results (type, blocks, col_map rows) for seeded scrambled
@@ -86,11 +87,14 @@ class TestRankWeightAndSupport:
         assert s.dim == 2
         assert set(s.basis_rows()) == {(1, 0, 1), (0, 1, 1)}
 
-    def test_support_dimension_is_weight(self, f64):
+    def test_support_dimension_is_weight(self, f64, f81):
+        """Row rank (rank_weight), F_q-span dimension and column rank
+        (support) agree over F_(2^6), F_(3^4) and F_(4^3)."""
         rng = random.Random(0)
-        for _ in range(25):
-            v = [rng.randrange(64) for _ in range(4)]
-            assert support(f64, v).dim == rank_weight(f64, v)
+        for ctx in (f64, f81, FieldContext(2, 2, 3)):
+            for _ in range(25):
+                v = [rng.randrange(ctx.order) for _ in range(rng.randrange(1, 6))]
+                assert support(ctx, v).dim == rank_weight(ctx, v) == span(ctx, v).dim
 
     def test_support_basis_independent(self, f64):
         # expand v over F_2 in the powers of another generator lam: the
@@ -98,7 +102,7 @@ class TestRankWeightAndSupport:
         rng = random.Random(1)
         lam = f64.elements_of_degree(6)[1]
         gamma2 = [f64.pow(lam, i) for i in range(6)]
-        assert gamma2 != list(f64.subfield_power_basis(1))
+        assert gamma2 != list(f64.fq_power_basis())
         # digits(z) = c * B for the rows B_i = digits(gamma2_i)
         to_gamma2 = field_inverse([list(f64.digits(g)) for g in gamma2], f64)
         changed = 0
@@ -286,6 +290,11 @@ class TestDirectSumAndEquivalence:
         assert a.inverse().compose(a).rows == EquivalenceMap.identity(f16, 3).rows
         one = random_gl(FieldContext(3, 1, 2), 1, seed=0)
         assert one.rows[0][0] != 0
+        # the draws pass the public constructor's checks
+        for ctx in (f16, FieldContext(3, 1, 2), FieldContext(2, 2, 2)):
+            for seed in range(5):
+                a = random_gl(ctx, 4, seed=seed)
+                assert EquivalenceMap(ctx, a.rows) == a
 
     @pytest.mark.parametrize("field", [(2, 1, 4), (3, 1, 2), (2, 2, 2)])
     def test_equivalence_map_checks(self, field):
@@ -593,7 +602,7 @@ class TestDuals:
         # G = [[1, x, ..., x^(m-1), 0], [0, ..., 0, 1]]: the system holds
         # the whole line <(1, 0)>, so the dual generator loses rank
         ctx = FieldContext(p, 1, m)
-        powers = list(ctx.subfield_power_basis(1))
+        powers = list(ctx.fq_power_basis())
         code = RankCode(ctx, [powers + [0], [0] * m + [1]])
         assert is_nondegenerate(code)
         with pytest.raises(ValueError, match="geometric dual undefined"):

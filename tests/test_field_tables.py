@@ -209,24 +209,22 @@ COORD_FIELDS = [(3, 1, 4), (2, 2, 3), (3, 2, 2), (2, 3, 2), (2, 1, 17),
 
 @pytest.mark.parametrize("field", COORD_FIELDS, ids=lambda f: "p%da%dm%d" % f)
 def test_subfield_coords_all_are_the_power_basis_coordinates(field):
-    """Each row of subfield_coords_all lies in F_(q^e) and recombines,
-    with the powers of the modulus root and digit-wise addition, to its
-    value; coordinates in a basis are unique, so these are they."""
+    """Each row of fq_coords_all lies in F_q and recombines, with the
+    powers of the modulus root and digit-wise addition, to its value;
+    coordinates in a basis are unique, so these are they."""
     ctx = FieldContext(*field)
     rng = random.Random(9)
     vals = [ctx.order - 1, ctx.p - 1] + [rng.randrange(ctx.order) for _ in range(4)]
-    # every subfield where the F_p eliminations are cheap, F_q elsewhere
-    for e in divisors(ctx.m) if ctx.n <= 17 else [1]:
-        powers = ctx.subfield_power_basis(e)
-        rows = ctx.subfield_coords_all(vals, e).tolist()
-        for z, row in zip(vals, rows):
-            assert len(row) == ctx.m // e
-            assert all(ctx.in_subfield(c, e) for c in row)
-            acc = 0
-            for c, xi in zip(row, powers):
-                acc = ref_add(ctx, acc, ctx.mul(c, xi))
-            assert acc == z
-            assert ctx.subfield_coords(z, e) == tuple(row)
+    powers = ctx.fq_power_basis()
+    rows = ctx.fq_coords_all(vals).tolist()
+    for z, row in zip(vals, rows):
+        assert len(row) == ctx.m
+        assert all(ctx.in_subfield(c, 1) for c in row)
+        acc = 0
+        for c, xi in zip(row, powers):
+            acc = ref_add(ctx, acc, ctx.mul(c, xi))
+        assert acc == z
+        assert ctx.fq_coords(z) == tuple(row)
 
 
 @pytest.mark.parametrize("field,v,dim", [

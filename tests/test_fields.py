@@ -208,9 +208,11 @@ def test_subfield_machinery(f64):
 
 
 def test_coordinate_roundtrips(f64, f81):
-    for ctx, e in [(f64, 1), (f64, 2), (f64, 3), (f81, 1), (f81, 2)]:
+    # F_64 and F_81 over their prime fields and over F_4, F_8 and F_9
+    towers = [FieldContext(2, 2, 3), FieldContext(2, 3, 2), FieldContext(3, 2, 2)]
+    for ctx in [f64, f81] + towers:
         for z in range(ctx.order):
-            assert ctx.subfield_combine(ctx.subfield_coords(z, e), e) == z
+            assert ctx.fq_combine(ctx.fq_coords(z)) == z
 
 
 def test_tower_with_nonprime_q():
@@ -219,7 +221,7 @@ def test_tower_with_nonprime_q():
     assert len(ctx.fq_elements()) == 4
     for z in range(16):
         assert ctx.in_subfield(ctx.trace_rel(z, 1), 1)
-        assert ctx.subfield_combine(ctx.subfield_coords(z, 1), 1) == z
+        assert ctx.fq_combine(ctx.fq_coords(z)) == z
     add, sub, mul, inv = ctx.q_tables()
     assert add.shape == (4, 4)
     for i in range(1, 4):

@@ -34,3 +34,20 @@ def test_no_raise_assertion_error(path):
              if isinstance(node, ast.Raise) and node.exc is not None
              and _raised_name(node) == "AssertionError"]
     assert not lines, f"{path.name}: raise AssertionError at line(s) {lines}"
+
+
+def _private_linalg_imports(tree):
+    return [alias.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            and (node.module == "rankdec.linalg"
+                 or (node.level == 1 and node.module == "linalg"))
+            for alias in node.names if alias.name.startswith("_")]
+
+
+def test_linalg_privates_stay_in_linalg():
+    # one elimination per element representation: other modules reach
+    # the eliminations through RowSpace and the public field_* functions
+    found = {path.stem: _private_linalg_imports(ast.parse(path.read_text()))
+             for path in SRC if path.stem != "linalg"}
+    offenders = {stem: names for stem, names in found.items() if names}
+    assert not offenders, f"private names of rankdec.linalg imported: {offenders}"

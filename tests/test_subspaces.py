@@ -47,6 +47,13 @@ def brute_product_dim(ctx, u1, u2):
     return dim
 
 
+def subfield_span(ctx, elems, e):
+    """The F_{q^e}-span of elems: the F_q-span of their products with an
+    F_p-basis of F_{q^e}."""
+    w = ctx.fp_basis_of_subfield(e)
+    return span(ctx, [ctx.mul(wl, x) for x in elems for wl in w])
+
+
 class TestSpanBasics:
     def test_empty_span_is_zero(self, f16):
         z = span(f16, [])
@@ -74,18 +81,19 @@ class TestSpanBasics:
     def test_q2_span_matches_coordinate_elimination(self, m):
         """For q = 2 span eliminates the element ints as packed F_2 rows;
         basis, pivots and coordinate rows equal those of the elimination
-        of the F_2 coordinate rows (F_2^17 has no exp/log tables)."""
+        of the F_2 coordinate rows by field_rref (F_2^17 has no exp/log
+        tables)."""
         ctx = FieldContext(2, 1, m)
         rng = random.Random(m)
         for trial in range(60):
             gens = [rng.randrange(ctx.order) for _ in range(rng.randrange(m + 3))]
             if trial % 2 and gens:  # sums of the draws: a dependent list
                 gens = [gens[0] ^ g ^ rng.choice(gens) for g in gens]
-            rref, pivots = field_rref(ctx.subfield_coords_all(gens, 1).tolist(), ctx)
+            rref, pivots = field_rref(ctx.fq_coords_all(gens).tolist(), ctx)
             u = span(ctx, gens)
-            assert u.basis == tuple(ctx.subfield_combine(r, 1) for r in rref)
-            assert u._pivots == tuple(pivots)
-            assert u._coord_rows == [tuple(r) for r in rref]
+            assert u.basis == tuple(ctx.fq_combine(r) for r in rref)
+            assert u.space.pivots == tuple(pivots)
+            assert u.space.basis_rows() == [tuple(r) for r in rref]
 
     def test_closure_under_combinations(self, f64):
         rng = random.Random(0)
@@ -123,11 +131,18 @@ class TestLattice:
             assert s.dim + i.dim == u.dim + v.dim
             assert u.contains_space(i) and v.contains_space(i)
 
-    def test_base_mixing_is_an_error(self, f64):
-        u = span(f64, [1], base_e=2)
-        v = span(f64, [1], base_e=1)
+    def test_context_mixing_is_an_error(self, f64):
+        """Spaces of one context combine whatever subfield they are
+        linear over; spaces of two contexts of the same order raise."""
+        f4 = span(f64, f64.subfield_elements(2))
+        assert subspace_sum(f4, span(f64, [1])) == f4
+        assert intersect(f4, span(f64, [1])) == span(f64, [1])
+        other = span(FieldContext(2, 2, 3), [1])  # F_64 over F_4
+        for op in (subspace_sum, intersect, product):
+            with pytest.raises(ContextMismatchError):
+                op(f4, other)
         with pytest.raises(ContextMismatchError):
-            subspace_sum(u, v)
+            f4.contains_space(other)
 
 
 class TestProduct:
@@ -175,12 +190,10 @@ class TestTraceDual:
 
     def test_kernel_of_relative_trace(self, f64):
         z = kernel_of_trace(f64, 3)
-        assert z.base_e == 3 and z.dim == 1  # m/e - 1
-        flat = z.restrict_base(1)
-        assert flat.dim == 3
-        for x in flat.elements():
-            assert f64.trace_rel(x, 3) == 0
-        assert trace_dual(span(f64, [1], base_e=3), 3) == z
+        assert z.dim == 3  # m - e over F_q, m/e - 1 = 1 over F_(q^3)
+        assert is_subfield_linear(z, 3)
+        assert set(z.elements()) == {x for x in range(64) if f64.trace_rel(x, 3) == 0}
+        assert trace_dual(span(f64, f64.subfield_elements(3)), 3) == z
 
     def test_product_dual_splitting(self, f32):
         # dual of a product is the intersection of inverse-scaled duals
@@ -203,20 +216,23 @@ class TestTraceDual:
 def test_trace_dual_definition(p, a, m, e, same_base):
     """The dual against its definition, with the relative trace as the
     oracle: Tr_{q^m/q^e}(a z) = 0 on a basis of u and a basis of its
-    dual, the dual is F_{q^e}-linear, its dimension over F_{q^e} is
-    m/e - dim(F_{q^e} u), and the double dual is F_{q^e} u."""
+    dual, the dual is F_{q^e}-linear, its F_q-dimension is
+    m - dim(F_{q^e} u), and the double dual is F_{q^e} u.  With
+    same_base, u is itself F_{q^e}-linear (the F_{q^e}-span of random
+    elements); otherwise it is a plain F_q-span."""
     ctx = FieldContext(p, a, m)
     base = e if same_base else 1
     rng = random.Random(p * 100 + m * 10 + e)
     for dim in range(m // base + 1):
-        u = span(ctx, [rng.randrange(ctx.order) for _ in range(dim)], base)
+        u = subfield_span(ctx, [rng.randrange(ctx.order) for _ in range(dim)], base)
         dual = trace_dual(u, e)
-        assert dual.base_e == e
+        assert is_subfield_linear(dual, e)
         for x in u.basis:
             for z in dual.basis:
                 assert ctx.trace_rel(ctx.mul(x, z), e) == 0
-        ext = span(ctx, u.basis, base_e=e)  # F_{q^e} u
-        assert dual.dim == m // e - ext.dim
+        ext = subfield_span(ctx, u.basis, e)  # F_{q^e} u
+        assert is_subfield_linear(ext, e) and ext.contains_space(u)
+        assert dual.dim == m - ext.dim
         assert trace_dual(dual, e) == ext
 
 
@@ -394,10 +410,3 @@ def test_all_subspaces_counts_q3():
 
     assert sum(1 for _ in all_subspaces(ctx, 1)) == gaussian_binomial(2, 1, 3)
 
-
-def test_serialization_roundtrip(f64):
-    from rankdec.subspaces import Subspace
-
-    rng = random.Random(10)
-    u = random_subspace(f64, 3, rng)
-    assert Subspace.from_json(f64, u.to_json()) == u
