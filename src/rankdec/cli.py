@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: build, wdist, verify, reproduce, bounds.  Global flags
---cap/--pcap/--seed/--threads/--format; the environment variable
+--cap/--pcap/--seed/--threads/--format, before or after the subcommand
+(the same bytes either way); the environment variable
 RANKDEC_CAP overrides the default enumeration cap.  ``reproduce`` runs
 one entry of :data:`rankdec.showcases.SHOWCASES`.  Exit status: 0 on
 success, 1 on usage errors, 2 when a cap refuses an enumeration, 3 when
@@ -238,39 +239,57 @@ def cmd_bounds(cfg: RunConfig, args) -> int:
 # ----------------------------------------------------------------------
 
 
+def _global_flags(suppress: bool) -> argparse.ArgumentParser:
+    """The global flags, as a parent parser.  Every subcommand takes
+    them too, so they work before or after it; there they default to
+    SUPPRESS, so that a flag given before the subcommand is kept."""
+    def default(value):
+        return argparse.SUPPRESS if suppress else value
+
+    g = argparse.ArgumentParser(add_help=False)
+    g.add_argument("--cap", type=int, default=default(None),
+                   help="codeword enumeration budget (default: $RANKDEC_CAP, "
+                        f"else {DEFAULT_ENUM_CAP})")
+    g.add_argument("--pcap", type=int, default=default(DEFAULT_PROJ_CAP),
+                   help="projective point scan budget")
+    g.add_argument("--seed", type=int, default=default(0))
+    g.add_argument("--threads", type=int, default=default(1))
+    g.add_argument("--format", choices=("json", "csv", "pretty"),
+                   default=default("pretty"))
+    return g
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="rankdec",
         description="exact computations with completely decomposable "
-                    "rank-metric codes")
-    p.add_argument("--cap", type=int, default=None,
-                   help="codeword enumeration budget (default: $RANKDEC_CAP, "
-                        f"else {DEFAULT_ENUM_CAP})")
-    p.add_argument("--pcap", type=int, default=DEFAULT_PROJ_CAP,
-                   help="projective point scan budget")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--format", choices=("json", "csv", "pretty"),
-                   default="pretty")
+                    "rank-metric codes",
+        parents=[_global_flags(suppress=False)])
     sub = p.add_subparsers(dest="command", required=True)
+    flags = [_global_flags(suppress=True)]
 
-    b = sub.add_parser("build", help="build a code from a spec file")
+    b = sub.add_parser("build", parents=flags,
+                       help="build a code from a spec file")
     b.add_argument("spec")
     b.add_argument("--out", default=None)
 
-    w = sub.add_parser("wdist", help="weight distribution of a code file")
+    w = sub.add_parser("wdist", parents=flags,
+                       help="weight distribution of a code file")
     w.add_argument("code")
     w.add_argument("--method", choices=("enum", "formula", "both"),
                    default="enum")
 
-    v = sub.add_parser("verify", help="run a verification suite")
+    v = sub.add_parser("verify", parents=flags,
+                       help="run a verification suite")
     v.add_argument("suite", choices=tuple(SUITES) + ("all",))
     v.add_argument("--trials", type=int, default=None)
 
-    r = sub.add_parser("reproduce", help="recompute a showcase example")
+    r = sub.add_parser("reproduce", parents=flags,
+                       help="recompute a showcase example")
     r.add_argument("example", choices=tuple(SHOWCASES))
 
-    bd = sub.add_parser("bounds", help="closed-form count bounds")
+    bd = sub.add_parser("bounds", parents=flags,
+                        help="closed-form count bounds")
     bd.add_argument("--q", type=int, required=True)
     bd.add_argument("--m", type=int, required=True)
     bd.add_argument("--nk", type=int, required=True)

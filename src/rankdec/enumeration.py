@@ -31,18 +31,18 @@ Two entry points share the chunk kernel:
   d_x = dim(U' n <x>) = m - w(xG) for the dual system U'.
 
 Two backends compute the per-codeword rank weight (the F_q-dimension of
-the span of the n entries):
+the span of the n entries) as the F_p-rank of the a-fold expansion
+divided by a: for q = p^a with F_p-basis beta_1..beta_a of F_q, the
+F_q-span of x_1..x_n is, as an F_p-space, the span of the a*n products
+beta_l * x_j.
 
-* packed: every even q, via the a-fold F_2 expansion.  For q = 2^a
-  with F_2-basis beta_1..beta_a of F_q, the F_q-span of x_1..x_n is,
-  as an F_2-space, the span of the a*n products beta_l * x_j, so the
-  rank over F_q is the F_2-rank of the expanded word divided by a.
-  Entries are field ints (a*m-bit masks) in the narrowest unsigned
-  dtype, and the elimination keeps an XOR basis per codeword in
-  echelon form by top bit, so reducing a whole column of codewords is
-  one min-XOR step per bit;
-* generic: odd p, with q up to 256; entries are length-m code vectors
-  reduced with the context's small-field tables.
+* packed: every even q.  Entries are field ints (a*m-bit masks) in the
+  narrowest unsigned dtype, and the elimination keeps an XOR basis per
+  codeword in echelon form by top bit, so reducing a whole column of
+  codewords is one min-XOR step per bit;
+* digits: odd p < 2^16.  Entries are their a*m base-p digits, and the
+  elimination keeps one pivot per digit position and codeword, monic
+  there, so reducing a column is plain arithmetic mod p with no mask.
 
 Weight of a codeword never exceeds min(n, m); counts are exact ints.
 """
@@ -92,26 +92,28 @@ def _word_dtype(bits: int):
 
 def _basis_codewords(ctx, generator):
     """Kernel rows of all basis messages: row i*(a*m) + s is p^s * G_i,
-    so row i*(a*m) is the generator row G_i itself.  For even q = 2^a
-    with a > 1 a packed row r is its a-fold expansion
-    (beta_1 * r, ..., beta_a * r) over the F_2-basis beta of F_q; the
-    expansion is F_2-linear, so XOR combinations of expanded rows are
-    the expansions of the combined rows."""
+    so row i*(a*m) is the generator row G_i itself.  For a > 1 a row r
+    is its a-fold expansion (beta_1 * r, ..., beta_a * r) over the
+    F_p-basis beta of F_q; the expansion is F_p-linear, so F_p
+    combinations of expanded rows are the expansions of the combined
+    rows.  Odd p gives rows of shape (entries, a*m): base-p digits."""
     rows = [ctx.scale_row(ctx.p**s, gen_row)
             for gen_row in generator for s in range(ctx.n)]
+    if ctx.a > 1:
+        beta = ctx.fp_basis_of_subfield(1)
+        rows = [[v for b in beta for v in ctx.scale_row(b, row)]
+                for row in rows]
     if _packed_ok(ctx):
-        if ctx.a > 1:
-            beta = ctx.fp_basis_of_subfield(1)
-            rows = [[v for b in beta for v in ctx.scale_row(b, row)]
-                    for row in rows]
         # a*m bits: the degree cap of 32 keeps them within uint32 and
         # within the exact range of the kernel's float top-bit step
         return [np.array(row, dtype=_word_dtype(ctx.n)) for row in rows]
-    coords = ctx.fq_coords_all([v for row in rows for v in row])
-    # the F_q code of an element is its index in the ascending F_q
-    # element list (:meth:`FieldContext.fq_code`)
-    codes = np.searchsorted(ctx.fq_elements(), coords).astype(np.uint8)
-    return list(codes.reshape(len(rows), -1, ctx.m))
+    if ctx.p >= 1 << 16:
+        # the kernel's inverse table has p entries
+        raise ValueError(f"the digit kernel takes p < 2^16, not p = {ctx.p}")
+    # the narrowest dtype holding the kernel's largest intermediate,
+    # p^2 - 1: uint8 up to p = 13, uint16 up to p = 251, else uint32
+    dtype = np.min_scalar_type(ctx.p**2 - 1)
+    return [np.array([ctx.digits(v) for v in row], dtype=dtype) for row in rows]
 
 
 def _rank_rows_packed(cw: np.ndarray, m: int) -> np.ndarray:
@@ -136,33 +138,32 @@ def _rank_rows_packed(cw: np.ndarray, m: int) -> np.ndarray:
     return np.count_nonzero(piv, axis=0).astype(np.uint8)
 
 
-def _rank_rows_generic(cw: np.ndarray, tables) -> np.ndarray:
-    add, sub, mul, inv = tables
-    n_rows, n, m = cw.shape
-    piv = np.zeros((m, n_rows, m), dtype=np.uint8)
-    piv_used = np.zeros((m, n_rows), dtype=bool)
-    rank = np.zeros(n_rows, dtype=np.uint8)
+def _rank_rows_digits(cw: np.ndarray, p: int) -> np.ndarray:
+    """Rank over F_p of the n entries of each word, for words of F_p
+    digit vectors: cw[t, j, c] is digit c of entry j of word t, each in
+    0..p-1, in an unsigned dtype that holds p^2 - 1.
+
+    Each word keeps one pivot per digit position c: piv[c] is zero, or
+    is zero below c and 1 at c.  Subtracting v_c * piv[c] then clears
+    digit c of v when the pivot exists and changes nothing when it does
+    not, so no mask selects the words with a pivot.  Where v_c is still
+    nonzero, v / v_c becomes the pivot and v is cleared; where it is
+    zero, inv[0] = 0 adds nothing.  The rank counts the pivots."""
+    words, n, digits = cw.shape
+    inv = np.array([0] + [pow(x, -1, p) for x in range(1, p)], dtype=cw.dtype)
+    piv = np.zeros((digits, words, digits), dtype=cw.dtype)
     for j in range(n):
         v = cw[:, j].copy()
-        for c in range(m):
-            vc = v[:, c]
-            nz = vc != 0
-            if not nz.any():
-                continue
-            used = piv_used[c]
-            elim = nz & used
-            if elim.any():
-                prod = mul[vc[elim][:, None], piv[c][elim]]
-                v[elim] = sub[v[elim], prod]
-            vc = v[:, c]
-            new = (vc != 0) & ~used
-            if new.any():
-                sc = inv[vc[new]][:, None]
-                piv[c][new] = mul[sc, v[new]]
-                piv_used[c][new] = True
-                rank += new
-                v[new] = 0
-    return rank
+        for c in range(digits):
+            pc = piv[c]
+            v += (p - v[:, c, None]) * pc
+            v %= p
+            vc = v[:, c, None]
+            pc += inv[vc] * v
+            pc %= p
+            v *= vc == 0
+    diag = np.arange(digits)
+    return np.count_nonzero(piv[diag, :, diag], axis=0).astype(np.uint8)
 
 
 class _Kernel:
@@ -174,9 +175,12 @@ class _Kernel:
 
     A chunk is a run of ``chunk_size`` consecutive words; the caller
     groups chunks, of one kernel or of several, into batches and ranks
-    each batch with one elimination (:func:`_map_batches`).  Backends:
-    packed for every even q, via the a-fold F_2 expansion (the F_2-rank
-    divided by a); generic for odd p."""
+    each batch with one elimination (:func:`_map_batches`).  Both
+    backends rank the a-fold F_p expansion (the F_p-rank divided by a)
+    of words stacked on axis 0: packed for every even q, a (words,
+    entries) array of bit masks combined by XOR; digits for odd p, a
+    (words, entries, digits) array of base-p digits combined by plain
+    arithmetic mod p."""
 
     def __init__(self, ctx, rows, offset, chunk_target: int):
         self.bits = ctx.n
@@ -194,18 +198,12 @@ class _Kernel:
         self.n_chunks = p ** (digits - low)
         self.high_rows = rows[low:]
         table = offset[None]
-        if self.packed:
-            for j in range(low):
+        for j in range(low):
+            if self.packed:
                 table = np.concatenate([table, table ^ rows[j]])
-        else:
-            self.tables = ctx.q_tables()
-            add, sub, mul, inv = self.tables
-            # the F_p constant c is its own F_q code
-            for j in range(low):
-                parts = [table]
-                for c in range(1, p):
-                    parts.append(add[table, mul[c, rows[j]][None, :, :]])
-                table = np.concatenate(parts)
+            else:
+                table = np.concatenate(
+                    [table] + [(table + c * rows[j]) % p for c in range(1, p)])
         self.low_table = table
 
     def chunk_codewords(self, chunk_idx: int) -> np.ndarray:
@@ -217,24 +215,25 @@ class _Kernel:
                     base = base ^ row
                 h >>= 1
             return self.low_table ^ base
-        add, sub, mul, inv = self.tables
+        p = self.p
         for row in self.high_rows:
-            h, d = divmod(h, self.p)
+            h, d = divmod(h, p)
             if d:
-                base = add[base, mul[d, row]]
-        return add[self.low_table, base[None, :, :]]
+                base = (base + d * row) % p
+        return (self.low_table + base) % p
 
     def ranks(self, cw: np.ndarray) -> np.ndarray:
-        if not self.packed:
-            return _rank_rows_generic(cw, self.tables)
-        ranks = _rank_rows_packed(cw, self.bits)
+        if self.packed:
+            ranks = _rank_rows_packed(cw, self.bits)
+        else:
+            ranks = _rank_rows_digits(cw, self.p)
         if self.a == 1:
             return ranks
-        # an F_q-span has F_2-dimension a times its F_q-dimension
+        # an F_q-span has F_p-dimension a times its F_q-dimension
         ranks, rest = np.divmod(ranks, self.a)
         if rest.any():
             raise FalsificationAlarm(
-                f"an F_2-rank of an expanded word is not a multiple of a = {self.a}")
+                f"an F_p-rank of an expanded word is not a multiple of a = {self.a}")
         return ranks
 
 

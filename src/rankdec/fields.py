@@ -25,6 +25,8 @@ package.
 The default modulus is the monic irreducible of degree a*m over F_p
 whose non-leading coefficient vector has the smallest integer encoding;
 this makes contexts reproducible across runs without any stored tables.
+A searched modulus is irreducible by construction; a given one is
+checked.
 
 Contexts are immutable after construction (internal caches are
 append-only) and all element operations are pure functions, so a
@@ -83,11 +85,12 @@ class FieldContext:
 
         if modulus is None:
             modulus = gfpoly.smallest_irreducible(p, self.n)
-        modulus = [c % p for c in modulus]
-        if len(modulus) != self.n + 1 or modulus[-1] != 1:
-            raise ValueError(f"modulus must be monic of degree {self.n}")
-        if not gfpoly.is_irreducible(list(modulus), p):
-            raise ValueError("modulus is reducible over F_p")
+        else:
+            modulus = [c % p for c in modulus]
+            if len(modulus) != self.n + 1 or modulus[-1] != 1:
+                raise ValueError(f"modulus must be monic of degree {self.n}")
+            if not gfpoly.is_irreducible(modulus, p):
+                raise ValueError("modulus is reducible over F_p")
         self.modulus = tuple(modulus)
         self._mod_int = gfpoly.poly_to_int(list(modulus), p) if p == 2 else None
 
@@ -626,45 +629,15 @@ class FieldContext:
         return acc
 
     # ------------------------------------------------------------------
-    # F_q as an abstract small field (codes 0..q-1) for kernels
+    # F_q as a set
     # ------------------------------------------------------------------
 
     def fq_elements(self) -> list[int]:
         return self.subfield_elements(1)
 
-    def fq_code(self, z: int) -> int:
-        """Index of an F_q element in encoding order (identity for a=1).
-        The constants 0..p-1 are the smallest encodings, so each is its
-        own code."""
-        if self.a == 1:
-            return z
-        key = ("fqcode",)
-        if key not in self._caches:
-            elems = self.fq_elements()
-            self._caches[key] = {z: i for i, z in enumerate(elems)}
-        return self._caches[key][z]
-
     def q_tables(self):
-        """(ADD, SUB, MUL, INV) numpy uint8 tables on F_q codes; INV[0] = 0."""
-        key = ("qtables",)
-        if key not in self._caches:
-            if self.q > 256:
-                raise ValueError(f"q = {self.q} too large for table-driven kernels")
-            elems = self.fq_elements()
-            qq = self.q
-            add = np.zeros((qq, qq), dtype=np.uint8)
-            sub = np.zeros((qq, qq), dtype=np.uint8)
-            mul = np.zeros((qq, qq), dtype=np.uint8)
-            inv = np.zeros(qq, dtype=np.uint8)
-            for i, zi in enumerate(elems):
-                for j, zj in enumerate(elems):
-                    add[i, j] = self.fq_code(self.add(zi, zj))
-                    sub[i, j] = self.fq_code(self.sub(zi, zj))
-                    mul[i, j] = self.fq_code(self.mul(zi, zj))
-                if zi:
-                    inv[i] = self.fq_code(self.inv(zi))
-            self._caches[key] = (add, sub, mul, inv)
-        return self._caches[key]
+        """Removed; the name stays while ``perfbench/tracer.py`` wraps it."""
+        raise NotImplementedError("FieldContext.q_tables was removed")
 
     # ------------------------------------------------------------------
     # multiplicative generators

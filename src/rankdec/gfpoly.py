@@ -151,12 +151,15 @@ def poly_to_int(f, p: int) -> int:
 
 def smallest_irreducible(p: int, n: int) -> list[int]:
     """Monic irreducible of degree n over F_p minimising the integer
-    encoding of its lower coefficients (deterministic field model)."""
+    encoding of its lower coefficients (deterministic field model).
+    A candidate of degree n >= 2 with a root in F_p has a linear factor,
+    so only root-free candidates go through the Rabin test."""
     if n == 1:
         return [0, 1]  # x itself
     for v in range(p**n):
         f = poly_from_int(v, p)
         f += [0] * (n - len(f)) + [1]
-        if is_irreducible(f, p):
+        has_root = any(not poly_mod(f, [-c % p, 1], p) for c in range(p))
+        if not has_root and is_irreducible(f, p):
             return f
     raise RuntimeError(f"no irreducible of degree {n} over F_{p}")  # unreachable

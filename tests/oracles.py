@@ -5,9 +5,11 @@ projective weight scans).  These helpers derive the same numbers from
 the system U of a code instead: w(xG) = n - dim(U n x_perp), and
 dim(U' n <x>) = m - w(xG) in the dual system U'.  The exhaustive
 search for subspaces with a hyperplane dual product lives here too: no
-library path needs it.
+library path needs it.  So does the plain modulus search, every
+candidate through the Rabin test, which the library shortcuts.
 """
 
+from rankdec.gfpoly import is_irreducible, poly_from_int
 from rankdec.linalg import field_kernel
 from rankdec.subspaces import all_subspaces, product, trace_dual
 from rankdec.systems import System, flat_span
@@ -39,3 +41,14 @@ def hyperplane_product_spaces(ctx, dim: int):
     for u in all_subspaces(ctx, dim):
         if product(trace_dual(u), u).dim == ctx.m - 1:
             yield u
+
+
+def plain_smallest_irreducible(p: int, n: int) -> list[int]:
+    """The first monic degree-n candidate, in integer order of its lower
+    coefficients, that passes the Rabin test."""
+    for v in range(p**n):
+        f = poly_from_int(v, p)
+        f += [0] * (n - len(f)) + [1]
+        if is_irreducible(f, p):
+            return f
+    raise ValueError(f"no irreducible of degree {n} over F_{p}")

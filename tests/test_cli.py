@@ -13,9 +13,11 @@ from rankdec.cli import (
     EXIT_USAGE,
     RunConfig,
     _run,
+    build_parser,
     cmd_reproduce,
     main,
 )
+from rankdec.codes import RankCode
 from rankdec.errors import CapExceededError, FalsificationAlarm
 from rankdec.showcases import SHOWCASES
 
@@ -304,6 +306,54 @@ class TestReproduce:
 
     def test_fixture_covers_every_showcase(self):
         assert sorted(REPRODUCE_JSON) == sorted(SHOWCASES)
+
+
+class TestGlobalFlagPosition:
+    """Each global flag works before or after the subcommand, with the
+    same exit code and the same bytes on stdout and stderr."""
+
+    @pytest.fixture
+    def bare_code_path(self, tmp_path, code_path):
+        # no decomposition record: --method formula must detect one
+        code = RankCode.from_json(json.loads(code_path.read_text()))
+        path = tmp_path / "bare.json"
+        path.write_text(json.dumps(code.strip_decomposition().to_json()))
+        return path
+
+    @pytest.mark.parametrize("flag,value,command,visible", [
+        ("--format", "json", ["reproduce", "m6"], True),
+        # the suite reports do not show the seed
+        ("--seed", "5", ["verify", "bounds", "--trials", "4"], False),
+        ("--cap", "100", ["wdist", "CODE"], True),
+        ("--pcap", "3", ["wdist", "BARE", "--method", "formula"], True),
+    ], ids=["format", "seed", "cap", "pcap"])
+    def test_same_report_in_either_position(self, capsys, code_path,
+                                            bare_code_path, flag, value,
+                                            command, visible):
+        paths = {"CODE": str(code_path), "BARE": str(bare_code_path)}
+        command = [paths.get(a, a) for a in command]
+        runs = []
+        for argv in ([flag, value] + command, command + [flag, value], command):
+            rc = main(argv)
+            out = capsys.readouterr()
+            runs.append((rc, out.out, out.err))
+        before, after, without = runs
+        assert after == before
+        assert (without != before) == visible
+
+    def test_format_after_subcommand_is_the_pinned_report(self, capsys):
+        assert main(["reproduce", "m6", "--format", "json"]) == EXIT_OK
+        assert capsys.readouterr().out == REPRODUCE_JSON["m6"]
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--format", "csv"), ("--seed", "5"), ("--cap", "100"),
+        ("--pcap", "3"), ("--threads", "2"),
+    ])
+    def test_parsed_the_same_in_either_position(self, flag, value):
+        before = build_parser().parse_args([flag, value, "reproduce", "m6"])
+        after = build_parser().parse_args(["reproduce", "m6", flag, value])
+        default = build_parser().parse_args(["reproduce", "m6"])
+        assert vars(after) == vars(before) != vars(default)
 
 
 class TestBounds:

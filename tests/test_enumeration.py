@@ -1,5 +1,5 @@
 """Enumeration kernels: message indexing, chunk partitioning, both
-rank backends, and the cap contract."""
+rank backends (packed and digits), and the cap contract."""
 
 import random
 
@@ -9,6 +9,7 @@ import pytest
 from oracles import line_dim
 from rankdec import CapExceededError, FieldContext
 from rankdec.codes import (
+    RankCode,
     apply_equivalence,
     build_completely_decomposable,
     random_gl,
@@ -16,7 +17,7 @@ from rankdec.codes import (
     rank_weight,
 )
 from rankdec.enumeration import (
-    _rank_rows_generic,
+    _rank_rows_digits,
     _rank_rows_packed,
     _word_dtype,
     index_of_message,
@@ -76,8 +77,8 @@ def test_threaded_counts_identical(f64):
 
 def test_generic_backend_against_packed():
     """A q = 4 tower takes the packed kernel on the 2-fold F_2 expansion
-    of its words and a q = 9 tower the table backend; a brute scalar
-    loop pins both against the definition."""
+    of its words and a q = 9 tower the digit kernel on the 2-fold F_3
+    expansion; a brute scalar loop pins both against the definition."""
     ctx4, ctx9 = FieldContext(2, 2, 3), FieldContext(3, 2, 2)
     lam4, lam9 = ctx4.elements_of_degree(3)[0], ctx9.elements_of_degree(2)[0]
     for ctx, blocks in ((ctx4, [[1, lam4], [1, lam4]]), (ctx9, [[1], [lam9]])):
@@ -124,10 +125,9 @@ def test_projective_points(f16):
 @pytest.mark.parametrize("m", [1, 5, 8, 9, 16, 17])
 def test_packed_kernel_against_table_kernel(m):
     """On random q = 2 words the packed elimination (m-bit masks in
-    the narrowest dtype) equals the table elimination on the same words
+    the narrowest dtype) equals the digit elimination on the same words
     as F_2 digit vectors, across every dtype width and its boundary."""
     rng = np.random.default_rng(m)
-    tables = FieldContext(2, 1, 1).q_tables()
     for n in (1, 3, m + 2):
         words = rng.integers(0, 1 << m, size=(200, n), dtype=np.int64)
         # low-rank rows too: entries drawn from a few fixed words
@@ -137,8 +137,53 @@ def test_packed_kernel_against_table_kernel(m):
         words[60:70] = 1 << (m - 1)
         digits = ((words[:, :, None] >> np.arange(m)) & 1).astype(np.uint8)
         packed = _rank_rows_packed(words.astype(_word_dtype(m)), m)
-        assert packed.tolist() == _rank_rows_generic(digits, tables).tolist()
+        assert packed.tolist() == _rank_rows_digits(digits, 2).tolist()
     assert np.dtype(_word_dtype(m)).itemsize == (1 if m <= 8 else 2 if m <= 16 else 4)
+
+
+@pytest.mark.parametrize("p,a,m,k,n", [
+    (3, 1, 3, 2, 3), (3, 1, 5, 2, 3), (3, 2, 3, 2, 3), (5, 2, 2, 2, 3),
+    (13, 1, 2, 3, 3), (17, 1, 2, 2, 3), (3, 6, 2, 1, 1), (257, 1, 2, 2, 2),
+], ids=["F3^3", "F3^5", "F9^3", "F25^2", "F13^2", "F17^2", "F729^2",
+        "F257^2"])
+def test_odd_p_through_the_digit_kernel(p, a, m, k, n):
+    """Odd p on the digit kernel, for a > 1 (F_(9^3), F_(25^2)), the
+    largest p on uint8 digits (F_13^2; k = 3 sums three high rows into
+    a chunk base), uint16 and uint32 digits (F_17^2, F_257^2) and
+    q > 256 (F_(3^6)^2, F_257^2): per point the weights are the scalar
+    rank weights, and the projective counts are the full enumeration's,
+    whatever the chunk size and threads.  Past 2^19 messages (F_(9^3),
+    F_13^2, F_257^2) the full enumeration counts the first row."""
+    ctx = FieldContext(p, a, m)
+    rng = random.Random(p * a * m)
+    code = RankCode(ctx, [[rng.randrange(1, ctx.order) for _ in range(n)]
+                          for _ in range(k)])
+    gen = code.generator
+    ref, ref_counts = projective_weights(ctx, gen)
+    total = projective_count(ctx, k)
+    assert len(ref) == total
+    for idx in [0, total - 1] + [rng.randrange(total) for _ in range(60)]:
+        x = projective_point(ctx, k, idx)
+        assert ref[idx] == rank_weight(ctx, code.codeword(x))
+    for target in (1, 1 << 3, 1 << 16):
+        for threads in (1, 2):
+            weights, counts = projective_weights(
+                ctx, gen, threads=threads, chunk_target=target)
+            assert counts == ref_counts
+            assert np.array_equal(weights, ref)
+    if message_space_size(ctx, k) > 1 << 19:
+        gen = gen[:1]
+        ref_counts = projective_weights(ctx, gen)[1]
+    assert weight_counts(ctx, gen, threads=2) == ref_counts
+
+
+def test_digit_kernel_prime_limit():
+    """The largest prime below 2^16 runs on uint32 digits; a larger p
+    is refused before an inverse table of p entries is built."""
+    ctx = FieldContext(65521, 1, 1)
+    assert projective_weights(ctx, [[5, 7]])[1] == [1, 65520, 0]
+    with pytest.raises(ValueError, match="p < 2"):
+        projective_weights(FieldContext(65537, 1, 1), [[5, 7]])
 
 
 def _scrambled(ctx, typ, seed):

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from oracles import plain_smallest_irreducible
 from rankdec import FieldContext
 from rankdec.fields import divisors, gaussian_binomial, is_prime
 from rankdec.gfpoly import is_irreducible, smallest_irreducible
@@ -222,10 +223,6 @@ def test_tower_with_nonprime_q():
     for z in range(16):
         assert ctx.in_subfield(ctx.trace_rel(z, 1), 1)
         assert ctx.fq_combine(ctx.fq_coords(z)) == z
-    add, sub, mul, inv = ctx.q_tables()
-    assert add.shape == (4, 4)
-    for i in range(1, 4):
-        assert mul[i, inv[i]] == ctx.fq_code(1)
 
 
 def test_degenerate_m_equals_one():
@@ -256,6 +253,13 @@ def test_smallest_irreducible_matches_rabin():
         f = smallest_irreducible(p, n)
         assert is_irreducible(f, p)
         assert len(f) == n + 1 and f[-1] == 1
+
+
+@pytest.mark.parametrize("p,top", [(2, 16), (3, 9), (5, 6), (7, 5)])
+def test_smallest_irreducible_matches_plain_search(p, top):
+    """Skipping the candidates with a root in F_p finds the same moduli."""
+    for n in range(1, top + 1):
+        assert smallest_irreducible(p, n) == plain_smallest_irreducible(p, n)
 
 
 def test_gaussian_binomial_and_primes():
