@@ -24,7 +24,8 @@ from dataclasses import dataclass
 
 from . import analysis, codes
 from .enumeration import DEFAULT_ENUM_CAP, DEFAULT_PROJ_CAP, message_space_size
-from .errors import CapExceededError, FalsificationAlarm, NotApplicableError
+from .errors import (CapExceededError, FalsificationAlarm,
+                     NotApplicableError, UnsupportedFieldError)
 from .showcases import SHOWCASES
 from .suites import SUITES, run_suite
 
@@ -332,10 +333,13 @@ def main(argv=None) -> int:
 
 
 def _run(command, cfg: RunConfig, args) -> int:
-    """Run one subcommand; a refused enumeration exits 2 and a
-    falsification alarm exits 3, each with one line on stderr."""
+    """Run one subcommand; an unsupported field exits 1, a refused
+    enumeration 2 and an alarm 3, each with one line on stderr."""
     try:
         return command(cfg, args)
+    except UnsupportedFieldError as exc:
+        print(str(exc), file=sys.stderr)
+        return EXIT_USAGE
     except CapExceededError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_CAP

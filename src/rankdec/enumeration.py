@@ -34,15 +34,17 @@ Two backends compute the per-codeword rank weight (the F_q-dimension of
 the span of the n entries) as the F_p-rank of the a-fold expansion
 divided by a: for q = p^a with F_p-basis beta_1..beta_a of F_q, the
 F_q-span of x_1..x_n is, as an F_p-space, the span of the a*n products
-beta_l * x_j.
+beta_l * x_j.  Words are on the last axis, so every elimination step
+reads and writes contiguous rows of words.
 
-* packed: every even q.  Entries are field ints (a*m-bit masks) in the
-  narrowest unsigned dtype, and the elimination keeps an XOR basis per
-  codeword in echelon form by top bit, so reducing a whole column of
-  codewords is one min-XOR step per bit;
-* digits: odd p < 2^16.  Entries are their a*m base-p digits, and the
-  elimination keeps one pivot per digit position and codeword, monic
-  there, so reducing a column is plain arithmetic mod p with no mask.
+* packed: every even q, (entries, words).  Entries are field ints
+  (a*m-bit masks) in the narrowest unsigned dtype, and the elimination
+  keeps an XOR basis per codeword in echelon form by top bit, so
+  reducing a whole column of codewords is one min-XOR step per bit;
+* digits: odd p < 2^16, (entries, digits, words).  Entries are their
+  a*m base-p digits, and the elimination keeps one pivot per digit
+  position and codeword, monic there, so reducing a column is plain
+  arithmetic mod p with no mask.
 
 Weight of a codeword never exceeds min(n, m); counts are exact ints.
 """
@@ -51,7 +53,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import CapExceededError, FalsificationAlarm
+from .errors import CapExceededError, FalsificationAlarm, UnsupportedFieldError
 
 DEFAULT_ENUM_CAP = 1 << 24
 DEFAULT_PROJ_CAP = 1 << 16
@@ -81,10 +83,6 @@ def index_of_message(ctx, k: int, msg) -> int:
     return idx
 
 
-def _packed_ok(ctx) -> bool:
-    return ctx.p == 2
-
-
 def _word_dtype(bits: int):
     """Narrowest unsigned dtype holding a packed entry of that many bits."""
     return np.uint8 if bits <= 8 else np.uint16 if bits <= 16 else np.uint32
@@ -103,13 +101,14 @@ def _basis_codewords(ctx, generator):
         beta = ctx.fp_basis_of_subfield(1)
         rows = [[v for b in beta for v in ctx.scale_row(b, row)]
                 for row in rows]
-    if _packed_ok(ctx):
+    if ctx.p == 2:
         # a*m bits: the degree cap of 32 keeps them within uint32 and
         # within the exact range of the kernel's float top-bit step
         return [np.array(row, dtype=_word_dtype(ctx.n)) for row in rows]
     if ctx.p >= 1 << 16:
         # the kernel's inverse table has p entries
-        raise ValueError(f"the digit kernel takes p < 2^16, not p = {ctx.p}")
+        raise UnsupportedFieldError(
+            f"weight enumeration takes characteristic p < 2^16, not p = {ctx.p}")
     # the narrowest dtype holding the kernel's largest intermediate,
     # p^2 - 1: uint8 up to p = 13, uint16 up to p = 251, else uint32
     dtype = np.min_scalar_type(ctx.p**2 - 1)
@@ -117,18 +116,19 @@ def _basis_codewords(ctx, generator):
 
 
 def _rank_rows_packed(cw: np.ndarray, m: int) -> np.ndarray:
-    """Rank over F_2 of the n entries of each row of packed words.
+    """Rank over F_2 of the n entries of each word, for packed words:
+    cw[j, t] is entry j of word t, an m-bit mask.
 
-    Each row keeps an XOR basis in echelon form by top bit: piv[b] is
+    Each word keeps an XOR basis in echelon form by top bit: piv[b] is
     zero or has top bit b.  XOR with piv[b] leaves the bits above b
     alone, so v = min(v, v ^ piv[b]) clears bit b exactly when it is
     set; done for b = m-1..0 this reduces v to zero iff v lies in the
     span, and a nonzero remainder has its top bit at a free position.
     """
-    n_rows, n = cw.shape
-    piv = np.zeros((m, n_rows), dtype=cw.dtype)
+    n, words = cw.shape
+    piv = np.zeros((m, words), dtype=cw.dtype)
     for j in range(n):
-        v = cw[:, j]
+        v = cw[j]
         for b in range(m - 1, -1, -1):
             v = np.minimum(v, v ^ piv[b])
         nz = np.flatnonzero(v)
@@ -140,30 +140,29 @@ def _rank_rows_packed(cw: np.ndarray, m: int) -> np.ndarray:
 
 def _rank_rows_digits(cw: np.ndarray, p: int) -> np.ndarray:
     """Rank over F_p of the n entries of each word, for words of F_p
-    digit vectors: cw[t, j, c] is digit c of entry j of word t, each in
+    digit vectors: cw[j, c, t] is digit c of entry j of word t, each in
     0..p-1, in an unsigned dtype that holds p^2 - 1.
 
-    Each word keeps one pivot per digit position c: piv[c] is zero, or
-    is zero below c and 1 at c.  Subtracting v_c * piv[c] then clears
+    Word t keeps one pivot per digit position c: piv[c][:, t] is zero,
+    or is zero below c and 1 at c.  Subtracting v_c * piv[c] then clears
     digit c of v when the pivot exists and changes nothing when it does
     not, so no mask selects the words with a pivot.  Where v_c is still
     nonzero, v / v_c becomes the pivot and v is cleared; where it is
     zero, inv[0] = 0 adds nothing.  The rank counts the pivots."""
-    words, n, digits = cw.shape
+    n, digits, words = cw.shape
     inv = np.array([0] + [pow(x, -1, p) for x in range(1, p)], dtype=cw.dtype)
-    piv = np.zeros((digits, words, digits), dtype=cw.dtype)
+    piv = np.zeros((digits, digits, words), dtype=cw.dtype)
     for j in range(n):
-        v = cw[:, j].copy()
+        v = cw[j].copy()
         for c in range(digits):
             pc = piv[c]
-            v += (p - v[:, c, None]) * pc
+            v += (p - v[c]) * pc
             v %= p
-            vc = v[:, c, None]
+            vc = v[c]
             pc += inv[vc] * v
             pc %= p
             v *= vc == 0
-    diag = np.arange(digits)
-    return np.count_nonzero(piv[diag, :, diag], axis=0).astype(np.uint8)
+    return np.count_nonzero(piv.diagonal(), axis=1).astype(np.uint8)
 
 
 class _Kernel:
@@ -177,16 +176,17 @@ class _Kernel:
     groups chunks, of one kernel or of several, into batches and ranks
     each batch with one elimination (:func:`_map_batches`).  Both
     backends rank the a-fold F_p expansion (the F_p-rank divided by a)
-    of words stacked on axis 0: packed for every even q, a (words,
-    entries) array of bit masks combined by XOR; digits for odd p, a
-    (words, entries, digits) array of base-p digits combined by plain
-    arithmetic mod p."""
+    of words on the last axis: packed for every even q, an (entries,
+    words) array of bit masks combined by XOR; digits for odd p, an
+    (entries, digits, words) array of base-p digits combined by plain
+    arithmetic mod p.  A row or offset is one word without that axis,
+    and is broadcast over it."""
 
     def __init__(self, ctx, rows, offset, chunk_target: int):
         self.bits = ctx.n
         self.a = ctx.a
         self.p = p = ctx.p
-        self.packed = _packed_ok(ctx)
+        self.packed = p == 2
         digits = len(rows)
         self.words = p**digits
         # low-digit count: the largest power of p at most the chunk target
@@ -197,36 +197,28 @@ class _Kernel:
         self.chunk_size = p**low
         self.n_chunks = p ** (digits - low)
         self.high_rows = rows[low:]
-        table = offset[None]
-        for j in range(low):
-            if self.packed:
-                table = np.concatenate([table, table ^ rows[j]])
-            else:
-                table = np.concatenate(
-                    [table] + [(table + c * rows[j]) % p for c in range(1, p)])
+        table = offset[..., None]
+        for row in rows[:low]:
+            table = np.concatenate(
+                [table] + [self._add(table, c * row[..., None])
+                           for c in range(1, p)], axis=-1)
         self.low_table = table
 
-    def chunk_codewords(self, chunk_idx: int) -> np.ndarray:
-        h = chunk_idx
-        base = np.zeros_like(self.low_table[0])
-        if self.packed:
-            for row in self.high_rows:
-                if h & 1:
-                    base = base ^ row
-                h >>= 1
-            return self.low_table ^ base
-        p = self.p
+    def _add(self, x, y):
+        return x ^ y if self.packed else (x + y) % self.p
+
+    def chunk_codewords(self, h: int) -> np.ndarray:
+        """The words of chunk number h (its high digits, in base p)."""
+        base = np.zeros_like(self.low_table[..., 0])
         for row in self.high_rows:
-            h, d = divmod(h, p)
+            h, d = divmod(h, self.p)
             if d:
-                base = (base + d * row) % p
-        return (self.low_table + base) % p
+                base = self._add(base, d * row)
+        return self._add(self.low_table, base[..., None])
 
     def ranks(self, cw: np.ndarray) -> np.ndarray:
-        if self.packed:
-            ranks = _rank_rows_packed(cw, self.bits)
-        else:
-            ranks = _rank_rows_digits(cw, self.p)
+        ranks = (_rank_rows_packed(cw, self.bits) if self.packed
+                 else _rank_rows_digits(cw, self.p))
         if self.a == 1:
             return ranks
         # an F_q-span has F_p-dimension a times its F_q-dimension
@@ -259,7 +251,7 @@ def _map_batches(kernels, chunk_target: int, threads: int, fn) -> list:
     def one(job):
         pos, chunks = job
         parts = [kern.chunk_codewords(idx) for kern, idx in chunks]
-        cw = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        cw = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
         return fn(pos, chunks[0][0].ranks(cw))
 
     if threads > 1 and len(jobs) > 1:

@@ -26,6 +26,10 @@ class CapExceededError(RankdecError):
         )
 
 
+class UnsupportedFieldError(RankdecError):
+    """A computation does not support the field it was given."""
+
+
 class NotApplicableError(RankdecError):
     """A check's hypotheses are not met (e.g. a prime-degree-only result
     queried on a composite extension)."""

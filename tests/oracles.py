@@ -6,7 +6,8 @@ the system U of a code instead: w(xG) = n - dim(U n x_perp), and
 dim(U' n <x>) = m - w(xG) in the dual system U'.  The exhaustive
 search for subspaces with a hyperplane dual product lives here too: no
 library path needs it.  So does the plain modulus search, every
-candidate through the Rabin test, which the library shortcuts.
+candidate through the Rabin test, which the library shortcuts, and a
+plain Gaussian rank mod p for the enumeration kernels.
 """
 
 from rankdec.gfpoly import is_irreducible, poly_from_int
@@ -52,3 +53,23 @@ def plain_smallest_irreducible(p: int, n: int) -> list[int]:
         if is_irreducible(f, p):
             return f
     raise ValueError(f"no irreducible of degree {n} over F_{p}")
+
+
+def plain_rank_mod_p(rows, p: int) -> int:
+    """Rank over F_p of a list of integer rows, by textbook Gaussian
+    elimination on Python ints."""
+    rows = [[x % p for x in row] for row in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][col], -1, p)
+        rows[rank] = [x * inv % p for x in rows[rank]]
+        for i in range(len(rows)):
+            if i != rank and rows[i][col]:
+                f = rows[i][col]
+                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank

@@ -393,6 +393,24 @@ class TestBounds:
         assert payload["prime_upper"] == 80
 
 
+@pytest.mark.parametrize("command, payload", [
+    ("wdist", {"field": {"p": 65537, "m": 1}, "generator": [[5, 7]]}),
+    ("build", {"field": {"p": 65537, "m": 2}, "blocks": [{"entries": [1]}]}),
+])
+def test_unsupported_characteristic_one_line(capsys, tmp_path, command, payload):
+    """Weight enumeration over p >= 2^16 is a usage error that names the
+    limit, not a traceback; build reaches it past a large cap."""
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(payload))
+    argv = [command, str(path)]
+    if command == "build":
+        argv = ["--cap", str(1 << 40)] + argv + ["--out", str(tmp_path / "c.json")]
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "p < 2^16" in err
+    assert "Traceback" not in err
+
+
 def test_runconfig_validation():
     with pytest.raises(ValueError):
         RunConfig(enumeration_cap=0)

@@ -1,12 +1,15 @@
 """Enumeration kernels: message indexing, chunk partitioning, both
 rank backends (packed and digits), and the cap contract."""
 
+import hashlib
+import json
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from oracles import line_dim
+from oracles import line_dim, plain_rank_mod_p
 from rankdec import CapExceededError, FieldContext
 from rankdec.codes import (
     RankCode,
@@ -30,6 +33,7 @@ from rankdec.enumeration import (
     weight_counts,
     weights_array,
 )
+from rankdec.errors import UnsupportedFieldError
 from rankdec.systems import perp_prime, system_from_code
 
 
@@ -135,7 +139,9 @@ def test_packed_kernel_against_table_kernel(m):
         words[:50] = few[rng.integers(0, 3, size=(50, n))]
         words[50:60] = 0
         words[60:70] = 1 << (m - 1)
-        digits = ((words[:, :, None] >> np.arange(m)) & 1).astype(np.uint8)
+        # words last: (entries, words) masks, (entries, digits, words) bits
+        words = words.T
+        digits = ((words[:, None] >> np.arange(m)[:, None]) & 1).astype(np.uint8)
         packed = _rank_rows_packed(words.astype(_word_dtype(m)), m)
         assert packed.tolist() == _rank_rows_digits(digits, 2).tolist()
     assert np.dtype(_word_dtype(m)).itemsize == (1 if m <= 8 else 2 if m <= 16 else 4)
@@ -177,12 +183,77 @@ def test_odd_p_through_the_digit_kernel(p, a, m, k, n):
     assert weight_counts(ctx, gen, threads=2) == ref_counts
 
 
+def _digit_words(rng, p, n, digits, count):
+    """count words of n entries of F_p^digits, as an (entries, digits,
+    words) int64 array, built entry by entry: random, zero, a repeat, a
+    scalar multiple or an F_p-combination of earlier entries, so that
+    deficient ranks are common."""
+    out = np.empty((n, digits, count), dtype=np.int64)
+    for t in range(count):
+        entries = []
+        for _ in range(n):
+            kind = rng.integers(5) if entries else rng.integers(2)
+            if kind == 0:
+                e = rng.integers(0, p, size=digits)
+            elif kind == 1:
+                e = np.zeros(digits, dtype=np.int64)
+            elif kind == 2:
+                e = entries[rng.integers(len(entries))].copy()
+            elif kind == 3:
+                e = entries[rng.integers(len(entries))] * rng.integers(1, p) % p
+            else:
+                coef = rng.integers(0, p, size=len(entries))
+                e = (coef[:, None] * np.array(entries) % p).sum(axis=0) % p
+            entries.append(e)
+        out[:, :, t] = entries
+    return out
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 13, 17, 251, 65521])
+def test_digit_kernel_against_plain_rank(p):
+    """The digit elimination equals a textbook rank mod p, word by
+    word, for 1 to 6 digits and p on uint8, uint16 and uint32 digits;
+    the words hold zero, repeated, scaled and combined entries."""
+    rng = np.random.default_rng(p)
+    dtype = np.min_scalar_type(p**2 - 1)
+    for digits in range(1, 7):
+        for n in (1, 3, digits + 2):
+            words = _digit_words(rng, p, n, digits, 40)
+            got = _rank_rows_digits(words.astype(dtype), p)
+            want = [plain_rank_mod_p(words[:, :, t].tolist(), p)
+                    for t in range(words.shape[2])]
+            assert got.tolist() == want, (digits, n)
+            assert min(want) < min(n, digits) or n == 1
+
+
+#: per-point projective weights (sha256 of the uint8 array, in
+#: projective_points order) and counts of seeded codes: packed for
+#: q = 2, 4, 8, digits for p = 3, 5, 7, 13, 17 and for F_(9^3), F_(25^2)
+PROJECTIVE_PINS = json.loads(
+    (Path(__file__).parent / "data" / "projective_weights.json").read_text())
+
+
+@pytest.mark.parametrize("pin", PROJECTIVE_PINS, ids=lambda pin: "F{}^{}k{}".format(
+    pin["field"]["p"] ** pin["field"]["a"], pin["field"]["m"], len(pin["generator"])))
+def test_projective_weights_pinned(pin):
+    """The same per-point weights, in the same order, and the same
+    counts for every chunk target and thread count."""
+    ctx = FieldContext.from_descriptor(pin["field"])
+    for target in (1, 1 << 3, 1 << 16):
+        for threads in (1, 2):
+            weights, counts = projective_weights(
+                ctx, pin["generator"], threads=threads, chunk_target=target)
+            assert weights.dtype == np.uint8 and len(weights) == pin["points"]
+            assert hashlib.sha256(weights.tobytes()).hexdigest() == pin["sha256"]
+            assert counts == pin["counts"]
+
+
 def test_digit_kernel_prime_limit():
     """The largest prime below 2^16 runs on uint32 digits; a larger p
     is refused before an inverse table of p entries is built."""
     ctx = FieldContext(65521, 1, 1)
     assert projective_weights(ctx, [[5, 7]])[1] == [1, 65520, 0]
-    with pytest.raises(ValueError, match="p < 2"):
+    with pytest.raises(UnsupportedFieldError, match="p < 2"):
         projective_weights(FieldContext(65537, 1, 1), [[5, 7]])
 
 
