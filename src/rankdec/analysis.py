@@ -36,6 +36,7 @@ statement fails computationally.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Optional, Sequence
 
 from .codes import (
@@ -300,17 +301,8 @@ def construct_lower_attaining(ctx: FieldContext, e: int, k: int, xi: int,
     for mu in mu_list:
         if not ctx.in_subfield(mu, e):
             raise ValueError("each mu must lie in F_{q^e}")
-    norms = [ctx.norm_rel(mu, 1, top=e) for mu in mu_list]
-    if len(set(norms)) != k:
-        raise ValueError("the mu_i must have pairwise distinct norms")
-    xi_norm = ctx.mul(xi, ctx.frobenius(xi, e))  # xi^(q^e + 1), in F_{q^e}
-    for i in range(k):
-        for j in range(i + 1, k):
-            val = ctx.mul(ctx.mul(mu_list[i], mu_list[j]), xi_norm)
-            if ctx.norm_rel(val, 1, top=e) == 1:
-                raise ValueError(
-                    f"norm condition fails for pair ({i}, {j}): "
-                    "N(mu_i mu_j xi^(q^e+1)) = 1")
+    if failure := _norm_failure(ctx, e, xi, mu_list):
+        raise ValueError(failure)
     blocks = []
     for mu in mu_list:
         xim = ctx.mul(xi, mu)
@@ -322,12 +314,24 @@ def construct_lower_attaining(ctx: FieldContext, e: int, k: int, xi: int,
     return build_completely_decomposable(ctx, blocks)
 
 
+def _norm_failure(ctx: FieldContext, e: int, xi: int,
+                  mus: Sequence[int]) -> Optional[str]:
+    """The norm constraint of the twisted construction that (xi, mus)
+    breaks (:func:`construct_lower_attaining`), or None."""
+    if len({ctx.norm_rel(mu, 1, top=e) for mu in mus}) != len(mus):
+        return "the mu_i must have pairwise distinct norms"
+    xi_norm = ctx.mul(xi, ctx.frobenius(xi, e))  # xi^(q^e + 1), in F_{q^e}
+    for i, j in combinations(range(len(mus)), 2):
+        if ctx.norm_rel(ctx.mul(ctx.mul(mus[i], mus[j]), xi_norm), 1, top=e) == 1:
+            return (f"norm condition fails for pair ({i}, {j}): "
+                    "N(mu_i mu_j xi^(q^e+1)) = 1")
+    return None
+
+
 def find_lower_attaining_params(ctx: FieldContext, e: int, k: int,
                                 ) -> Optional[tuple[int, list[int], int]]:
     """First (xi, mu_list, lam) in encoding order satisfying the
     twisted-construction constraints, or None."""
-    from itertools import combinations
-
     q, m = ctx.q, ctx.m
     if m != 2 * e or k > q - 1:
         return None
@@ -338,21 +342,8 @@ def find_lower_attaining_params(ctx: FieldContext, e: int, k: int,
     for xi in range(ctx.order):
         if ctx.in_subfield(xi, e):
             continue
-        xi_norm = ctx.mul(xi, ctx.frobenius(xi, e))
         for mus in combinations(sub, k):
-            norms = [ctx.norm_rel(mu, 1, top=e) for mu in mus]
-            if len(set(norms)) != k:
-                continue
-            ok = True
-            for i in range(k):
-                for j in range(i + 1, k):
-                    val = ctx.mul(ctx.mul(mus[i], mus[j]), xi_norm)
-                    if ctx.norm_rel(val, 1, top=e) == 1:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
+            if _norm_failure(ctx, e, xi, mus) is None:
                 return xi, list(mus), lam
     return None
 

@@ -277,16 +277,6 @@ class RankCode:
         return tuple(field_vecmat(list(msg), [list(r) for r in self.generator],
                                   self.ctx))
 
-    def codewords(self, cap: int = DEFAULT_ENUM_CAP):
-        """All codewords in message index order: codeword t is that of
-        the message whose components are the base-q^m digits of t (desk
-        scale only)."""
-        total = message_space_size(self.ctx, self.k)
-        if total > cap:
-            raise CapExceededError(total, cap, "codeword iteration")
-        for idx in range(total):
-            yield self.codeword(message_from_index(self.ctx, self.k, idx))
-
     def strip_decomposition(self) -> "RankCode":
         return RankCode(self.ctx, self.generator)
 
@@ -449,9 +439,9 @@ def build_completely_decomposable(ctx: FieldContext,
     blocks = [tuple(u) for u in blocks]
     if not blocks:
         raise ValueError("at least one block required")
-    for u in blocks:
-        if len(u) >= ctx.m:
-            raise ValueError(f"block length {len(u)} must be < m = {ctx.m}")
+    for i, u in enumerate(blocks):
+        if not 1 <= len(u) < ctx.m:
+            raise ValueError(f"block {i}: length {len(u)} must be > 0 and < m = {ctx.m}")
         w = rank_weight(ctx, u)
         if w != len(u):
             raise ValueError(
@@ -819,8 +809,8 @@ def code_from_spec(d: dict) -> RankCode:
                     raise ValueError(
                         f"block {i}: lambda = {lam} has degree "
                         f"{ctx.degree_over_q(lam)}, not {e}")
-            if t > e:
-                raise ValueError(f"block {i}: t = {t} exceeds lambda degree {e}")
+            if not 1 <= t <= e:
+                raise ValueError(f"block {i}: t = {t} is outside 1..{e} (lambda degree)")
             blocks.append([ctx.pow(lam, j) for j in range(t)])
         else:
             raise ValueError(f"block {i}: need 'entries' or 'geometric'")

@@ -51,6 +51,8 @@ Weight of a codeword never exceeds min(n, m); counts are exact ints.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import CapExceededError, FalsificationAlarm, UnsupportedFieldError
@@ -138,6 +140,14 @@ def _rank_rows_packed(cw: np.ndarray, m: int) -> np.ndarray:
     return np.count_nonzero(piv, axis=0).astype(np.uint8)
 
 
+@functools.lru_cache(maxsize=None)
+def _inverses(p: int, dtype) -> np.ndarray:
+    """inv[x] = 1/x mod p, inv[0] = 0: built once per p and dtype, read-only."""
+    inv = np.array([0] + [pow(x, -1, p) for x in range(1, p)], dtype=dtype)
+    inv.setflags(write=False)
+    return inv
+
+
 def _rank_rows_digits(cw: np.ndarray, p: int) -> np.ndarray:
     """Rank over F_p of the n entries of each word, for words of F_p
     digit vectors: cw[j, c, t] is digit c of entry j of word t, each in
@@ -150,7 +160,7 @@ def _rank_rows_digits(cw: np.ndarray, p: int) -> np.ndarray:
     nonzero, v / v_c becomes the pivot and v is cleared; where it is
     zero, inv[0] = 0 adds nothing.  The rank counts the pivots."""
     n, digits, words = cw.shape
-    inv = np.array([0] + [pow(x, -1, p) for x in range(1, p)], dtype=cw.dtype)
+    inv = _inverses(p, cw.dtype)
     piv = np.zeros((digits, digits, words), dtype=cw.dtype)
     for j in range(n):
         v = cw[j].copy()

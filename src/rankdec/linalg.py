@@ -15,12 +15,10 @@ representation.
 * :class:`RowSpace`, a canonical row space inside F_q^width, packs its
   rows into ints for q = 2 and reduces them with :func:`_bit_rref`;
   for q > 2 its rows are context ints reduced with :func:`field_rref`.
-  Ranks of F_q-matrices, subspaces of F_{q^m} (a
-  :class:`rankdec.subspaces.Subspace` is the RowSpace of its elements'
-  F_q-coordinate rows), flattened systems and their trace duals are
-  RowSpaces.
+  Ranks of F_q-matrices, subspaces of F_{q^m} and systems in F_{q^m}^k
+  are RowSpaces of coordinate rows (:mod:`rankdec.subspaces` flattens
+  them); trace duals are :func:`field_kernel` of F_p digit rows.
 
-Both eliminations share one kernel read-out, :func:`_null_basis`.
 Everything is small and dense; the only genuinely hot loops are in
 :mod:`rankdec.enumeration`, not here.
 """
@@ -70,10 +68,18 @@ def field_rref(rows, ctx):
     return a[:r], pivots
 
 
-def _null_basis(rref, pivots, width: int, neg) -> list[list[int]]:
-    """Kernel basis read off a reduced row echelon form: one vector per
-    free column f, with 1 at f and -rref[r][f] at the r-th pivot."""
-    pivot_set = set(pivots)
+def field_rank(rows, ctx) -> int:
+    return len(field_rref(rows, ctx)[1])
+
+
+def field_kernel(rows, ctx) -> list[list[int]]:
+    """Basis of {x : rows @ x = 0} with entries in the context field,
+    read off the RREF: one vector per free column f, with 1 at f and
+    -rref[r][f] at the r-th pivot."""
+    if not rows:
+        return []
+    rref, pivots = field_rref(rows, ctx)
+    width, pivot_set = len(rows[0]), set(pivots)
     out = []
     for f in range(width):
         if f in pivot_set:
@@ -81,21 +87,9 @@ def _null_basis(rref, pivots, width: int, neg) -> list[list[int]]:
         v = [0] * width
         v[f] = 1
         for r, c in enumerate(pivots):
-            v[c] = neg(rref[r][f])
+            v[c] = ctx.neg(rref[r][f])
         out.append(v)
     return out
-
-
-def field_rank(rows, ctx) -> int:
-    return len(field_rref(rows, ctx)[1])
-
-
-def field_kernel(rows, ctx) -> list[list[int]]:
-    """Basis of {x : rows @ x = 0} with entries in the context field."""
-    if not rows:
-        return []
-    rref, pivots = field_rref(rows, ctx)
-    return _null_basis(rref, pivots, len(rows[0]), ctx.neg)
 
 
 def field_inverse(rows, ctx) -> list[list[int]]:
@@ -209,11 +203,6 @@ class RowSpace:
                 f"sum of row spaces in F_{self.q}^{self.width} and "
                 f"F_{other.q}^{other.width}")
         return RowSpace(self.ctx, self.width, self.rows + other.rows)
-
-    def kernel(self) -> list[list[int]]:
-        """Basis of {v in F_q^width : r . v = 0 for every basis row r}."""
-        return _null_basis(self.basis_rows(), self.pivots, self.width,
-                           self.ctx.neg)
 
     def __eq__(self, other):
         return (isinstance(other, RowSpace) and self.q == other.q

@@ -1,4 +1,6 @@
-"""Calculus of F_q-subspaces of F_{q^m}.
+"""Calculus of F_q-subspaces of F_{q^m}, on the coordinate layer of
+F_{q^m}^k that :mod:`rankdec.systems` shares (:func:`flatten`,
+:func:`trace_orthogonal`; elements are the case k = 1).
 
 A :class:`Subspace` is the :class:`~rankdec.linalg.RowSpace` in F_q^m
 of its elements' F_q-coordinate rows (:meth:`FieldContext.fq_coords`,
@@ -24,7 +26,7 @@ multiplicative structure that drives the minimum-weight counts:
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -41,8 +43,7 @@ class Subspace:
     def __init__(self, ctx: FieldContext, space: RowSpace):
         self.ctx = ctx
         self.space = space
-        self.basis = (space.rows if ctx.q == 2
-                      else tuple(ctx.fq_combine(r) for r in space.rows))
+        self.basis = tuple(row_elements(ctx, space.rows))
 
     @property
     def dim(self) -> int:
@@ -82,12 +83,60 @@ class Subspace:
         return f"Subspace(dim={self.dim} over F_{self.ctx.q}, basis={list(self.basis)})"
 
 
-def coordinate_space(ctx: FieldContext, elements: Iterable[int]) -> RowSpace:
-    """The row space in F_q^m of the F_q-coordinate rows of the given
-    field elements; its dimension is that of their F_q-span."""
-    elems = [ctx.check_element(x) for x in elements]
-    rows = elems if ctx.q == 2 else ctx.fq_coords_all(elems).tolist()
-    return RowSpace(ctx, ctx.m, rows)
+def coordinate_space(ctx: FieldContext, values: Iterable[int],
+                     k: int = 1) -> RowSpace:
+    """The row space in F_q^(k*m) of vectors of F_{q^m}^k given flat, k
+    entries per vector; its dimension is that of their F_q-span."""
+    vals = [ctx.check_element(x) for x in values]
+    rows = vals if ctx.q == 2 else ctx.fq_coords_all(vals).tolist()
+    return flatten(ctx, rows, k)
+
+
+def flatten(ctx: FieldContext, rows: list, k: int) -> RowSpace:
+    """The row space in F_q^(k*m) of the vectors whose components have
+    the given coordinate rows, k consecutive ones per vector (callers
+    check the count: :class:`rankdec.systems.System` does).  Component
+    i fills columns [i*m, (i+1)*m); at q = 2 the row is sum x_i << (i*m)."""
+    m = ctx.m
+    flat = rows[::k]
+    for i in range(1, k):
+        parts = zip(flat, rows[i::k])
+        flat = ([r | x << (i * m) for r, x in parts] if ctx.q == 2
+                else [r + x for r, x in parts])
+    return RowSpace(ctx, k * m, flat)
+
+
+def unflatten(ctx: FieldContext, rows, k: int) -> list:
+    """The k component coordinate rows of each row of F_q^(k*m) (as in
+    :attr:`RowSpace.rows`), in order: the inverse of :func:`flatten`."""
+    m = ctx.m
+    if ctx.q == 2:
+        mask = (1 << m) - 1
+        return [r >> (i * m) & mask for r in rows for i in range(k)]
+    return [r[i * m:(i + 1) * m] for r in rows for i in range(k)]
+
+
+def row_elements(ctx: FieldContext, rows) -> Sequence[int]:
+    """The elements with the given coordinate rows."""
+    return rows if ctx.q == 2 else [ctx.fq_combine(r) for r in rows]
+
+
+def trace_orthogonal(ctx: FieldContext, values: Sequence[int], k: int = 1,
+                     e: int = 1) -> list[int]:
+    """A basis, flat as the given vectors v of F_{q^m}^k are, of
+    {z : Tr_{q^m/q^e}(v . z) = 0 for every v}.  As Tr_{q^m/p}(c*y) =
+    Tr_{q^e/p}(c*Tr_{q^m/q^e}(y)), this is the absolute dual of the
+    F_p-span of the F_{q^e}-multiples of the v: ker(A diag(T, ..., T))
+    mod p, with A their F_p digit rows (k blocks of a*m digits) and T
+    the context's :meth:`FieldContext.trace_gram`."""
+    n = ctx.n
+    blocks = np.array([ctx.digits(ctx.mul(x, wl))
+                       for wl in ctx.fp_basis_of_subfield(e) for x in values],
+                      dtype=np.int64).reshape(-1, n)
+    constraints = (blocks @ ctx.trace_gram()).reshape(-1, k * n) % ctx.p
+    # a zero row constrains nothing: no vectors give the whole space
+    kern = field_kernel(constraints.tolist() or [[0] * (k * n)], ctx)
+    return [ctx.from_digits(z[i * n:(i + 1) * n]) for z in kern for i in range(k)]
 
 
 def span(ctx: FieldContext, elements: Iterable[int]) -> Subspace:
@@ -109,27 +158,17 @@ def subspace_sum(u: Subspace, v: Subspace) -> Subspace:
 
 
 def intersect(u: Subspace, v: Subspace) -> Subspace:
-    """U n V by Zassenhaus's method: in the echelon form of the
-    coordinate rows (a, a) for a in U and (b, 0) for b in V, the rows
-    that vanish on the first half hold a basis of U n V in the second."""
+    """U n V by Zassenhaus's method: in the echelon form of the vectors
+    (a, a) for a in U and (b, 0) for b in V, the rows that vanish on the
+    first component hold a basis of U n V in the second."""
     ctx = u.ctx
     ctx.require_same(v.ctx)
     m = ctx.m
-    zero = (0,) * m
-    both = RowSpace(ctx, 2 * m, [a + a for a in u.space.basis_rows()]
-                    + [b + zero for b in v.space.basis_rows()])
-    rows = [r[m:] for r, c in zip(both.basis_rows(), both.pivots) if c >= m]
-    return Subspace(ctx, RowSpace(ctx, m, rows))
-
-
-def _fp_rows(u: Subspace, e: int) -> np.ndarray:
-    """Prime-field coordinate rows spanning F_{q^e}*u as an F_p-space."""
-    ctx = u.ctx
-    w = ctx.fp_basis_of_subfield(e)
-    rows = [ctx.digits(ctx.mul(b, wl)) for b in u.basis for wl in w]
-    if not rows:
-        return np.zeros((0, ctx.n), dtype=np.int64)
-    return np.array(rows, dtype=np.int64)
+    zero = 0 if ctx.q == 2 else (0,) * m
+    both = flatten(ctx, [r for a in u.space.rows for r in (a, a)]
+                   + [r for b in v.space.rows for r in (b, zero)], 2)
+    rows = [r for r, c in zip(both.rows, both.pivots) if c >= m]
+    return Subspace(ctx, RowSpace(ctx, m, unflatten(ctx, rows, 2)[1::2]))
 
 
 def scale(c: int, u: Subspace) -> Subspace:
@@ -147,25 +186,10 @@ def product(u1: Subspace, u2: Subspace) -> Subspace:
 
 
 def trace_dual(u: Subspace, e: int = 1) -> Subspace:
-    """Orthogonal complement of u under (x, y) -> Tr_{q^m/q^e}(xy).
-
-    Tr_{q^m/p}(c*y) = Tr_{q^e/p}(c*Tr_{q^m/q^e}(y)) and Tr_{q^e/p} is
-    nondegenerate, so the Tr_{q^m/q^e}-dual of u is the absolute dual
-    of F_{q^e}*u, the F_p-span of the F_{q^e}-multiples of u's basis.
-    With A the prime-field coordinate rows of that span and T the trace
-    Gram matrix of the context (:meth:`FieldContext.trace_gram`), the
-    dual is ker(A T) mod p.
-
-    The result is F_{q^e}-linear, of F_q-dimension m - dim(F_{q^e}*u);
-    for e = 1 it is the plain F_q-dual of dimension m - dim(u).
-    """
-    ctx = u.ctx
-    a_rows = _fp_rows(u, e)
-    if a_rows.shape[0] == 0:
-        return full_space(ctx)
-    constraints = (a_rows @ ctx.trace_gram()) % ctx.p
-    kern = field_kernel(constraints.tolist(), ctx)
-    return span(ctx, [ctx.from_digits(v) for v in kern])
+    """Orthogonal complement of u under (x, y) -> Tr_{q^m/q^e}(xy), the
+    case k = 1 of :func:`trace_orthogonal`: F_{q^e}-linear, of
+    F_q-dimension m - dim(F_{q^e}*u), which is m - dim(u) for e = 1."""
+    return span(u.ctx, trace_orthogonal(u.ctx, u.basis, 1, e))
 
 
 def kernel_of_trace(ctx: FieldContext, e: int) -> Subspace:
@@ -300,12 +324,14 @@ def critical_complement_witness(u1: Subspace, u2: Subspace) -> Optional[int]:
 
 
 def scalar_into(u: Subspace, v: Subspace) -> Optional[int]:
-    """Some nonzero d with d*v contained in u, or None (v nonzero).
+    """Some nonzero d with d*v contained in u, or None; 1 for v = 0.
 
     Every such d maps the first basis vector b of v into u, so the
     candidates are x/b for the nonzero x in u, tried in the order of
     :meth:`Subspace.elements`.  When dim v = dim u, d*v = u."""
     ctx = u.ctx
+    if v.is_zero():
+        return 1
     binv = ctx.inv(v.basis[0])
     for x in u.elements():
         if x:

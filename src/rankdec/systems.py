@@ -6,8 +6,9 @@ sigma'(u, v) = Tr_{q^m/q}(u . v) its dual system U' has F_q-dimension
 km - n and yields the geometric dual code
 (:func:`rankdec.codes.geometric_dual`).
 
-Vectors are canonicalised by flattening to F_q coordinates (component i
-occupies columns [i*m, (i+1)*m) in the power basis) and row-reducing;
+A system is the row space of its vectors flattened to F_q coordinates
+by :mod:`rankdec.subspaces`, which also holds the trace kernel that
+:func:`perp_prime` shares with :func:`~rankdec.subspaces.trace_dual`;
 two systems are equal iff their canonical flattenings agree.
 """
 
@@ -15,11 +16,10 @@ from __future__ import annotations
 
 from typing import Sequence
 
-import numpy as np
-
 from .errors import FalsificationAlarm
 from .fields import FieldContext
 from .linalg import RowSpace
+from .subspaces import coordinate_space, row_elements, trace_orthogonal, unflatten
 
 
 class System:
@@ -28,12 +28,12 @@ class System:
     __slots__ = ("ctx", "k", "vectors", "row_space")
 
     def __init__(self, ctx: FieldContext, k: int, vectors: Sequence[Sequence[int]]):
-        self.ctx = ctx
-        self.k = k
-        rows = [_flatten(ctx, v, k) for v in vectors]
-        self.row_space = RowSpace(ctx, ctx.m * k, rows)
-        self.vectors = tuple(_unflatten(ctx, r, k)
-                             for r in self.row_space.basis_rows())
+        if any(len(v) != k for v in vectors):
+            raise ValueError("vector length mismatch")
+        self.ctx, self.k = ctx, k
+        self.row_space = coordinate_space(ctx, [x for v in vectors for x in v], k)
+        flat = row_elements(ctx, unflatten(ctx, self.row_space.rows, k))
+        self.vectors = tuple(zip(*[iter(flat)] * k))
 
     @property
     def dim(self) -> int:
@@ -50,24 +50,12 @@ class System:
         return f"System(dim={self.dim} in F_{{q^m}}^{self.k})"
 
 
-def _flatten(ctx, v, k):
-    if len(v) != k:
-        raise ValueError("vector length mismatch")
-    return ctx.fq_coords_all(v).ravel().tolist()
-
-
-def _unflatten(ctx, row, k):
-    m = ctx.m
-    return tuple(ctx.fq_combine(row[i * m:(i + 1) * m])
-                 for i in range(k))
-
-
 def flat_span(ctx: FieldContext, k: int, rows: Sequence[Sequence[int]]) -> RowSpace:
     """The F_{q^m}-span of rows in F_{q^m}^k as an F_q row space of
     F_q^(mk): the flattened multiples of each row by the power basis."""
     powers = ctx.fq_power_basis()
-    return RowSpace(ctx, ctx.m * k, [_flatten(ctx, [ctx.mul(g, c) for c in row], k)
-                                     for row in rows for g in powers])
+    return System(ctx, k, [[ctx.mul(g, c) for c in row]
+                           for row in rows for g in powers]).row_space
 
 
 def system_from_code(code) -> System:
@@ -84,23 +72,11 @@ def system_from_code(code) -> System:
 
 
 def perp_prime(u: System) -> System:
-    """Orthogonal complement under Tr_{q^m/q}(u . v); dimension km - n.
-
-    As in :func:`rankdec.subspaces.trace_dual`, the Tr_{q^m/q}-dual of U
-    is the absolute dual of F_q*U.  With A the prime-field digit rows of
-    F_q*U (k blocks of n digits each) and T the trace Gram matrix of the
-    context, the dual is ker(A diag(T, ..., T)) mod p.
-    """
-    ctx = u.ctx
-    k, n = u.k, ctx.n
-    w = ctx.fp_basis_of_subfield(1)
-    a_rows = np.array([[d for x in v for d in ctx.digits(ctx.mul(x, wl))]
-                       for v in u.vectors for wl in w],
-                      dtype=np.int64).reshape(-1, k, n)
-    constraints = (a_rows @ ctx.trace_gram()).reshape(-1, k * n) % ctx.p
-    kern = RowSpace(ctx, k * n, constraints.tolist()).kernel()
-    out = System(ctx, k, [[ctx.from_digits(z[i * n:(i + 1) * n])
-                           for i in range(k)] for z in kern])
+    """Orthogonal complement under Tr_{q^m/q}(u . v), dimension km - n:
+    :func:`rankdec.subspaces.trace_orthogonal` with k components."""
+    ctx, k = u.ctx, u.k
+    flat = trace_orthogonal(ctx, [x for v in u.vectors for x in v], k)
+    out = System(ctx, k, list(zip(*[iter(flat)] * k)))
     want = ctx.m * k - u.dim
     if out.dim != want:
         raise FalsificationAlarm(

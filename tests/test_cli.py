@@ -190,6 +190,21 @@ class TestBuild:
         assert main(["build", str(path)]) == EXIT_USAGE
         assert "F_q-independent" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("block,named", [
+        ({"entries": []}, "block 1: length 0 must be > 0"),
+        ({"geometric": {"lambda_degree": 4, "t": 0}}, "block 1: t = 0"),
+        ({"geometric": {"lambda_degree": 4, "t": -2}}, "block 1: t = -2"),
+    ])
+    def test_empty_block_rejected(self, capsys, tmp_path, block, named):
+        spec = {"field": {"p": 2, "a": 1, "m": 4},
+                "blocks": [{"entries": [1, 2]}, block]}
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps(spec))
+        assert main(["build", str(path)]) == EXIT_USAGE
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.count("\n") == 1
+        assert named in out.err
+
     def test_missing_file(self, tmp_path):
         assert main(["build", str(tmp_path / "nope.json")]) == EXIT_USAGE
 

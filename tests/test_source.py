@@ -51,3 +51,18 @@ def test_linalg_privates_stay_in_linalg():
              for path in SRC if path.stem != "linalg"}
     offenders = {stem: names for stem, names in found.items() if names}
     assert not offenders, f"private names of rankdec.linalg imported: {offenders}"
+
+
+def _trace_gram_calls(tree):
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "trace_gram"]
+
+
+def test_trace_gram_read_in_subspaces_only():
+    # trace duality is written once: outside the field layer that builds
+    # the Gram matrix, only the subspace layer's trace kernel reads it
+    found = {path.stem: _trace_gram_calls(ast.parse(path.read_text()))
+             for path in SRC if path.stem not in ("fields", "subspaces")}
+    offenders = {stem: lines for stem, lines in found.items() if lines}
+    assert not offenders, f"trace_gram() called outside subspaces: {offenders}"

@@ -373,6 +373,13 @@ class TestProductStructure:
             assert w is not None and scale(w, dual) == u2
             hits += 1
 
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_complement_witness_of_zero_dual(self, p):
+        # at m = 1 the whole field and zero pass both preconditions; the
+        # dual of the whole field is zero, and every d maps 0 into U2
+        ctx = FieldContext(p, 1, 1)
+        assert critical_complement_witness(span(ctx, [1]), zero_subspace(ctx)) == 1
+
 
 class TestSubfieldLinear:
     def test_whole_field(self, f64):

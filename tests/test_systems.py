@@ -20,7 +20,7 @@ from rankdec.enumeration import (
     message_space_size,
     projective_points,
 )
-from rankdec.linalg import field_kernel, field_rank, field_vecmat
+from rankdec.linalg import RowSpace, field_kernel, field_rank, field_vecmat
 from rankdec.subspaces import span, trace_dual
 from rankdec.systems import System, flat_span, perp_prime, system_from_code
 
@@ -226,3 +226,29 @@ def test_perp_prime_over_towers(p, a, m, k):
         if k == 1:
             block = span(ctx, [v[0] for v in u.vectors])
             assert ud == block_system(ctx, [trace_dual(block)])
+
+
+@pytest.mark.parametrize("p,a,m", [(2, 1, 5), (3, 1, 3), (2, 2, 3), (3, 2, 2)])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_system_row_space_is_plain_flattening(p, a, m, k):
+    """A system's row space is the RowSpace of its vectors' F_q-coordinates
+    laid out component by component (fq_coords, one element at a time),
+    and its canonical vectors span the same system."""
+    ctx = FieldContext(p, a, m)
+    rng = random.Random(1000 * p + 100 * a + 10 * m + k)
+    for size in (0, 1, k, k * m + 1):
+        vecs = [[rng.randrange(ctx.order) for _ in range(k)] for _ in range(size)]
+        u = System(ctx, k, vecs)
+        plain = [[c for x in v for c in ctx.fq_coords(x)] for v in vecs]
+        assert u.row_space == RowSpace(ctx, k * m, plain)
+        assert System(ctx, k, u.vectors) == u and len(u.vectors) == u.dim
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_system_vector_length_mismatch(q):
+    ctx = FieldContext(q, 1, 3)
+    for bad in ([[1, 2], [3]], [[1, 2, 3]], [[1], [2, 3]]):
+        with pytest.raises(ValueError, match="vector length mismatch"):
+            System(ctx, 2, bad)
+    with pytest.raises(ValueError, match="vector length mismatch"):
+        flat_span(ctx, 2, [[1, 2, 3]])
