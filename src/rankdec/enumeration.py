@@ -1,20 +1,16 @@
 """Exact weight enumeration kernels.
 
-The message space F_{q^m}^k is an F_p-space of dimension a*m*k, and
-message index t is the message whose component i is the base-q^m digit
-i of t (a field int).  Read in base p, digit j = i*(a*m) + s of t
-scales basis message j, which puts p^s into component i: the int p^s
-is the element x^s of the modulus root.  The codeword map is F_p-linear
-in the message, so the codewords of an affine coset offset + span_Fp(B)
-of basis codewords B are generated by a doubling construction,
-processed in contiguous chunks: each chunk combines a fixed low-digit
-table (which carries the offset) with one high-digit offset codeword.
-Consecutive chunks, across the cosets of one call, are grouped into
-batches of at most the chunk target words, and each batch runs one
-elimination over all its codewords.  Batches are disjoint, carry
-private results and are merged by integer addition or by position, so
-results are independent of the chunk size and of the number of worker
-threads.
+Message index t is the message whose component i is the base-q^m
+digit i of t (a field int).  Read in base p, digit j = i*(a*m) + s of t
+scales basis message j, which puts p^s (the element x^s of the modulus
+root) into component i.  The codeword map is F_p-linear, so the
+codewords of a coset offset + span_Fp(B) of basis codewords B come from
+a doubling construction in contiguous chunks: a fixed low-digit table
+(which carries the offset) plus one high-digit codeword per chunk.
+Consecutive chunks, across the cosets of one call, form batches of at
+most the chunk target words, one elimination each.  Batches are
+disjoint and merged by addition or by position, so results do not
+depend on the chunk size or on the number of threads.
 
 Two entry points share the chunk kernel:
 
@@ -44,7 +40,10 @@ reads and writes contiguous rows of words.
 * digits: odd p < 2^16, (entries, digits, words).  Entries are their
   a*m base-p digits, and the elimination keeps one pivot per digit
   position and codeword, monic there, so reducing a column is plain
-  arithmetic mod p with no mask.
+  arithmetic mod p with no mask.  Pivot c and the reduced word are zero
+  below digit c, so step c touches digits c.. only, and x mod p is
+  x - (x // p) * p: numpy divides unsigned words by a scalar several
+  times faster than it takes their remainder.
 
 Weight of a codeword never exceeds min(n, m); counts are exact ints.
 """
@@ -148,30 +147,39 @@ def _inverses(p: int, dtype) -> np.ndarray:
     return inv
 
 
+def _reduce(x: np.ndarray, p: int) -> np.ndarray:
+    """x mod p, in place: numpy divides unsigned words by a scalar
+    several times faster than it takes their remainder."""
+    return np.subtract(x, x // p * p, out=x)
+
+
 def _rank_rows_digits(cw: np.ndarray, p: int) -> np.ndarray:
     """Rank over F_p of the n entries of each word, for words of F_p
     digit vectors: cw[j, c, t] is digit c of entry j of word t, each in
-    0..p-1, in an unsigned dtype that holds p^2 - 1.
+    0..p-1, in an unsigned dtype that holds p^2 - 1, the largest sum
+    taken before a reduction.
 
     Word t keeps one pivot per digit position c: piv[c][:, t] is zero,
-    or is zero below c and 1 at c.  Subtracting v_c * piv[c] then clears
-    digit c of v when the pivot exists and changes nothing when it does
-    not, so no mask selects the words with a pivot.  Where v_c is still
-    nonzero, v / v_c becomes the pivot and v is cleared; where it is
-    zero, inv[0] = 0 adds nothing.  The rank counts the pivots."""
+    or is zero below c and 1 at c.  Step c starts with the digits of v
+    below c zero too, so it reads and writes digits c.. only.
+    Subtracting v_c * piv[c] clears digit c of v when the pivot exists
+    and changes nothing when it does not, so no mask selects the words
+    with a pivot.  Where v_c is still nonzero, v / v_c becomes the pivot
+    and v is cleared; where it is zero, inv[0] = 0 adds nothing.  The
+    rank counts the pivots."""
     n, digits, words = cw.shape
     inv = _inverses(p, cw.dtype)
     piv = np.zeros((digits, digits, words), dtype=cw.dtype)
     for j in range(n):
         v = cw[j].copy()
         for c in range(digits):
-            pc = piv[c]
-            v += (p - v[c]) * pc
-            v %= p
-            vc = v[c]
-            pc += inv[vc] * v
-            pc %= p
-            v *= vc == 0
+            pc, vt = piv[c, c:], v[c:]
+            vt += (p - vt[0]) * pc
+            _reduce(vt, p)
+            vc = vt[0]
+            pc += inv[vc] * vt
+            _reduce(pc, p)
+            vt *= vc == 0
     return np.count_nonzero(piv.diagonal(), axis=1).astype(np.uint8)
 
 
@@ -184,13 +192,10 @@ class _Kernel:
 
     A chunk is a run of ``chunk_size`` consecutive words; the caller
     groups chunks, of one kernel or of several, into batches and ranks
-    each batch with one elimination (:func:`_map_batches`).  Both
-    backends rank the a-fold F_p expansion (the F_p-rank divided by a)
-    of words on the last axis: packed for every even q, an (entries,
-    words) array of bit masks combined by XOR; digits for odd p, an
-    (entries, digits, words) array of base-p digits combined by plain
-    arithmetic mod p.  A row or offset is one word without that axis,
-    and is broadcast over it."""
+    each batch with one elimination (:func:`_map_batches`).  Words, laid
+    out as the module docstring says, are combined by XOR (packed) or by
+    arithmetic mod p (digits); a row or offset is one word without the
+    last axis, and is broadcast over it."""
 
     def __init__(self, ctx, rows, offset, chunk_target: int):
         self.bits = ctx.n
@@ -215,7 +220,7 @@ class _Kernel:
         self.low_table = table
 
     def _add(self, x, y):
-        return x ^ y if self.packed else (x + y) % self.p
+        return x ^ y if self.packed else _reduce(x + y, self.p)
 
     def chunk_codewords(self, h: int) -> np.ndarray:
         """The words of chunk number h (its high digits, in base p)."""
@@ -355,7 +360,5 @@ def projective_point(ctx, k: int, idx: int) -> tuple[int, ...]:
 def projective_points(ctx, k: int):
     """Projective representatives of F_{q^m}^k, first nonzero entry 1,
     iterated in integer order of the free part."""
-    for lead in range(k):
-        free = k - lead - 1
-        for idx in range(ctx.order**free):
-            yield (0,) * lead + (1,) + message_from_index(ctx, free, idx)
+    for idx in range(projective_count(ctx, k)):
+        yield projective_point(ctx, k, idx)

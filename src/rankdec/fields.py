@@ -568,17 +568,23 @@ class FieldContext:
             acc = self.mul(acc, self.x if self.n > 1 else 1)
         return tuple(out)
 
-    def _fq_coord_matrix_inv(self) -> np.ndarray:
-        """Inverse of the F_p-matrix sending stacked F_q-coordinates (in
-        the power basis) to element digit vectors, as an int64 array for
-        vectorised coordinate solves."""
-        key = ("coordinv",)
+    def _fq_coord_map(self) -> np.ndarray:
+        """The (n, m*n) int64 F_p-matrix sending an element's digit
+        vector to the digit vectors of its F_q-coordinates (cached): the
+        inverse of the coordinate-to-digit matrix gives the a
+        F_p-coordinates of each F_q-coordinate in the basis w of
+        :meth:`fp_basis_of_subfield`, and the digit vectors of w turn
+        them into digits (scaling by F_p and adding are digit-wise)."""
+        key = ("coordmap",)
         if key not in self._caches:
             w = self.fp_basis_of_subfield(1)
             cols = [self.digits(self.mul(wl, xi))
                     for xi in self.fq_power_basis() for wl in w]
-            mat = [list(r) for r in zip(*cols)]
-            self._caches[key] = np.array(field_inverse(mat, self), dtype=np.int64)
+            inv = np.array(field_inverse([list(r) for r in zip(*cols)], self),
+                           dtype=np.int64)
+            w_digits = np.array([self.digits(wl) for wl in w], dtype=np.int64)
+            coord_map = inv.T.reshape(self.n, self.m, self.a) @ w_digits % self.p
+            self._caches[key] = coord_map.reshape(self.n, -1)
         return self._caches[key]
 
     def fq_coords(self, z: int) -> tuple[int, ...]:
@@ -589,25 +595,16 @@ class FieldContext:
     def fq_coords_all(self, values: Sequence[int]) -> np.ndarray:
         """:meth:`fq_coords` of every value, one row each: an array of
         shape (len(values), m), int64 when every element fits and of
-        Python ints otherwise.
-
-        For a = 1 the coordinates are the digits themselves.  Otherwise
-        one product with the inverse coordinate matrix gives the a
-        F_p-coordinates of each F_q-coordinate in the basis w of
-        :meth:`fp_basis_of_subfield`; scaling by an F_p constant and
-        adding are digit-wise, so the coordinate's digit vector is that
-        combination of the digit vectors of w."""
+        Python ints otherwise.  For a = 1 the coordinates are the digits,
+        and otherwise :meth:`_fq_coord_map` gives their digit vectors."""
         p = self.p
         weights = self._digit_weights()
         vals = np.asarray(values, dtype=weights.dtype).reshape(-1, 1)
         digits = (vals // weights % p).astype(np.int64)
         if self.a == 1:
             return digits
-        w = self.fp_basis_of_subfield(1)
-        w_digits = np.array([self.digits(wl) for wl in w], dtype=np.int64)
-        sol = (digits @ self._fq_coord_matrix_inv().T) % p
-        coord_digits = sol.reshape(len(vals), self.m, len(w)) @ w_digits % p
-        return coord_digits @ weights
+        coord_digits = digits @ self._fq_coord_map() % p
+        return coord_digits.reshape(len(vals), self.m, self.n) @ weights
 
     def _digit_weights(self) -> np.ndarray:
         """p^0, ..., p^(n-1), which turn digit vectors into element ints:

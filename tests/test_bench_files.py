@@ -1,7 +1,9 @@
 """The committed BENCH_*.json files share one layout: each names its
 parent commit and, for every gated workload and end-to-end metric of
 BENCHMARK.json, gives both sides' median and quartiles, the ratio of
-the medians and one run per pair."""
+the medians and one run per pair.  From BENCH_16 on, each workload also
+gives both sides' attempted instance count of every run: peak_rss_mb
+grows with it, so a memory reading is read beside it."""
 
 import json
 import re
@@ -13,6 +15,8 @@ ROOT = Path(__file__).resolve().parent.parent
 BENCH_FILES = sorted(ROOT.glob("BENCH_*.json"), key=lambda p: p.name)
 SIDES = ("parent", "change")
 HALF_UNIT = 0.5e-6
+#: the first BENCH file that records the attempted count of every run
+ATTEMPTED_FROM = 16
 
 
 def _benchmark():
@@ -32,6 +36,11 @@ def test_bench_file_layout(path):
         entry = bench["workloads"][workload["name"]]
         pairs = entry["pairs"]
         assert isinstance(pairs, int) and pairs > 0
+        if int(path.stem.split("_")[1]) >= ATTEMPTED_FROM:
+            for side in SIDES:
+                attempted = entry["attempted"][side]
+                assert len(attempted) == pairs, f"{workload['name']}/attempted"
+                assert all(type(a) is int and a > 0 for a in attempted)
         for metric in spec["end_to_end"]:
             where = f"{workload['name']}/{metric['name']}"
             m = entry["metrics"][metric["name"]]

@@ -226,6 +226,48 @@ def test_digit_kernel_against_plain_rank(p):
             assert min(want) < min(n, digits) or n == 1
 
 
+@pytest.mark.parametrize("p,m", [(13, 3), (251, 2), (65521, 1)],
+                         ids=["uint8", "uint16", "uint32"])
+def test_digit_kernel_at_the_dtype_edge(p, m):
+    """At the largest p of each digit dtype, digits p - 1 drive the
+    kernel's sums up to the p^2 - 1 its dtype holds (a pivot digit
+    p - 1 subtracted from a digit p - 1 where the lead digit is zero).
+    Words of all-(p - 1) entries and of entries with digits 0, 1 and
+    p - 1 against a textbook rank.  Then the projective weights of a
+    code whose entries are s and (p - 1) s, with s the element of all
+    digits 1, so that every coset table and chunk base sums digits
+    p - 1: at the point (1, y) the entries are s times y - 1, -(1 + y)
+    and 1 - y, which span <1, y>, so the weight is 1 for y in F_p and
+    min(2, m) otherwise, and 1 at (0, 1); the scalar rank weight agrees
+    on a sample."""
+    rng = np.random.default_rng(p)
+    dtype = np.min_scalar_type(p**2 - 1)
+    for digits in range(1, 6):
+        for n in (1, 3, digits + 2):
+            words = rng.choice([0, 1, p - 1], p=[0.2, 0.2, 0.6],
+                               size=(n, digits, 60))
+            words[:, :, 0] = p - 1
+            got = _rank_rows_digits(words.astype(dtype), p)
+            want = [plain_rank_mod_p(words[:, :, t].tolist(), p)
+                    for t in range(words.shape[2])]
+            assert got.tolist() == want, (digits, n)
+            assert got[0] == 1
+    ctx = FieldContext(p, 1, m)
+    full = ctx.order - 1
+    s = full // (p - 1)
+    code = RankCode(ctx, [[full, full, s], [s, full, full]])
+    weights, counts = projective_weights(ctx, code.generator)
+    want = np.full(ctx.order + 1, min(2, m), dtype=np.uint8)
+    want[:p] = want[-1] = 1
+    assert np.array_equal(weights, want)
+    rng = random.Random(p)
+    for idx in [0, p - 1, p, ctx.order] + [rng.randrange(ctx.order)
+                                           for _ in range(50)]:
+        x = projective_point(ctx, 2, idx)
+        assert weights[idx] == rank_weight(ctx, code.codeword(x))
+    assert sum(counts) == message_space_size(ctx, 2)
+
+
 #: per-point projective weights (sha256 of the uint8 array, in
 #: projective_points order) and counts of seeded codes: packed for
 #: q = 2, 4, 8, digits for p = 3, 5, 7, 13, 17 and for F_(9^3), F_(25^2)

@@ -201,10 +201,11 @@ def test_random_gl_ext_draws_unchanged(field, k, seed, rows):
     assert [list(r) for r in random_gl_ext(FieldContext(*field), k, seed=seed)] == rows
 
 
-#: F_3^4, F_(4^3), F_(9^2), F_(8^2) (a = 3), the table-free F_2^17,
-#: F_257^2 (digits above 255) and F_(5^28), F_(25^14) (orders above 2^63)
-COORD_FIELDS = [(3, 1, 4), (2, 2, 3), (3, 2, 2), (2, 3, 2), (2, 1, 17),
-                (257, 1, 2), (5, 1, 28), (5, 2, 14)]
+#: F_3^4, F_(4^3), F_(9^2), F_(8^2) and F_(27^2) (a = 3), the
+#: table-free F_2^17, F_257^2 (digits above 255) and F_(5^28), F_(25^14)
+#: (orders above 2^63)
+COORD_FIELDS = [(3, 1, 4), (2, 2, 3), (3, 2, 2), (2, 3, 2), (3, 3, 2),
+                (2, 1, 17), (257, 1, 2), (5, 1, 28), (5, 2, 14)]
 
 
 @pytest.mark.parametrize("field", COORD_FIELDS, ids=lambda f: "p%da%dm%d" % f)

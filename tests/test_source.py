@@ -66,3 +66,20 @@ def test_trace_gram_read_in_subspaces_only():
              for path in SRC if path.stem not in ("fields", "subspaces")}
     offenders = {stem: lines for stem, lines in found.items() if lines}
     assert not offenders, f"trace_gram() called outside subspaces: {offenders}"
+
+
+#: the digit kernel and what feeds it: numpy's remainder of unsigned
+#: words by a scalar is several times slower than its floor division
+DIGIT_KERNEL = ("_reduce", "_rank_rows_digits", "_Kernel")
+
+
+def test_no_remainder_in_the_digit_kernel():
+    tree = ast.parse((SRC[0].parent / "enumeration.py").read_text())
+    defs = {node.name: node for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert set(DIGIT_KERNEL) <= set(defs), "digit kernel definitions renamed"
+    found = {name: [node.lineno for node in ast.walk(defs[name])
+                    if isinstance(getattr(node, "op", None), ast.Mod)]
+             for name in DIGIT_KERNEL}
+    offenders = {name: lines for name, lines in found.items() if lines}
+    assert not offenders, f"% in the digit kernel (use _reduce): {offenders}"
