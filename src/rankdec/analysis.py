@@ -42,6 +42,7 @@ from typing import Optional, Sequence
 from .codes import (
     RankCode,
     build_completely_decomposable,
+    require_decomposition,
     weight_distribution,
 )
 from .enumeration import DEFAULT_ENUM_CAP
@@ -50,12 +51,14 @@ from .fields import FieldContext, is_prime
 from .gfpoly import prime_factors
 from .subspaces import (
     Subspace,
+    coordinate_space,
     is_subfield_linear,
     product,
     scalar_into,
     scale,
     span,
     trace_dual,
+    trace_orthogonal,
 )
 
 
@@ -124,20 +127,22 @@ def bound_prime(q: int, m: int, ell: int) -> int:
 
 
 def block_interaction_exponents(code: RankCode) -> dict[tuple[int, int], int]:
-    """j_(i,h) = m - dim(U_i^dual * U_h) over the trailing equal blocks."""
-    dec = code.decomposition
-    if dec is None:
-        raise ValueError("decomposition required")
+    """j_(i,h) = m - dim(U_i^dual * U_h) over the trailing equal blocks,
+    from bases, with no canonical subspace: block h's entries (validation
+    keeps them F_q-independent) and the kernel rows of
+    :func:`trace_orthogonal` on block i; j is m minus the rank of their
+    products."""
+    dec = require_decomposition(code)
     ctx = code.ctx
     k = dec.k
     ell = trailing_run_length(dec.type_vector)
     # only blocks k-ell..k enter, and only k-ell..k-1 through their duals
-    spans = {i: span(ctx, dec.blocks[i - 1]) for i in range(k - ell, k + 1)}
-    duals = {i: trace_dual(spans[i]) for i in range(k - ell, k)}
+    duals = {i: trace_orthogonal(ctx, dec.blocks[i - 1]) for i in range(k - ell, k)}
     out = {}
     for i in range(k - ell, k):        # 1-based i in {k-ell, ..., k-1}
         for h in range(i + 1, k + 1):
-            j = ctx.m - product(duals[i], spans[h]).dim
+            prods = [ctx.mul(a, b) for a in duals[i] for b in dec.blocks[h - 1]]
+            j = ctx.m - coordinate_space(ctx, prods).dim
             if not 0 <= j <= ctx.m - dec.type_vector[-1]:
                 raise FalsificationAlarm(
                     f"exponent j_({i},{h}) = {j} outside [0, m - n_k]")
@@ -150,23 +155,17 @@ def min_weight_count_formula(code: RankCode, enumerate_check: bool = False,
                              threads: int = 1) -> MinWeightReport:
     """Evaluate the closed-form A_(n_k) and its bounds; optionally also
     enumerate and insist on equality."""
-    dec = code.decomposition
-    if dec is None:
-        raise ValueError("decomposition required")
+    dec = require_decomposition(code)
     ctx = code.ctx
     q, m = ctx.q, ctx.m
     k = dec.k
     n_k = dec.type_vector[-1]
     ell = trailing_run_length(dec.type_vector)
     jm = block_interaction_exponents(code)
-    if ell == 0:
-        count = q**m - 1
-    else:
-        total = 1
-        for i in range(k - ell, k):
-            expo = sum(jm[(i, h)] for h in range(i + 1, k + 1))
-            total += q**expo
-        count = (q**m - 1) * total
+    # one exponent sum per trailing block but the last: none at ell = 0
+    expos = [sum(jm[(i, h)] for h in range(i + 1, k + 1))
+             for i in range(k - ell, k)]
+    count = (q**m - 1) * (1 + sum(q**e for e in expos))
     lower, upper = bounds_nonprime(q, m, n_k, ell)
     prime_ub = bound_prime(q, m, ell) if is_prime(m) else None
     if not lower <= count <= upper:
@@ -214,9 +213,7 @@ class WeightFamily:
 def minimum_weight_family(code: RankCode, t: int) -> WeightFamily:
     """The family for step t in {1, ..., k-1}; its size is
     (q^m - 1) * q^(sum of the step exponents)."""
-    dec = code.decomposition
-    if dec is None:
-        raise ValueError("decomposition required")
+    dec = require_decomposition(code)
     if not 1 <= t <= dec.k - 1:
         raise ValueError("t out of range")
     ctx = code.ctx
@@ -372,9 +369,7 @@ def check_char_nonprime(code: RankCode,
     """When A_(n_k) attains the composite-m upper bound, the trailing
     blocks must be scalar multiples of one F_{q^e}-hyperplane with
     e = m - n_k dividing m; verify that structure and return witnesses."""
-    dec = code.decomposition
-    if dec is None:
-        raise ValueError("decomposition required")
+    dec = require_decomposition(code)
     ctx = code.ctx
     n_k = dec.type_vector[-1]
     ell = trailing_run_length(dec.type_vector)
@@ -421,9 +416,7 @@ def check_char_prime(code: RankCode,
     """Two-sided check for prime m: the count attains
     (q^m-1)(q^(ell+1)-1)/(q-1) iff the trailing blocks are pairwise
     scalar multiples of one U with dim(U^dual * U) = m - 1."""
-    dec = code.decomposition
-    if dec is None:
-        raise ValueError("decomposition required")
+    dec = require_decomposition(code)
     ctx = code.ctx
     if not is_prime(ctx.m):
         raise NotApplicableError(f"m = {ctx.m} is not prime")

@@ -472,7 +472,7 @@ def random_decomposable(ctx: FieldContext, k: int, rng: random.Random,
     return build_completely_decomposable(ctx, blocks)
 
 
-def _require_decomposition(code: RankCode) -> Decomposition:
+def require_decomposition(code: RankCode) -> Decomposition:
     if code.decomposition is None:
         raise ValueError("code has no decomposition record; run detection first")
     return code.decomposition
@@ -604,7 +604,7 @@ def _extend_basis(ctx, ds, points, prefix, k, target, picked, start, total,
 def shortened(code: RankCode, t: int) -> RankCode:
     """Subcode of the weight-complementary form with the first t-1 block
     coefficients forced to zero (full length kept); 1-based t."""
-    dec = _require_decomposition(code)
+    dec = require_decomposition(code)
     if not 1 <= t <= dec.k:
         raise ValueError("t out of range")
     rows = dec.weight_complementary_generator()[t - 1:]
@@ -614,7 +614,7 @@ def shortened(code: RankCode, t: int) -> RankCode:
 def punctured(code: RankCode, t: int) -> RankCode:
     """Restriction to the coordinates of blocks t..k; completely
     decomposable of type (n_t, ..., n_k)."""
-    dec = _require_decomposition(code)
+    dec = require_decomposition(code)
     if not 1 <= t <= dec.k:
         raise ValueError("t out of range")
     return build_completely_decomposable(code.ctx, dec.blocks[t - 1:])
@@ -656,7 +656,7 @@ def minimal_codewords(code: RankCode) -> MinimalFamilies:
     words in different blocks dominate each other) and no exact
     description is asserted; see :func:`blocks_scalar_unrelated`.
     """
-    dec = _require_decomposition(code)
+    dec = require_decomposition(code)
     ctx = code.ctx
     wc = dec.weight_complementary_generator()
     bases = [tuple(field_vecmat(list(row), [list(r) for r in dec.col_map.rows],
@@ -668,7 +668,7 @@ def blocks_scalar_unrelated(code: RankCode) -> bool:
     """True iff no block span is a scalar multiple of (or scalar-embeds
     into) another block span: the hypothesis under which the minimal
     codewords are exactly the single-block families."""
-    dec = _require_decomposition(code)
+    dec = require_decomposition(code)
     spans = [span(code.ctx, u) for u in dec.blocks]
     return not any(i != j and uj.dim <= ui.dim
                    and scalar_into(ui, uj) is not None

@@ -36,14 +36,16 @@ reads and writes contiguous rows of words.
 * packed: every even q, (entries, words).  Entries are field ints
   (a*m-bit masks) in the narrowest unsigned dtype, and the elimination
   keeps an XOR basis per codeword in echelon form by top bit, so
-  reducing a whole column of codewords is one min-XOR step per bit;
+  reducing a column of codewords is one min-XOR step per bit;
 * digits: odd p < 2^16, (entries, digits, words).  Entries are their
-  a*m base-p digits, and the elimination keeps one pivot per digit
-  position and codeword, monic there, so reducing a column is plain
-  arithmetic mod p with no mask.  Pivot c and the reduced word are zero
-  below digit c, so step c touches digits c.. only, and x mod p is
-  x - (x // p) * p: numpy divides unsigned words by a scalar several
-  times faster than it takes their remainder.
+  a*m base-p digits, made in one floor division, and the elimination
+  keeps one pivot per digit position and codeword, monic there, so
+  reducing a column is arithmetic mod p with no mask.  Step c touches
+  digits c.. only (pivot c and the reduced word are zero below c), and
+  x mod p is x - (x // p) * p: numpy divides unsigned words by a
+  scalar several times faster than it takes their remainder.
+
+Column 0 meets no pivot in either backend, so it is not reduced.
 
 Weight of a codeword never exceeds min(n, m); counts are exact ints.
 """
@@ -113,7 +115,7 @@ def _basis_codewords(ctx, generator):
     # the narrowest dtype holding the kernel's largest intermediate,
     # p^2 - 1: uint8 up to p = 13, uint16 up to p = 251, else uint32
     dtype = np.min_scalar_type(ctx.p**2 - 1)
-    return [np.array([ctx.digits(v) for v in row], dtype=dtype) for row in rows]
+    return list(ctx.digits_all(rows).astype(dtype))
 
 
 def _rank_rows_packed(cw: np.ndarray, m: int) -> np.ndarray:
@@ -125,12 +127,13 @@ def _rank_rows_packed(cw: np.ndarray, m: int) -> np.ndarray:
     alone, so v = min(v, v ^ piv[b]) clears bit b exactly when it is
     set; done for b = m-1..0 this reduces v to zero iff v lies in the
     span, and a nonzero remainder has its top bit at a free position.
+    Column 0 meets an empty basis and is stored without a reduction.
     """
     n, words = cw.shape
     piv = np.zeros((m, words), dtype=cw.dtype)
     for j in range(n):
         v = cw[j]
-        for b in range(m - 1, -1, -1):
+        for b in range(m - 1, -1, -1) if j else ():
             v = np.minimum(v, v ^ piv[b])
         nz = np.flatnonzero(v)
         vals = v[nz]
@@ -165,8 +168,9 @@ def _rank_rows_digits(cw: np.ndarray, p: int) -> np.ndarray:
     Subtracting v_c * piv[c] clears digit c of v when the pivot exists
     and changes nothing when it does not, so no mask selects the words
     with a pivot.  Where v_c is still nonzero, v / v_c becomes the pivot
-    and v is cleared; where it is zero, inv[0] = 0 adds nothing.  The
-    rank counts the pivots."""
+    and v is cleared; where it is zero, inv[0] = 0 adds nothing (read
+    by inv.take: fancy indexing is slower).  Column 0 meets no pivot and
+    skips the subtraction.  The rank counts the pivots."""
     n, digits, words = cw.shape
     inv = _inverses(p, cw.dtype)
     piv = np.zeros((digits, digits, words), dtype=cw.dtype)
@@ -174,10 +178,11 @@ def _rank_rows_digits(cw: np.ndarray, p: int) -> np.ndarray:
         v = cw[j].copy()
         for c in range(digits):
             pc, vt = piv[c, c:], v[c:]
-            vt += (p - vt[0]) * pc
-            _reduce(vt, p)
+            if j:
+                vt += (p - vt[0]) * pc
+                _reduce(vt, p)
             vc = vt[0]
-            pc += inv[vc] * vt
+            pc += inv.take(vc) * vt
             _reduce(pc, p)
             vt *= vc == 0
     return np.count_nonzero(piv.diagonal(), axis=1).astype(np.uint8)
@@ -279,15 +284,20 @@ def _map_batches(kernels, chunk_target: int, threads: int, fn) -> list:
     return [one(job) for job in jobs]
 
 
-def weight_counts(ctx, generator, cap: int = DEFAULT_ENUM_CAP,
-                  threads: int = 1,
-                  chunk_target: int = DEFAULT_CHUNK_TARGET) -> list[int]:
-    """Exact weight distribution (A_0, ..., A_n) by full enumeration."""
+def _full_kernel(ctx, generator, cap: int, chunk_target: int):
+    """q^(mk) and the kernel of all q^(mk) messages, within the cap."""
     total = message_space_size(ctx, len(generator))
     if total > cap:
         raise CapExceededError(total, cap, "codeword enumeration")
     rows = _basis_codewords(ctx, generator)
-    kern = _Kernel(ctx, rows, np.zeros_like(rows[0]), chunk_target)
+    return total, _Kernel(ctx, rows, np.zeros_like(rows[0]), chunk_target)
+
+
+def weight_counts(ctx, generator, cap: int = DEFAULT_ENUM_CAP,
+                  threads: int = 1,
+                  chunk_target: int = DEFAULT_CHUNK_TARGET) -> list[int]:
+    """Exact weight distribution (A_0, ..., A_n) by full enumeration."""
+    total, kern = _full_kernel(ctx, generator, cap, chunk_target)
     n = len(generator[0])
     parts = _map_batches([kern], chunk_target, threads,
                          lambda pos, r: np.bincount(r, minlength=n + 1))
@@ -308,11 +318,7 @@ def weights_array(ctx, generator, cap: int = DEFAULT_ENUM_CAP) -> np.ndarray:
     """Per-message weights: entry t is the weight of the codeword of
     :func:`message_from_index` (t), whose components are the base-q^m
     digits of t."""
-    total = message_space_size(ctx, len(generator))
-    if total > cap:
-        raise CapExceededError(total, cap, "codeword enumeration")
-    rows = _basis_codewords(ctx, generator)
-    kern = _Kernel(ctx, rows, np.zeros_like(rows[0]), DEFAULT_CHUNK_TARGET)
+    _, kern = _full_kernel(ctx, generator, cap, DEFAULT_CHUNK_TARGET)
     out = np.empty(kern.words, dtype=np.uint8)
     _map_batches([kern], DEFAULT_CHUNK_TARGET, 1, _fill(out))
     return out

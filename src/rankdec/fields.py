@@ -343,9 +343,8 @@ class FieldContext:
             # row x: the little-endian digits of x (the last index axis
             # runs fastest)
             digit_mat = np.indices((p,) * n).reshape(n, -1)[::-1].T
-            g_mat = np.array([self.digits(r) for r in rows], dtype=np.int64)
-            weights = p ** np.arange(n, dtype=np.int64)
-            step = ((digit_mat @ g_mat) % p @ weights).tolist()
+            step = (digit_mat @ self.digits_all(rows) % p
+                    @ self._digit_weights()).tolist()
         exp = [0] * n1
         log = [0] * order
         v = 1
@@ -498,15 +497,12 @@ class FieldContext:
         self._check_divisor(e)
         key = ("fpbasis", e)
         if key not in self._caches:
-            n = self.n
-            # kernel of (Frob_{q^e} - id) on the prime-field coordinate space
-            cols = []
-            for j in range(n):
-                ej = self.from_digits([1 if i == j else 0 for i in range(n)])
-                img = self.sub(self.frobenius(ej, e), ej)
-                cols.append(self.digits(img))
-            # rows: coordinates of images; an F_p digit is its own element
-            ker = field_kernel([list(r) for r in zip(*cols)], self)
+            # kernel of (Frob_{q^e} - id) on the prime-field coordinate
+            # space, whose unit vectors are the powers x^j = p^j; rows:
+            # digits of the images, an F_p digit being its own element
+            imgs = [self.sub(self.frobenius(self.p**j, e), self.p**j)
+                    for j in range(self.n)]
+            ker = field_kernel(self.digits_all(imgs).T.tolist(), self)
             basis = tuple(sorted(self.from_digits(v) for v in ker))
             if len(basis) != self.a * e:
                 raise FalsificationAlarm(
@@ -578,12 +574,11 @@ class FieldContext:
         key = ("coordmap",)
         if key not in self._caches:
             w = self.fp_basis_of_subfield(1)
-            cols = [self.digits(self.mul(wl, xi))
-                    for xi in self.fq_power_basis() for wl in w]
-            inv = np.array(field_inverse([list(r) for r in zip(*cols)], self),
-                           dtype=np.int64)
-            w_digits = np.array([self.digits(wl) for wl in w], dtype=np.int64)
-            coord_map = inv.T.reshape(self.n, self.m, self.a) @ w_digits % self.p
+            cols = self.digits_all([self.mul(wl, xi)
+                                    for xi in self.fq_power_basis() for wl in w])
+            inv = np.array(field_inverse(cols.T.tolist(), self), dtype=np.int64)
+            coord_map = (inv.T.reshape(self.n, self.m, self.a)
+                         @ self.digits_all(w) % self.p)
             self._caches[key] = coord_map.reshape(self.n, -1)
         return self._caches[key]
 
@@ -597,14 +592,18 @@ class FieldContext:
         shape (len(values), m), int64 when every element fits and of
         Python ints otherwise.  For a = 1 the coordinates are the digits,
         and otherwise :meth:`_fq_coord_map` gives their digit vectors."""
-        p = self.p
-        weights = self._digit_weights()
-        vals = np.asarray(values, dtype=weights.dtype).reshape(-1, 1)
-        digits = (vals // weights % p).astype(np.int64)
+        digits = self.digits_all(values)
         if self.a == 1:
             return digits
-        coord_digits = digits @ self._fq_coord_map() % p
-        return coord_digits.reshape(len(vals), self.m, self.n) @ weights
+        coord_digits = digits @ self._fq_coord_map() % self.p
+        return coord_digits.reshape(len(digits), self.m, self.n) @ self._digit_weights()
+
+    def digits_all(self, values) -> np.ndarray:
+        """:meth:`digits` of every value of an array-like, on a new last
+        axis, as int64: one floor division, exact past 2^63 as well."""
+        weights = self._digit_weights()
+        vals = np.asarray(values, dtype=weights.dtype)
+        return (vals[..., None] // weights % self.p).astype(np.int64)
 
     def _digit_weights(self) -> np.ndarray:
         """p^0, ..., p^(n-1), which turn digit vectors into element ints:

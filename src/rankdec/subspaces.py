@@ -130,9 +130,8 @@ def trace_orthogonal(ctx: FieldContext, values: Sequence[int], k: int = 1,
     mod p, with A their F_p digit rows (k blocks of a*m digits) and T
     the context's :meth:`FieldContext.trace_gram`."""
     n = ctx.n
-    blocks = np.array([ctx.digits(ctx.mul(x, wl))
-                       for wl in ctx.fp_basis_of_subfield(e) for x in values],
-                      dtype=np.int64).reshape(-1, n)
+    blocks = ctx.digits_all([ctx.mul(x, wl)
+                             for wl in ctx.fp_basis_of_subfield(e) for x in values])
     constraints = (blocks @ ctx.trace_gram()).reshape(-1, k * n) % ctx.p
     # a zero row constrains nothing: no vectors give the whole space
     kern = field_kernel(constraints.tolist() or [[0] * (k * n)], ctx)

@@ -7,12 +7,14 @@ dim(U' n <x>) = m - w(xG) in the dual system U'.  The exhaustive
 search for subspaces with a hyperplane dual product lives here too: no
 library path needs it.  So does the plain modulus search, every
 candidate through the Rabin test, which the library shortcuts, and a
-plain Gaussian rank mod p for the enumeration kernels.
+plain Gaussian rank mod p for the enumeration kernels, and the
+interaction exponents of the closed form from canonical subspaces.
 """
 
 from rankdec.gfpoly import is_irreducible, poly_from_int
 from rankdec.linalg import field_kernel
-from rankdec.subspaces import all_subspaces, product, trace_dual
+from rankdec.analysis import trailing_run_length
+from rankdec.subspaces import all_subspaces, product, span, trace_dual
 from rankdec.systems import System, flat_span
 
 
@@ -73,3 +75,29 @@ def plain_rank_mod_p(rows, p: int) -> int:
                 rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[rank])]
         rank += 1
     return rank
+
+
+def plain_bit_rank(values) -> int:
+    """Rank over F_2 of nonnegative ints read as bit vectors, by an XOR
+    basis kept in a dict from top bit to basis vector."""
+    basis = {}
+    for v in values:
+        while v:
+            top = v.bit_length() - 1
+            if top not in basis:
+                basis[top] = v
+                break
+            v ^= basis[top]
+    return len(basis)
+
+
+def canonical_interaction_exponents(code):
+    """j_(i,h) = m - dim(U_i^dual * U_h) over the trailing equal blocks
+    of a decomposed code, from canonical subspaces: span, trace_dual
+    and product."""
+    ctx, dec = code.ctx, code.decomposition
+    k = dec.k
+    ell = trailing_run_length(dec.type_vector)
+    spans = {i: span(ctx, dec.blocks[i - 1]) for i in range(k - ell, k + 1)}
+    return {(i, h): ctx.m - product(trace_dual(spans[i]), spans[h]).dim
+            for i in range(k - ell, k) for h in range(i + 1, k + 1)}

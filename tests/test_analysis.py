@@ -5,8 +5,8 @@ import random
 
 import pytest
 
-from oracles import hyperplane_product_spaces
-from rankdec import FalsificationAlarm, NotApplicableError
+from oracles import canonical_interaction_exponents, hyperplane_product_spaces
+from rankdec import FalsificationAlarm, FieldContext, NotApplicableError
 from rankdec.analysis import (
     bound_prime,
     bounds_nonprime,
@@ -312,6 +312,49 @@ class TestCharacterizations:
         wrong = rep.formula_count - 127  # below the bound it attains
         with pytest.raises(FalsificationAlarm):
             check_char_prime(c, formula_count=wrong)
+
+
+def _full_weight_block(ctx, length, rng):
+    while True:
+        u = [rng.randrange(ctx.order) for _ in range(length)]
+        if rank_weight(ctx, u) == length:
+            return u
+
+
+@pytest.mark.parametrize("p,a,m", [
+    (2, 1, 5), (2, 1, 6), (2, 1, 7), (3, 1, 3), (3, 1, 4), (2, 2, 3),
+    (5, 1, 3), (3, 2, 2),
+], ids=["F2^5", "F2^6", "F2^7", "F3^3", "F3^4", "F4^3", "F5^3", "F9^2"])
+def test_interaction_exponents_two_derivations(p, a, m):
+    """j_(i,h) from block entries and trace-kernel rows equals its
+    derivation from canonical subspaces (span, trace_dual, product) on
+    random completely decomposable codes with ell >= 1.  Each trailing
+    run starts with a block U and adds, in turn, a copy of U, a scalar
+    multiple c*U and another random block.  U is random, or for
+    composite m on odd trials a scaled subfield c*F_(q^e), 1 < e < m,
+    whose exponents reach e."""
+    ctx = FieldContext(p, a, m)
+    rng = random.Random(f"{p}/{a}/{m}")
+    subfields = [e for e in range(2, m) if m % e == 0]
+    for trial in range(9):
+        if subfields and trial % 2:
+            t = rng.choice(subfields)
+            lam = rng.choice(ctx.elements_of_degree(t))
+            u = ctx.scale_row(rng.randrange(1, ctx.order),
+                              [ctx.pow(lam, i) for i in range(t)])
+        else:
+            t = rng.randrange(1, m)
+            u = _full_weight_block(ctx, t, rng)
+        lead = [_full_weight_block(ctx, rng.randrange(t + 1, m), rng)
+                for _ in range(rng.randrange(2) if t + 1 < m else 0)]
+        extras = [list(u), ctx.scale_row(rng.randrange(1, ctx.order), u),
+                  _full_weight_block(ctx, t, rng)]
+        extras = extras[trial % 3:] + extras[:trial % 3]
+        code = build_completely_decomposable(
+            ctx, lead + [u] + extras[:1 + trial // 3])
+        assert trailing_run_length(code.decomposition.type_vector) >= 1
+        assert (block_interaction_exponents(code)
+                == canonical_interaction_exponents(code)), trial
 
 
 def test_block_weight_lower_bound(f16, f81):

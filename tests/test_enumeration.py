@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import line_dim, plain_rank_mod_p
+from oracles import line_dim, plain_bit_rank, plain_rank_mod_p
 from rankdec import CapExceededError, FieldContext
 from rankdec.codes import (
     RankCode,
@@ -266,6 +266,67 @@ def test_digit_kernel_at_the_dtype_edge(p, m):
         x = projective_point(ctx, 2, idx)
         assert weights[idx] == rank_weight(ctx, code.codeword(x))
     assert sum(counts) == message_space_size(ctx, 2)
+
+
+def _first_column_cases(rng, n, size, draw):
+    """(4 * size, n, ...) entries from draw(shape), in four families:
+    first entry zero, first entry alone nonzero, all entries equal, and
+    unconstrained."""
+    words = draw((4, size, n))
+    words[0, :, 0] = 0
+    words[1, :, 1:] = 0
+    words[2] = words[2, :, :1]
+    return words.reshape(4 * size, n, *words.shape[3:])
+
+
+@pytest.mark.parametrize("p,m", [(13, 8), (251, 16), (65521, 32)],
+                         ids=["uint8", "uint16", "uint32"])
+def test_first_column_edge_cases(p, m):
+    """Both kernels leave column 0 unreduced, since it meets no pivot.
+    Words whose first entry is zero, whose first entry alone is nonzero
+    (forced nonzero where the draw gave zero), whose entries are all
+    equal, and unconstrained words, against a textbook rank: digit
+    words (half their digits 0, 1 or p - 1) for p at the top of each
+    digit dtype, packed words of m bits in each packed dtype."""
+    rng = np.random.default_rng(m)
+
+    def digit_draw(shape):
+        edge = rng.choice([0, 1, p - 1], size=shape)
+        return np.where(rng.random(shape) < 0.5, edge, rng.integers(p, size=shape))
+
+    for digits in (1, 2, 4):
+        for n in (2, 3, digits + 2):
+            cw = _first_column_cases(rng, n, 40,
+                                     lambda shape: digit_draw(shape + (digits,)))
+            cw[40:80, 0, 0] += np.all(cw[40:80, 0] == 0, axis=-1)
+            got = _rank_rows_digits(
+                np.moveaxis(cw, 0, -1).astype(np.min_scalar_type(p**2 - 1)), p)
+            assert got.tolist() == [plain_rank_mod_p(w.tolist(), p) for w in cw]
+            assert got[40:80].tolist() == [1] * 40
+            assert got[80:120].tolist() == np.any(cw[80:120, 0], axis=-1).tolist()
+    for n in (2, 3, m + 2):
+        cw = _first_column_cases(
+            rng, n, 100, lambda shape: rng.integers(0, 1 << m, size=shape))
+        cw[100:200, 0] |= cw[100:200, 0] == 0
+        got = _rank_rows_packed(cw.T.astype(_word_dtype(m)), m)
+        assert got.tolist() == [plain_bit_rank(w.tolist()) for w in cw]
+        assert got[100:200].tolist() == [1] * 100
+
+
+def test_digit_rows_past_2_to_the_63():
+    """F_(13^18) has order past 2^63, so the digit rows of its entries
+    need exact (object) weights: int64 would wrap.  A k = 1 code whose
+    entries include the element of all digits p - 1 has the scalar
+    rank weight as its one projective weight."""
+    ctx = FieldContext(13, 1, 18)
+    assert ctx.order > 1 << 63
+    full = ctx.order - 1
+    rng = random.Random(13)
+    for row in ([full], [full, full - 12], [full, 1, rng.randrange(ctx.order)],
+                [full, ctx.mul(full, rng.randrange(1, ctx.order)), full // 13]):
+        weights, counts = projective_weights(ctx, [row])
+        assert weights.tolist() == [rank_weight(ctx, row)]
+        assert sum(counts) == ctx.order
 
 
 #: per-point projective weights (sha256 of the uint8 array, in

@@ -83,3 +83,15 @@ def test_no_remainder_in_the_digit_kernel():
              for name in DIGIT_KERNEL}
     offenders = {name: lines for name, lines in found.items() if lines}
     assert not offenders, f"% in the digit kernel (use _reduce): {offenders}"
+
+
+def test_inverses_read_with_take():
+    # fancy indexing inv[vc] takes about 25 us per (column, digit) step
+    # on 6,643 uint8 words, inv.take(vc) about 17 us (numpy 2.4.6)
+    tree = ast.parse((SRC[0].parent / "enumeration.py").read_text())
+    kernel = next(node for node in tree.body if isinstance(node, ast.FunctionDef)
+                  and node.name == "_rank_rows_digits")
+    lines = [node.lineno for node in ast.walk(kernel)
+             if isinstance(node, ast.Subscript)
+             and isinstance(node.value, ast.Name) and node.value.id == "inv"]
+    assert not lines, f"inv subscripted in _rank_rows_digits (use inv.take): {lines}"
