@@ -6,7 +6,7 @@ scales basis message j, which puts p^s (the element x^s of the modulus
 root) into component i.  The codeword map is F_p-linear, so the
 codewords of a coset offset + span_Fp(B) of basis codewords B come from
 a doubling construction in contiguous chunks: a fixed low-digit table
-(which carries the offset) plus one high-digit codeword per chunk.
+(filled in place, with the offset) plus one high-digit word per chunk.
 Consecutive chunks, across the cosets of one call, form batches of at
 most the chunk target words, one elimination each.  Batches are
 disjoint and merged by addition or by position, so results do not
@@ -35,17 +35,12 @@ reads and writes contiguous rows of words.
 
 * packed: every even q, (entries, words).  Entries are field ints
   (a*m-bit masks) in the narrowest unsigned dtype, and the elimination
-  keeps an XOR basis per codeword in echelon form by top bit, so
-  reducing a column of codewords is one min-XOR step per bit;
+  keeps an XOR basis per codeword in echelon form by top bit: a column
+  is one min-XOR step per bit and one scatter, through a trash row;
 * digits: odd p < 2^16, (entries, digits, words).  Entries are their
   a*m base-p digits, made in one floor division, and the elimination
   keeps one pivot per digit position and codeword, monic there, so
-  reducing a column is arithmetic mod p with no mask.  Step c touches
-  digits c.. only (pivot c and the reduced word are zero below c), and
-  x mod p is x - (x // p) * p: numpy divides unsigned words by a
-  scalar several times faster than it takes their remainder.
-
-Column 0 meets no pivot in either backend, so it is not reduced.
+  reducing a column is arithmetic mod p with no mask.
 
 Weight of a codeword never exceeds min(n, m); counts are exact ints.
 """
@@ -105,8 +100,6 @@ def _basis_codewords(ctx, generator):
         rows = [[v for b in beta for v in ctx.scale_row(b, row)]
                 for row in rows]
     if ctx.p == 2:
-        # a*m bits: the degree cap of 32 keeps them within uint32 and
-        # within the exact range of the kernel's float top-bit step
         return [np.array(row, dtype=_word_dtype(ctx.n)) for row in rows]
     if ctx.p >= 1 << 16:
         # the kernel's inverse table has p entries
@@ -125,21 +118,22 @@ def _rank_rows_packed(cw: np.ndarray, m: int) -> np.ndarray:
     Each word keeps an XOR basis in echelon form by top bit: piv[b] is
     zero or has top bit b.  XOR with piv[b] leaves the bits above b
     alone, so v = min(v, v ^ piv[b]) clears bit b exactly when it is
-    set; done for b = m-1..0 this reduces v to zero iff v lies in the
-    span, and a nonzero remainder has its top bit at a free position.
-    Column 0 meets an empty basis and is stored without a reduction.
+    set; done for b = m-1..0 (column 0 skips it: the basis is empty)
+    this reduces v to zero iff v lies in the span, and a nonzero
+    remainder has its top bit at a free position.  One scatter per
+    column puts v at piv[e - 1, t], e its float exponent (exact in
+    float32 below 2^24): v = 0 has e = 0, so it lands in trash row m.
     """
     n, words = cw.shape
-    piv = np.zeros((m, words), dtype=cw.dtype)
+    piv = np.zeros((m + 1, words), dtype=cw.dtype)
+    t = np.arange(words)
+    exact = np.float32 if m <= 24 else np.float64
     for j in range(n):
         v = cw[j]
         for b in range(m - 1, -1, -1) if j else ():
             v = np.minimum(v, v ^ piv[b])
-        nz = np.flatnonzero(v)
-        vals = v[nz]
-        # top bit from the float exponent, exact: words have at most 32 bits
-        piv[np.frexp(vals.astype(np.float64))[1] - 1, nz] = vals
-    return np.count_nonzero(piv, axis=0).astype(np.uint8)
+        piv[np.frexp(v.astype(exact))[1] - 1, t] = v
+    return np.count_nonzero(piv[:m], axis=0).astype(np.uint8)
 
 
 @functools.lru_cache(maxsize=None)
@@ -197,10 +191,10 @@ class _Kernel:
 
     A chunk is a run of ``chunk_size`` consecutive words; the caller
     groups chunks, of one kernel or of several, into batches and ranks
-    each batch with one elimination (:func:`_map_batches`).  Words, laid
-    out as the module docstring says, are combined by XOR (packed) or by
-    arithmetic mod p (digits); a row or offset is one word without the
-    last axis, and is broadcast over it."""
+    each batch with one elimination (:func:`_map_batches`).  Words are
+    combined by XOR (packed) or by a sum less p where it reaches p
+    (digits); a row or offset is one word broadcast over the last axis.
+    The low-digit table is filled in place, read-only, and is chunk 0."""
 
     def __init__(self, ctx, rows, offset, chunk_target: int):
         self.bits = ctx.n
@@ -214,26 +208,32 @@ class _Kernel:
         while low < digits and p ** (low + 1) <= chunk_target:
             low += 1
         low = max(low, min(1, digits))
-        self.chunk_size = p**low
+        self.chunk_size = size = p**low
         self.n_chunks = p ** (digits - low)
         self.high_rows = rows[low:]
-        table = offset[..., None]
-        for row in rows[:low]:
-            table = np.concatenate(
-                [table] + [self._add(table, c * row[..., None])
-                           for c in range(1, p)], axis=-1)
-        self.low_table = table
+        self.low_table = table = np.empty(offset.shape + (size,), offset.dtype)
+        table[..., 0] = offset
+        for s, row in zip([p**i for i in range(low)], rows[:low]):
+            for c in range(1, p):  # block c of s words: block c - 1 + row
+                self._add(table[..., (c - 1) * s:c * s], row[..., None],
+                          out=table[..., c * s:(c + 1) * s])
+        table.setflags(write=False)
 
-    def _add(self, x, y):
-        return x ^ y if self.packed else _reduce(x + y, self.p)
+    def _add(self, x, y, out=None):
+        # reduced words: XOR, or a sum below 2p, less p where it is >= p
+        x = (np.bitwise_xor if self.packed else np.add)(x, y, out=out)
+        return x if self.packed else np.minimum(x, x - self.p, out=x)
 
     def chunk_codewords(self, h: int) -> np.ndarray:
         """The words of chunk number h (its high digits, in base p)."""
+        if not h:
+            return self.low_table
         base = np.zeros_like(self.low_table[..., 0])
         for row in self.high_rows:
             h, d = divmod(h, self.p)
             if d:
-                base = self._add(base, d * row)
+                term = row if d == 1 else _reduce(d * row, self.p)
+                self._add(base, term, out=base)
         return self._add(self.low_table, base[..., None])
 
     def ranks(self, cw: np.ndarray) -> np.ndarray:

@@ -8,6 +8,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from oracles import line_dim, plain_bit_rank, plain_rank_mod_p
 from rankdec import CapExceededError, FieldContext
@@ -20,6 +23,8 @@ from rankdec.codes import (
     rank_weight,
 )
 from rankdec.enumeration import (
+    _basis_codewords,
+    _Kernel,
     _rank_rows_digits,
     _rank_rows_packed,
     _word_dtype,
@@ -126,11 +131,13 @@ def test_projective_points(f16):
         projective_point(f16, 2, len(pts))
 
 
-@pytest.mark.parametrize("m", [1, 5, 8, 9, 16, 17])
+@pytest.mark.parametrize("m", [1, 5, 8, 9, 16, 17, 24, 25, 32])
 def test_packed_kernel_against_table_kernel(m):
     """On random q = 2 words the packed elimination (m-bit masks in
     the narrowest dtype) equals the digit elimination on the same words
-    as F_2 digit vectors, across every dtype width and its boundary."""
+    as F_2 digit vectors, across every dtype width and its boundary,
+    and across the float32/float64 boundary of the top-bit step
+    (m = 24, 25) up to the widest words (m = 32)."""
     rng = np.random.default_rng(m)
     for n in (1, 3, m + 2):
         words = rng.integers(0, 1 << m, size=(200, n), dtype=np.int64)
@@ -139,12 +146,85 @@ def test_packed_kernel_against_table_kernel(m):
         words[:50] = few[rng.integers(0, 3, size=(50, n))]
         words[50:60] = 0
         words[60:70] = 1 << (m - 1)
+        # past 24 bits all-ones rounds up to 2^m in float32
+        words[70:80] = (1 << m) - 1
         # words last: (entries, words) masks, (entries, digits, words) bits
         words = words.T
         digits = ((words[:, None] >> np.arange(m)[:, None]) & 1).astype(np.uint8)
         packed = _rank_rows_packed(words.astype(_word_dtype(m)), m)
         assert packed.tolist() == _rank_rows_digits(digits, 2).tolist()
     assert np.dtype(_word_dtype(m)).itemsize == (1 if m <= 8 else 2 if m <= 16 else 4)
+
+
+SETTINGS = settings(derandomize=True, deadline=None, max_examples=50, database=None)
+
+
+@st.composite
+def packed_words(draw):
+    """m in 1..32, biased to the float32/float64 boundary of the top-bit
+    step, and an (entries, words) array of m-bit masks in the narrowest
+    dtype: 1 to 40 entries, a word count that is not a power of two,
+    entries biased to zero and all-ones (past 24 bits, all-ones rounds
+    up to 2^m in float32)."""
+    m = draw(st.sampled_from([24, 25, 32]) | st.integers(1, 32))
+    n = draw(st.integers(1, 40))
+    words = draw(st.integers(3, 70).filter(lambda w: w & (w - 1)))
+    full = (1 << m) - 1
+    entries = st.sampled_from([0, full]) | st.integers(0, full)
+    return m, draw(arrays(_word_dtype(m), (n, words), elements=entries))
+
+
+@SETTINGS
+@given(packed_words())
+def test_packed_kernel_against_plain_bit_rank(case):
+    """The packed elimination equals a dict XOR basis on every word,
+    and neither kernel writes into its input: the packed words, and
+    the same words as F_2 digit vectors."""
+    m, cw = case
+    before = cw.copy()
+    got = _rank_rows_packed(cw, m)
+    assert got.tolist() == [plain_bit_rank(w) for w in cw.T.tolist()]
+    assert np.array_equal(cw, before)
+    digits = ((cw[:, None] >> np.arange(m, dtype=cw.dtype)[:, None]) & 1).astype(np.uint8)
+    before = digits.copy()
+    assert np.array_equal(_rank_rows_digits(digits, 2), got)
+    assert np.array_equal(digits, before)
+
+
+@pytest.mark.parametrize("p,a,m", [(2, 1, 3), (2, 2, 2), (3, 1, 2), (3, 2, 1),
+                                   (5, 1, 2), (5, 2, 1)])
+def test_kernel_coset_words(p, a, m):
+    """Word t of the coset kernel over the rows of G_1, offset G_0, is
+    G_0 + sum_j d_j * rows[j] for the base-p digits d_j of t, summed
+    here on Python ints (XOR for packed words, digit by digit mod p
+    otherwise), in every chunk for every chunk target.  A kernel of
+    one chunk ranks its words twice alike: no rank kernel writes into
+    its input."""
+    ctx = FieldContext(p, a, m)
+    rng = random.Random(p * a * m)
+    gen = [[rng.randrange(1, ctx.order) for _ in range(3)] for _ in range(2)]
+    rows = _basis_codewords(ctx, gen)
+    offset, high = rows[0].tolist(), [r.tolist() for r in rows[ctx.n:]]
+
+    def combine(x, y, d):
+        if isinstance(x, list):
+            return [combine(u, v, d) for u, v in zip(x, y)]
+        return x ^ y if p == 2 else (x + d * y) % p
+
+    for target in (1, p, 8, 1 << 16):
+        kern = _Kernel(ctx, rows[ctx.n:], rows[0], target)
+        assert kern.chunk_size * kern.n_chunks == kern.words == p ** len(high)
+        for h in range(kern.n_chunks):
+            cw = kern.chunk_codewords(h)
+            for s in range(kern.chunk_size):
+                t, want = h * kern.chunk_size + s, offset
+                for row in high:
+                    t, d = divmod(t, p)
+                    want = combine(want, row, d) if d else want
+                assert cw[..., s].tolist() == want
+        if kern.n_chunks == 1:
+            cw = kern.chunk_codewords(0)
+            assert np.array_equal(kern.ranks(cw), kern.ranks(cw))
 
 
 @pytest.mark.parametrize("p,a,m,k,n", [
