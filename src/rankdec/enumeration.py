@@ -6,7 +6,7 @@ scales basis message j, which puts p^s (the element x^s of the modulus
 root) into component i.  The codeword map is F_p-linear, so the
 codewords of a coset offset + span_Fp(B) of basis codewords B come from
 a doubling construction in contiguous chunks: a fixed low-digit table
-(filled in place, with the offset) plus one high-digit word per chunk.
+(which carries the offset) plus one high-digit codeword per chunk.
 Consecutive chunks, across the cosets of one call, form batches of at
 most the chunk target words, one elimination each.  Batches are
 disjoint and merged by addition or by position, so results do not
@@ -40,7 +40,12 @@ reads and writes contiguous rows of words.
 * digits: odd p < 2^16, (entries, digits, words).  Entries are their
   a*m base-p digits, made in one floor division, and the elimination
   keeps one pivot per digit position and codeword, monic there, so
-  reducing a column is arithmetic mod p with no mask.
+  reducing a column is arithmetic mod p with no mask.  Step c touches
+  digits c.. only (pivot c and the reduced word are zero below c), and
+  x mod p is x - (x // p) * p: numpy divides unsigned words by a
+  scalar several times faster than it takes their remainder.
+
+Column 0 meets no pivot in either backend, so it is not reduced.
 
 Weight of a codeword never exceeds min(n, m); counts are exact ints.
 """
@@ -100,6 +105,8 @@ def _basis_codewords(ctx, generator):
         rows = [[v for b in beta for v in ctx.scale_row(b, row)]
                 for row in rows]
     if ctx.p == 2:
+        # a*m bits: the degree cap of 32 keeps them within uint32 and
+        # within float64's exact range, which the kernel's top-bit step reads
         return [np.array(row, dtype=_word_dtype(ctx.n)) for row in rows]
     if ctx.p >= 1 << 16:
         # the kernel's inverse table has p entries
@@ -115,25 +122,25 @@ def _rank_rows_packed(cw: np.ndarray, m: int) -> np.ndarray:
     """Rank over F_2 of the n entries of each word, for packed words:
     cw[j, t] is entry j of word t, an m-bit mask.
 
-    Each word keeps an XOR basis in echelon form by top bit: piv[b] is
-    zero or has top bit b.  XOR with piv[b] leaves the bits above b
-    alone, so v = min(v, v ^ piv[b]) clears bit b exactly when it is
-    set; done for b = m-1..0 (column 0 skips it: the basis is empty)
-    this reduces v to zero iff v lies in the span, and a nonzero
-    remainder has its top bit at a free position.  One scatter per
-    column puts v at piv[e - 1, t], e its float exponent (exact in
-    float32 below 2^24): v = 0 has e = 0, so it lands in trash row m.
+    Each word keeps an XOR basis in echelon form by top bit: piv[e] is
+    zero or has top bit e - 1, so e is its float exponent.  XOR with
+    piv[e] leaves the bits above e - 1 alone, so v = min(v, v ^ piv[e])
+    clears bit e - 1 exactly when it is set; done for e = m..1 (column
+    0 skips it: the basis is empty) this reduces v to zero iff v lies
+    in the span, and a nonzero remainder has its top bit at a free
+    position.  One scatter per column puts v at piv[e, t], e the
+    exponent of v as a float64 (exact for words of at most 32 bits):
+    v = 0 has e = 0, so row 0 is a trash row.
     """
     n, words = cw.shape
     piv = np.zeros((m + 1, words), dtype=cw.dtype)
     t = np.arange(words)
-    exact = np.float32 if m <= 24 else np.float64
     for j in range(n):
         v = cw[j]
-        for b in range(m - 1, -1, -1) if j else ():
-            v = np.minimum(v, v ^ piv[b])
-        piv[np.frexp(v.astype(exact))[1] - 1, t] = v
-    return np.count_nonzero(piv[:m], axis=0).astype(np.uint8)
+        for e in range(m, 0, -1) if j else ():
+            v = np.minimum(v, v ^ piv[e])
+        piv[np.frexp(v.astype(np.float64))[1], t] = v
+    return np.count_nonzero(piv[1:], axis=0).astype(np.uint8)
 
 
 @functools.lru_cache(maxsize=None)
@@ -191,10 +198,11 @@ class _Kernel:
 
     A chunk is a run of ``chunk_size`` consecutive words; the caller
     groups chunks, of one kernel or of several, into batches and ranks
-    each batch with one elimination (:func:`_map_batches`).  Words are
-    combined by XOR (packed) or by a sum less p where it reaches p
-    (digits); a row or offset is one word broadcast over the last axis.
-    The low-digit table is filled in place, read-only, and is chunk 0."""
+    each batch with one elimination (:func:`_map_batches`).  Words, laid
+    out as the module docstring says, are combined by XOR (packed) or by
+    arithmetic mod p (digits); a row or offset is one word without the
+    last axis, and is broadcast over it.  The low-digit table is
+    read-only and is chunk 0 itself."""
 
     def __init__(self, ctx, rows, offset, chunk_target: int):
         self.bits = ctx.n
@@ -208,21 +216,19 @@ class _Kernel:
         while low < digits and p ** (low + 1) <= chunk_target:
             low += 1
         low = max(low, min(1, digits))
-        self.chunk_size = size = p**low
+        self.chunk_size = p**low
         self.n_chunks = p ** (digits - low)
         self.high_rows = rows[low:]
-        self.low_table = table = np.empty(offset.shape + (size,), offset.dtype)
-        table[..., 0] = offset
-        for s, row in zip([p**i for i in range(low)], rows[:low]):
-            for c in range(1, p):  # block c of s words: block c - 1 + row
-                self._add(table[..., (c - 1) * s:c * s], row[..., None],
-                          out=table[..., c * s:(c + 1) * s])
+        table = offset[..., None]
+        for row in rows[:low]:
+            table = np.concatenate(
+                [table] + [self._add(table, c * row[..., None])
+                           for c in range(1, p)], axis=-1)
         table.setflags(write=False)
+        self.low_table = table
 
-    def _add(self, x, y, out=None):
-        # reduced words: XOR, or a sum below 2p, less p where it is >= p
-        x = (np.bitwise_xor if self.packed else np.add)(x, y, out=out)
-        return x if self.packed else np.minimum(x, x - self.p, out=x)
+    def _add(self, x, y):
+        return x ^ y if self.packed else _reduce(x + y, self.p)
 
     def chunk_codewords(self, h: int) -> np.ndarray:
         """The words of chunk number h (its high digits, in base p)."""
@@ -232,8 +238,7 @@ class _Kernel:
         for row in self.high_rows:
             h, d = divmod(h, self.p)
             if d:
-                term = row if d == 1 else _reduce(d * row, self.p)
-                self._add(base, term, out=base)
+                base = self._add(base, d * row)
         return self._add(self.low_table, base[..., None])
 
     def ranks(self, cw: np.ndarray) -> np.ndarray:

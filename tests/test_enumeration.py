@@ -136,8 +136,8 @@ def test_packed_kernel_against_table_kernel(m):
     """On random q = 2 words the packed elimination (m-bit masks in
     the narrowest dtype) equals the digit elimination on the same words
     as F_2 digit vectors, across every dtype width and its boundary,
-    and across the float32/float64 boundary of the top-bit step
-    (m = 24, 25) up to the widest words (m = 32)."""
+    and past 24 bits (m = 24, 25, up to the widest words, m = 32),
+    where a float32 top-bit step would no longer be exact."""
     rng = np.random.default_rng(m)
     for n in (1, 3, m + 2):
         words = rng.integers(0, 1 << m, size=(200, n), dtype=np.int64)
@@ -146,7 +146,7 @@ def test_packed_kernel_against_table_kernel(m):
         words[:50] = few[rng.integers(0, 3, size=(50, n))]
         words[50:60] = 0
         words[60:70] = 1 << (m - 1)
-        # past 24 bits all-ones rounds up to 2^m in float32
+        # past 24 bits all-ones would round up to 2^m in float32
         words[70:80] = (1 << m) - 1
         # words last: (entries, words) masks, (entries, digits, words) bits
         words = words.T
@@ -161,11 +161,11 @@ SETTINGS = settings(derandomize=True, deadline=None, max_examples=50, database=N
 
 @st.composite
 def packed_words(draw):
-    """m in 1..32, biased to the float32/float64 boundary of the top-bit
-    step, and an (entries, words) array of m-bit masks in the narrowest
-    dtype: 1 to 40 entries, a word count that is not a power of two,
-    entries biased to zero and all-ones (past 24 bits, all-ones rounds
-    up to 2^m in float32)."""
+    """m in 1..32, biased to 24, 25 and 32 bits, and an (entries, words)
+    array of m-bit masks in the narrowest dtype: 1 to 40 entries, a word
+    count that is not a power of two, entries biased to zero and
+    all-ones (past 24 bits, all-ones is the first word whose top bit a
+    float32 exponent would get wrong: it rounds up to 2^m)."""
     m = draw(st.sampled_from([24, 25, 32]) | st.integers(1, 32))
     n = draw(st.integers(1, 40))
     words = draw(st.integers(3, 70).filter(lambda w: w & (w - 1)))

@@ -97,26 +97,14 @@ def test_inverses_read_with_take():
     assert not lines, f"inv subscripted in _rank_rows_digits (use inv.take): {lines}"
 
 
-#: calls each must not make: the packed kernel stores every remainder
-#: by one scatter, the zero ones into a trash row, with no mask of the
-#: nonzero words (a flatnonzero and a gather per column); the coset
-#: table is filled in place, block by block
-NOT_CALLED = {"_rank_rows_packed": {"flatnonzero", "nonzero"},
-              "_Kernel.__init__": {"concatenate"}}
-
-
-def test_no_mask_in_the_packed_kernel_and_no_concatenate_in_the_table():
+def test_no_mask_in_the_packed_kernel():
+    # the packed kernel stores every remainder by one scatter, the zero
+    # ones into a trash row, with no mask of the nonzero words (a
+    # flatnonzero and a gather per column)
     tree = ast.parse((SRC[0].parent / "enumeration.py").read_text())
-    defs = {}
-    for node in tree.body:
-        if isinstance(node, ast.FunctionDef):
-            defs[node.name] = node
-        elif isinstance(node, ast.ClassDef):
-            defs.update({f"{node.name}.{f.name}": f for f in node.body
-                         if isinstance(f, ast.FunctionDef)})
-    assert set(NOT_CALLED) <= set(defs), "packed kernel or _Kernel.__init__ renamed"
-    found = {name: [node.lineno for node in ast.walk(defs[name])
-                    if isinstance(node, ast.Attribute) and node.attr in calls]
-             for name, calls in NOT_CALLED.items()}
-    offenders = {name: lines for name, lines in found.items() if lines}
-    assert not offenders, f"masked insert or concatenated table: {offenders}"
+    kernel = next(node for node in tree.body if isinstance(node, ast.FunctionDef)
+                  and node.name == "_rank_rows_packed")
+    lines = [node.lineno for node in ast.walk(kernel)
+             if isinstance(node, ast.Attribute)
+             and node.attr in ("flatnonzero", "nonzero")]
+    assert not lines, f"masked insert in _rank_rows_packed: {lines}"
