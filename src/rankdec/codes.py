@@ -14,7 +14,8 @@ complementary form; a :class:`Decomposition` record stores the blocks
 together with the coordinate map back to the stored generator.
 Detection implements the geometric criterion: weights satisfy
 w(xG) = m - dim(U' n <x>) for the dual system U', so a decomposition
-exists iff some F_{q^m}-basis of message space reaches total weight n.
+exists iff some F_{q^m}-basis of message space reaches total weight n;
+the blocks are read off the RREF pivots of the picked supports.
 
 Enumeration-backed operations (weight distribution, minimum distance,
 minimal-codeword census) take explicit caps and refuse loudly beyond
@@ -503,12 +504,20 @@ def detect_complete_decomposability(code: RankCode,
     maximizing the d_x total; a decomposition exists iff k independent
     points reach sum(d_x) = km - n with every d_x >= 1.  Returns the
     sorted-type record or None.
+
+    Block u_i is the picked codeword c_i at the RREF pivots j of its
+    support S_i (c_i = sum_j c_i[j] * B_j over the rows B_j of S_i); the
+    stacked B_j are the col_map.  A guard checks that the supports are
+    independent, as a nondegenerate code's basis of weight n always is.
+    A degenerate code has no decomposition, so nondegeneracy is checked
+    only past pcap and when the guard fails: None if degenerate, else
+    the cap's refusal or :class:`FalsificationAlarm`.
     """
     ctx = code.ctx
-    if not is_nondegenerate(code):
-        return None
     npts = projective_count(ctx, code.k)
     if npts > pcap:
+        if not is_nondegenerate(code):
+            return None
         raise CapExceededError(npts, pcap, "projective point scan")
     point_weights, _ = projective_weights(ctx, code.generator)
     ds, points = _line_candidates(ctx, point_weights)
@@ -516,28 +525,19 @@ def detect_complete_decomposability(code: RankCode,
     if picked is None:
         return None
 
-    rows = [list(x) for _, x in picked]
-    cwords = [code.codeword(x) for x in rows]
+    cwords = [code.codeword(x) for _, x in picked]
     supports = [support(ctx, c) for c in cwords]
     weights = [s.dim for s in supports]
-    if sum(weights) != code.n:
+    stacked = RowSpace(ctx, code.n, [r for s in supports for r in s.rows])
+    if sum(weights) != code.n or stacked.dim != code.n:
+        if not is_nondegenerate(code):
+            return None
         raise FalsificationAlarm(
-            f"picked basis has weights {weights}, which do not sum to n = {code.n}")
-    # P stacks the support bases; P^-1 sends each support onto its own
-    # block, and P maps the block layout back onto the stored coordinates
-    p_rows = [list(r) for s in supports for r in s.basis_rows()]
-    p_inv = field_inverse(p_rows, ctx)
-    moved = [field_vecmat(list(c), p_inv, ctx) for c in cwords]
-    offs = [0, *accumulate(weights)]
-    blocks = []
-    for i, row in enumerate(moved):
-        if any(v for j, v in enumerate(row) if not offs[i] <= j < offs[i + 1]):
-            raise FalsificationAlarm(
-                f"codeword {i} is not supported on its own block after the "
-                "coordinate change")
-        blocks.append(tuple(row[offs[i]:offs[i + 1]]))
-    return _sorted_decomposition(ctx, blocks,
-                                 EquivalenceMap._unchecked(ctx, p_rows))
+            f"picked basis of a nondegenerate code has weights {weights} and "
+            f"supports of rank {stacked.dim}, not n = {code.n}")
+    blocks = [tuple(c[j] for j in s.pivots) for c, s in zip(cwords, supports)]
+    return _sorted_decomposition(ctx, blocks, EquivalenceMap._unchecked(
+        ctx, [r for s in supports for r in s.basis_rows()]))
 
 
 def _line_candidates(ctx, point_weights):

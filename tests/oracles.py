@@ -7,12 +7,14 @@ dim(U' n <x>) = m - w(xG) in the dual system U'.  The exhaustive
 search for subspaces with a hyperplane dual product lives here too: no
 library path needs it.  So does the plain modulus search, every
 candidate through the Rabin test, which the library shortcuts, and a
-plain Gaussian rank mod p for the enumeration kernels, and the
-interaction exponents of the closed form from canonical subspaces.
+plain Gaussian rank mod p for the enumeration kernels, the
+interaction exponents of the closed form from canonical subspaces, and
+the blocks of a decomposition by an explicit change of coordinates.
 """
 
+from rankdec.codes import support
 from rankdec.gfpoly import is_irreducible, poly_from_int
-from rankdec.linalg import field_kernel
+from rankdec.linalg import field_inverse, field_kernel, field_vecmat
 from rankdec.analysis import trailing_run_length
 from rankdec.subspaces import all_subspaces, product, span, trace_dual
 from rankdec.systems import System, flat_span
@@ -101,3 +103,22 @@ def canonical_interaction_exponents(code):
     spans = {i: span(ctx, dec.blocks[i - 1]) for i in range(k - ell, k + 1)}
     return {(i, h): ctx.m - product(trace_dual(spans[i]), spans[h]).dim
             for i in range(k - ell, k) for h in range(i + 1, k + 1)}
+
+
+def blocks_by_inverse(ctx, cwords):
+    """(blocks, P) for codewords with independent supports, by a change
+    of coordinates: P stacks the supports' RREF bases, P^-1 sends each
+    support onto its own block, and c_i * P^-1 must vanish off block i."""
+    supports = [support(ctx, c) for c in cwords]
+    p_rows = [list(r) for s in supports for r in s.basis_rows()]
+    p_inv = field_inverse(p_rows, ctx)
+    blocks, start = [], 0
+    for i, (c, s) in enumerate(zip(cwords, supports)):
+        row = field_vecmat(list(c), p_inv, ctx)
+        end = start + s.dim
+        if any(row[:start]) or any(row[end:]):
+            raise ValueError(f"codeword {i} is not supported on its own block "
+                             "after the coordinate change")
+        blocks.append(tuple(row[start:end]))
+        start = end
+    return blocks, p_rows

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from rankdec import CapExceededError, FieldContext
+from rankdec import CapExceededError, FalsificationAlarm, FieldContext
 from rankdec.codes import (
     _line_candidates,
     blocks_scalar_unrelated,
@@ -46,14 +46,36 @@ from rankdec.enumeration import (
     projective_weights,
 )
 from rankdec.fields import gaussian_binomial
-from rankdec.linalg import RowSpace, field_inverse, field_vecmat
+from rankdec.linalg import RowSpace, field_inverse, field_matmul, field_vecmat
 from rankdec.subspaces import span
+
+from oracles import blocks_by_inverse
 
 
 #: detection results (type, blocks, col_map rows) for seeded scrambled
 #: codes over F_2^4..7, F_3^3, F_3^4 and F_(4^3) with k <= 3
 DETECT_PINS = json.loads(
     (Path(__file__).parent / "data" / "detect_decompositions.json").read_text())
+
+
+#: the field classes (p, a, m) and block types of the detect benchmark
+DETECT_CLASSES = [
+    ((2, 1, 4), (3, 2, 1)), ((2, 1, 4), (2, 2, 1)), ((2, 1, 5), (4, 3, 2)),
+    ((2, 1, 5), (3, 2, 1)), ((2, 1, 5), (4, 2)), ((2, 1, 6), (4, 3)),
+    ((2, 1, 6), (5, 1)), ((2, 1, 7), (5, 2)), ((2, 1, 7), (3, 3)),
+    ((2, 1, 7), (4, 2, 1)), ((3, 1, 3), (2, 2, 1)), ((3, 1, 3), (2, 1, 1)),
+    ((3, 1, 3), (2, 2, 2)), ((3, 1, 4), (3, 3)), ((3, 1, 4), (2, 1)),
+    ((3, 1, 5), (3, 2)), ((2, 2, 3), (2, 1)), ((2, 2, 3), (2, 2)),
+    ((2, 2, 4), (3, 3)), ((2, 2, 4), (3, 2)),
+]
+
+
+class OneRowCode(RankCode):
+    """A faulty code: every message reads as the first generator row, so
+    the codewords detection picks share one support."""
+
+    def codeword(self, msg):
+        return self.generator[0]
 
 
 def identity_code(ctx, k):
@@ -415,6 +437,61 @@ class TestBuildAndDetect:
         lam = f64.elements_of_degree(6)[0]
         c = RankCode(f64, [[1, lam, 0], [lam, 1, 0]])
         assert detect_complete_decomposability(c) is None
+
+    def test_degenerate_is_none_past_the_cap(self, f64):
+        """A degenerate code has no decomposition at any size: detection
+        answers None within pcap, whether or not the scan finds a basis
+        of total weight n, and past a pcap it does not reach."""
+        lam = f64.elements_of_degree(6)[0]
+        for gen in ([[1, lam, 0], [lam, 1, 0]], [[1, lam, 0], [1, 0, 0]],
+                    [[0, 1, lam, 0], [0, lam, 1, 1]]):
+            c = RankCode(f64, gen)
+            assert not is_nondegenerate(c)
+            assert detect_complete_decomposability(c) is None
+            assert detect_complete_decomposability(c, pcap=1) is None
+
+    def test_nondegenerate_past_the_cap_raises(self, f64):
+        lam = f64.elements_of_degree(6)[0]
+        c = build_completely_decomposable(f64, [[1, lam], [1]])
+        with pytest.raises(CapExceededError):
+            detect_complete_decomposability(c.strip_decomposition(), pcap=64)
+        assert detect_complete_decomposability(
+            c.strip_decomposition(), pcap=65).type_vector == (2, 1)
+
+    @pytest.mark.parametrize("field", [(2, 1, 5), (3, 1, 3), (2, 2, 3)])
+    def test_failed_guard_on_nondegenerate_code_alarms(self, field):
+        """Picked codewords whose supports overlap, on a nondegenerate
+        code, are a falsification, not an absent decomposition."""
+        ctx = FieldContext(*field)
+        c = build_completely_decomposable(
+            ctx, full_weight_blocks(ctx, (2, 1), random.Random(3)))
+        faulty = OneRowCode(ctx, c.generator)
+        assert is_nondegenerate(faulty)
+        with pytest.raises(FalsificationAlarm, match="nondegenerate"):
+            detect_complete_decomposability(faulty)
+
+    @pytest.mark.parametrize("field,typ", DETECT_CLASSES,
+                             ids=lambda v: "".join(map(str, v)))
+    def test_blocks_match_the_coordinate_change(self, field, typ):
+        """The blocks read off the supports' pivots are the blocks that
+        the coordinate change P^-1 gives (``oracles.blocks_by_inverse``),
+        for the codewords c_i = (weight-complementary row i) * col_map,
+        and P is the col_map."""
+        ctx = FieldContext(*field)
+        for seed in range(2):
+            c = build_completely_decomposable(
+                ctx, full_weight_blocks(ctx, typ, random.Random(seed)))
+            scr = apply_equivalence(
+                c.relabeled(random_gl_ext(ctx, c.k, seed=seed)),
+                random_gl(ctx, c.n, seed=seed + 7)).strip_decomposition()
+            dec = detect_complete_decomposability(scr)
+            assert dec.type_vector == typ
+            scr.with_decomposition(dec)
+            wc = [list(r) for r in dec.weight_complementary_generator()]
+            cwords = field_matmul(wc, [list(r) for r in dec.col_map.rows], ctx)
+            blocks, p_rows = blocks_by_inverse(ctx, cwords)
+            assert blocks == list(dec.blocks)
+            assert [tuple(r) for r in p_rows] == list(dec.col_map.rows)
 
     def test_type_uniqueness_round_trips(self, f64):
         lam = f64.elements_of_degree(6)[1]

@@ -108,3 +108,16 @@ def test_no_mask_in_the_packed_kernel():
              if isinstance(node, ast.Attribute)
              and node.attr in ("flatnonzero", "nonzero")]
     assert not lines, f"masked insert in _rank_rows_packed: {lines}"
+
+
+def test_detection_reads_blocks_off_the_pivots():
+    # a picked codeword is sum c_i[j] * B_j over the RREF rows B_j of its
+    # support, so detection reads each block at the pivots j: no inverse
+    # of the stacked supports and no product with it
+    tree = ast.parse((SRC[0].parent / "codes.py").read_text())
+    detect = next(node for node in tree.body if isinstance(node, ast.FunctionDef)
+                  and node.name == "detect_complete_decomposability")
+    lines = [node.lineno for node in ast.walk(detect) if isinstance(node, ast.Call)
+             and getattr(node.func, "id", getattr(node.func, "attr", None))
+             in ("field_inverse", "field_vecmat")]
+    assert not lines, f"inverse or vecmat in detection at line(s) {lines}"
