@@ -500,10 +500,10 @@ def detect_complete_decomposability(code: RankCode,
 
     Takes the line dimensions d_x = dim(U' n <x>) = m - w(xG) of the
     dual system U' over projective points x from one projective weight
-    enumeration, then backtracks over F_{q^m}-independent points
-    maximizing the d_x total; a decomposition exists iff k independent
-    points reach sum(d_x) = km - n with every d_x >= 1.  Returns the
-    sorted-type record or None.
+    enumeration, then takes the greedy F_{q^m}-basis of points by d_x
+    descending, which has the largest d_x total; a decomposition exists
+    iff k independent points reach sum(d_x) = km - n with every
+    d_x >= 1.  Returns the sorted-type record or None.
 
     Block u_i is the picked codeword c_i at the RREF pivots j of its
     support S_i (c_i = sum_j c_i[j] * B_j over the rows B_j of S_i); the
@@ -551,35 +551,23 @@ def _line_candidates(ctx, point_weights):
 
 
 def _pick_basis(ctx, ds, points, k, target):
-    """First k F_{q^m}-independent candidates (d, x), in depth-first
-    order over the candidates (d values ds, descending, and projective
-    point indices points), whose d total reaches target; None if there
-    are none.  A branch is cut when even the next best d values cannot
-    reach the target, and a point is built only when the search reaches
-    it."""
-    prefix = [0, *accumulate(ds)]  # prefix[j]: d total of the first j candidates
-    picked = []
-    if _extend_basis(ctx, ds, points, prefix, k, target, picked, 0, 0, []):
-        return picked
-    return None
-
-
-def _extend_basis(ctx, ds, points, prefix, k, target, picked, start, total,
-                  echelon) -> bool:
-    """Depth-first step of :func:`_pick_basis`.  ``echelon`` holds the
-    picked points as (pivot, row) pairs, 1 at the pivot and 0 at earlier
-    pivots: a candidate is independent iff reducing it leaves it nonzero."""
-    if len(picked) == k:
-        return total == target
-    need = k - len(picked)
-    end = len(ds)
-    if total + prefix[min(start + need, end)] - prefix[start] < target:
-        return False
-    for idx in range(start, end):
-        d = ds[idx]
-        if total + d + prefix[min(idx + need, end)] - prefix[idx + 1] < target:
-            return False
-        x = projective_point(ctx, k, points[idx])
+    """The greedy basis: candidates (d, x) in order (d values ds,
+    descending, and projective point indices points), each kept when it
+    is F_{q^m}-independent of those kept before, until k are kept.  The
+    independent sets of points form a matroid, so no basis has a larger
+    d total.  The picks are returned when their total is target, else
+    None: a total above target means weights summing below n, which only
+    a degenerate code has, and it has no decomposition.  The scan stops
+    once the current d times the picks still missing cannot reach
+    target, and a point is built only when the scan reaches it.
+    ``echelon`` holds the kept points as (pivot, row) pairs, 1 at the
+    pivot and 0 at earlier pivots: a candidate is independent iff
+    reducing it leaves it nonzero."""
+    picked, echelon, total = [], [], 0
+    for d, idx in zip(ds, points):
+        if total + d * (k - len(picked)) < target:
+            return None
+        x = projective_point(ctx, k, idx)
         v = list(x)
         for c, row in echelon:
             if v[c]:
@@ -588,12 +576,11 @@ def _extend_basis(ctx, ds, points, prefix, k, target, picked, start, total,
         if piv is None:
             continue
         picked.append((d, x))
-        if _extend_basis(ctx, ds, points, prefix, k, target, picked, idx + 1,
-                         total + d,
-                         echelon + [(piv, ctx.scale_row(ctx.inv(v[piv]), v))]):
-            return True
-        picked.pop()
-    return False
+        total += d
+        if len(picked) == k:
+            return picked if total == target else None
+        echelon.append((piv, ctx.scale_row(ctx.inv(v[piv]), v)))
+    return None
 
 
 # ----------------------------------------------------------------------

@@ -12,6 +12,7 @@ import pytest
 from rankdec import CapExceededError, FalsificationAlarm, FieldContext
 from rankdec.codes import (
     _line_candidates,
+    _pick_basis,
     blocks_scalar_unrelated,
     Decomposition,
     EquivalenceMap,
@@ -449,6 +450,29 @@ class TestBuildAndDetect:
             assert not is_nondegenerate(c)
             assert detect_complete_decomposability(c) is None
             assert detect_complete_decomposability(c, pcap=1) is None
+
+    @pytest.mark.parametrize("m,k,n", [(5, 3, 10), (4, 4, 17)])
+    def test_degenerate_scan_stops_at_the_greedy_basis(self, m, k, n):
+        """A k x k identity padded with zero columns to n has weights
+        1..k, so every basis totals above km - n, and its k-sets of
+        points (1,057 and 4,369 points) are far too many to try: the scan
+        reads a handful of candidates, keeps the greedy basis and answers
+        None."""
+        ctx = FieldContext(2, 1, m)
+        code = RankCode(ctx, [[int(j == i) for j in range(n)] for i in range(k)])
+        assert not is_nondegenerate(code)
+        weights, _ = projective_weights(ctx, code.generator)
+        ds, points = _line_candidates(ctx, weights)
+        read = []
+
+        def reading():
+            for i in points:
+                read.append(i)
+                yield i
+
+        assert _pick_basis(ctx, ds, reading(), k, m * k - n) is None
+        assert len(read) <= 2 ** k < len(points)
+        assert detect_complete_decomposability(code) is None
 
     def test_nondegenerate_past_the_cap_raises(self, f64):
         lam = f64.elements_of_degree(6)[0]
