@@ -14,8 +14,9 @@ complementary form; a :class:`Decomposition` record stores the blocks
 together with the coordinate map back to the stored generator.
 Detection implements the geometric criterion: weights satisfy
 w(xG) = m - dim(U' n <x>) for the dual system U', so a decomposition
-exists iff some F_{q^m}-basis of message space reaches total weight n;
-the blocks are read off the RREF pivots of the picked supports.
+exists iff some F_{q^m}-basis of message space reaches total weight n.
+The greedy basis by line dimension has the least total weight, so it
+alone decides; the blocks are read off the RREF pivots of its supports.
 
 Enumeration-backed operations (weight distribution, minimum distance,
 minimal-codeword census) take explicit caps and refuse loudly beyond
