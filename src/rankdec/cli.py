@@ -8,7 +8,8 @@ one entry of :data:`rankdec.showcases.SHOWCASES`.  Exit status: 0 on
 success, 1 on usage errors, 2 when a cap refuses an enumeration, 3 when
 a computation contradicts a proved statement (falsification alarm) or a
 reproduction target cannot be matched.  :func:`main` maps the last two
-errors to their exit codes for every subcommand.
+errors to their exit codes for every subcommand; under --format json a
+refused enumeration's stderr line is a JSON object.
 
 Reports are deterministic: the same seed and flags produce byte
 identical output.
@@ -334,14 +335,18 @@ def main(argv=None) -> int:
 
 def _run(command, cfg: RunConfig, args) -> int:
     """Run one subcommand; an unsupported field exits 1, a refused
-    enumeration 2 and an alarm 3, each with one line on stderr."""
+    enumeration 2 and an alarm 3, each with one line on stderr.  Under
+    --format json a refusal's line is a JSON object with its numbers."""
     try:
         return command(cfg, args)
     except UnsupportedFieldError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE
     except CapExceededError as exc:
-        print(str(exc), file=sys.stderr)
+        print(json.dumps({"error": "cap_exceeded", "what": exc.what,
+                          "required": exc.required, "cap": exc.cap},
+                         sort_keys=True)
+              if cfg.output_format == "json" else str(exc), file=sys.stderr)
         return EXIT_CAP
     except FalsificationAlarm as exc:
         print(f"FALSIFICATION ALARM: {exc}", file=sys.stderr)

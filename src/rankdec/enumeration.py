@@ -35,8 +35,9 @@ reads and writes contiguous rows of words.
 
 * packed: every even q, (entries, words).  Entries are field ints
   (a*m-bit masks) in the narrowest unsigned dtype, and the elimination
-  keeps an XOR basis per codeword in echelon form by top bit: a column
-  is one min-XOR step per bit and one scatter, through a trash row;
+  keeps an XOR basis per codeword in echelon form by top bit, its rows
+  one flat buffer: a column is one min-XOR step per bit and one
+  scatter at a 1-D index, through a trash row;
 * digits: odd p < 2^16, (entries, digits, words).  Entries are their
   a*m base-p digits, made in one floor division, and the elimination
   keeps one pivot per digit position and codeword, monic there, so
@@ -128,19 +129,26 @@ def _rank_rows_packed(cw: np.ndarray, m: int) -> np.ndarray:
     clears bit e - 1 exactly when it is set; done for e = m..1 (column
     0 skips it: the basis is empty) this reduces v to zero iff v lies
     in the span, and a nonzero remainder has its top bit at a free
-    position.  One scatter per column puts v at piv[e, t], e the
-    exponent of v as a float64 (exact for words of at most 32 bits):
+    position.  The m + 1 rows are one flat buffer, row e the contiguous
+    slice piv[e*words:(e+1)*words].  One scatter per column puts v at
+    the flat index e*words + t, e the exponent of v as a float64 (exact
+    for words of at most 32 bits), scaled and offset in place in intp:
+    numpy stores by one 1-D index faster than by a 2-D (row, t) pair.
     v = 0 has e = 0, so row 0 is a trash row.
     """
     n, words = cw.shape
-    piv = np.zeros((m + 1, words), dtype=cw.dtype)
+    piv = np.zeros((m + 1) * words, dtype=cw.dtype)
+    rows = [piv[e * words:(e + 1) * words] for e in range(m, 0, -1)]
     t = np.arange(words)
     for j in range(n):
         v = cw[j]
-        for e in range(m, 0, -1) if j else ():
-            v = np.minimum(v, v ^ piv[e])
-        piv[np.frexp(v.astype(np.float64))[1], t] = v
-    return np.count_nonzero(piv[1:], axis=0).astype(np.uint8)
+        for row in rows if j else ():
+            v = np.minimum(v, v ^ row)
+        at = np.frexp(v.astype(np.float64))[1].astype(np.intp)
+        at *= words
+        at += t
+        piv[at] = v
+    return np.count_nonzero(piv[words:].reshape(m, words), axis=0).astype(np.uint8)
 
 
 @functools.lru_cache(maxsize=None)

@@ -49,6 +49,15 @@ def code_path(tmp_path, spec_path, capsys):
     return out
 
 
+@pytest.fixture
+def bare_code_path(tmp_path, code_path):
+    # no decomposition record: --method formula must detect one
+    code = RankCode.from_json(json.loads(code_path.read_text()))
+    path = tmp_path / "bare.json"
+    path.write_text(json.dumps(code.strip_decomposition().to_json()))
+    return path
+
+
 #: well-formed JSON files of the wrong shape for a spec or a code file
 MALFORMED = {
     "list": [1, 2],
@@ -242,6 +251,36 @@ class TestWdist:
     def test_cap_exit(self, capsys, code_path):
         assert main(["--cap", "100", "wdist", str(code_path)]) == EXIT_CAP
 
+    def test_cap_refusal_is_one_json_object(self, capsys, code_path):
+        # a script reading --format json gets the refusal's numbers on
+        # its one stderr line, and nothing on stdout
+        assert main(["--format", "json", "--cap", "100", "wdist",
+                     str(code_path)]) == EXIT_CAP
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.count("\n") == 1
+        assert json.loads(out.err) == {
+            "error": "cap_exceeded", "what": "codeword enumeration",
+            "required": 2**18, "cap": 100}
+
+    @pytest.mark.parametrize("fmt", ["pretty", "csv"])
+    def test_cap_refusal_is_text_otherwise(self, capsys, code_path, fmt):
+        assert main(["--format", fmt, "--cap", "100", "wdist",
+                     str(code_path)]) == EXIT_CAP
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"{CapExceededError(2**18, 100, 'codeword enumeration')}\n"
+
+    def test_projective_cap_refusal_is_one_json_object(self, capsys,
+                                                       bare_code_path):
+        assert main(["--format", "json", "--pcap", "3", "wdist",
+                     str(bare_code_path), "--method", "formula"]) == EXIT_CAP
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.count("\n") == 1
+        refusal = json.loads(out.err)
+        assert refusal["error"] == "cap_exceeded" and refusal["cap"] == 3
+        assert refusal["what"] == "projective point scan"
+        assert refusal["required"] > 3
+
     def test_env_cap(self, monkeypatch, code_path):
         monkeypatch.setenv("RANKDEC_CAP", "100")
         assert main(["wdist", str(code_path)]) == EXIT_CAP
@@ -326,14 +365,6 @@ class TestReproduce:
 class TestGlobalFlagPosition:
     """Each global flag works before or after the subcommand, with the
     same exit code and the same bytes on stdout and stderr."""
-
-    @pytest.fixture
-    def bare_code_path(self, tmp_path, code_path):
-        # no decomposition record: --method formula must detect one
-        code = RankCode.from_json(json.loads(code_path.read_text()))
-        path = tmp_path / "bare.json"
-        path.write_text(json.dumps(code.strip_decomposition().to_json()))
-        return path
 
     @pytest.mark.parametrize("flag,value,command,visible", [
         ("--format", "json", ["reproduce", "m6"], True),

@@ -191,6 +191,48 @@ def test_packed_kernel_against_plain_bit_rank(case):
     assert np.array_equal(digits, before)
 
 
+def _word_pool(rng, m, n):
+    """64 words of n m-bit entries, as (entries, words): all-zero,
+    all-ones, every entry at the top bit, two low-rank families, the
+    unit vectors (full rank where n allows) and random words."""
+    pool = rng.integers(0, 1 << m, size=(n, 64), dtype=np.int64)
+    pool[:, 0] = 0
+    pool[:, 1] = (1 << m) - 1
+    pool[:, 2] = 1 << (m - 1)
+    few = rng.integers(0, 1 << m, size=2, dtype=np.int64)
+    pool[:, 3:16] = few[rng.integers(0, 2, size=(n, 13))]
+    pool[:, 16:24] = pool[:1, 16:24]
+    pool[:min(n, m), 24] = 1 << np.arange(min(n, m))
+    return pool
+
+
+@pytest.mark.parametrize("words", [1, 2, 4096, 16513])
+@pytest.mark.parametrize("m", [8, 9, 16, 17, 32])
+def test_packed_kernel_at_flat_index_word_counts(m, words):
+    """The packed kernel stores at the flat index e*words + t.  At 1
+    word (the whole projective enumeration of a k = 1 code, and a lone
+    last coset) that index is e itself; 2 words, 4096 (a power of two) and 16513 (the largest
+    census call) lie outside the property test's word counts.  Each
+    word is drawn from a pool whose ranks plain_bit_rank and the digit
+    kernel agree on, at the dtype boundaries m = 8, 9, 16, 17, 32;
+    every pool word, all-zero and all-ones included, is ranked."""
+    rng = np.random.default_rng(1000 * m + words)
+    for n in (1, 3, m + 2):
+        pool = _word_pool(rng, m, n)
+        digits = ((pool[:, None] >> np.arange(m)[:, None]) & 1).astype(np.uint8)
+        expected = _rank_rows_digits(digits, 2)
+        assert expected.tolist() == [plain_bit_rank(w) for w in pool.T.tolist()]
+        if words < 64:
+            picks = np.arange(64).reshape(-1, words)
+        else:
+            picks = [rng.permutation(np.resize(np.arange(64), words))]
+        for pick in picks:
+            cw = pool[:, pick].astype(_word_dtype(m))
+            before = cw.copy()
+            assert np.array_equal(_rank_rows_packed(cw, m), expected[pick])
+            assert np.array_equal(cw, before)
+
+
 @pytest.mark.parametrize("p,a,m", [(2, 1, 3), (2, 2, 2), (3, 1, 2), (3, 2, 1),
                                    (5, 1, 2), (5, 2, 1)])
 def test_kernel_coset_words(p, a, m):

@@ -110,6 +110,23 @@ def test_no_mask_in_the_packed_kernel():
     assert not lines, f"masked insert in _rank_rows_packed: {lines}"
 
 
+def test_packed_kernel_stores_by_one_flat_index():
+    # the pivot rows are one flat buffer and each column's remainders
+    # are stored at the 1-D intp index e*words + t: numpy runs that
+    # faster than the 2-D fancy index piv[e, t] (on 4161 words of 6
+    # bits, 10 entries, about 280 against 390 us a call, numpy 2.4.6)
+    tree = ast.parse((SRC[0].parent / "enumeration.py").read_text())
+    kernel = next(node for node in tree.body if isinstance(node, ast.FunctionDef)
+                  and node.name == "_rank_rows_packed")
+    stores = [target for node in ast.walk(kernel) if isinstance(node, ast.Assign)
+              for target in node.targets if isinstance(target, ast.Subscript)]
+    assert len(stores) == 1 and isinstance(stores[0].slice, ast.Name), \
+        f"_rank_rows_packed stores other than by one 1-D index: {stores}"
+    pairs = [node.lineno for node in ast.walk(kernel)
+             if isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Tuple)]
+    assert not pairs, f"2-D index in _rank_rows_packed: {pairs}"
+
+
 def test_detection_reads_blocks_off_the_pivots():
     # a picked codeword is sum c_i[j] * B_j over the RREF rows B_j of its
     # support, so detection reads each block at the pivots j: no inverse
