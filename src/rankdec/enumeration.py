@@ -40,13 +40,14 @@ reads and writes contiguous rows of words.
   scatter at a 1-D index, through a trash row;
 * digits: odd p < 2^16, (entries, digits, words).  Entries are their
   a*m base-p digits, made in one floor division, and the elimination
-  keeps one pivot per digit position and codeword, monic there, so
-  reducing a column is arithmetic mod p with no mask.  Step c touches
-  digits c.. only (pivot c and the reduced word are zero below c), and
-  x mod p is x - (x // p) * p: numpy divides unsigned words by a
-  scalar several times faster than it takes their remainder.
+  runs by digit position over all entries at once: step c takes, per
+  word, an entry whose digit c is nonzero as the pivot, makes it monic
+  and clears digit c from every entry, so a*m steps cover all n
+  entries.  It is arithmetic mod p with no mask, and x mod p is
+  x - (x // p) * p: numpy divides unsigned words by a scalar several
+  times faster than it takes their remainder.
 
-Column 0 meets no pivot in either backend, so it is not reduced.
+The packed kernel's column 0 meets no pivot, so it is not reduced.
 
 Weight of a codeword never exceeds min(n, m); counts are exact ints.
 """
@@ -159,10 +160,13 @@ def _inverses(p: int, dtype) -> np.ndarray:
     return inv
 
 
-def _reduce(x: np.ndarray, p: int) -> np.ndarray:
-    """x mod p, in place: numpy divides unsigned words by a scalar
-    several times faster than it takes their remainder."""
-    return np.subtract(x, x // p * p, out=x)
+def _reduce(x: np.ndarray, p: int, scratch=None) -> np.ndarray:
+    """x mod p, in place, through scratch (x's shape) when given:
+    numpy divides unsigned words by a scalar several times faster than
+    it takes their remainder."""
+    q = np.floor_divide(x, p, out=scratch)
+    q *= p
+    return np.subtract(x, q, out=x)
 
 
 def _rank_rows_digits(cw: np.ndarray, p: int) -> np.ndarray:
@@ -171,30 +175,53 @@ def _rank_rows_digits(cw: np.ndarray, p: int) -> np.ndarray:
     0..p-1, in an unsigned dtype that holds p^2 - 1, the largest sum
     taken before a reduction.
 
-    Word t keeps one pivot per digit position c: piv[c][:, t] is zero,
-    or is zero below c and 1 at c.  Step c starts with the digits of v
-    below c zero too, so it reads and writes digits c.. only.
-    Subtracting v_c * piv[c] clears digit c of v when the pivot exists
-    and changes nothing when it does not, so no mask selects the words
-    with a pivot.  Where v_c is still nonzero, v / v_c becomes the pivot
-    and v is cleared; where it is zero, inv[0] = 0 adds nothing (read
-    by inv.take: fancy indexing is slower).  Column 0 meets no pivot and
-    skips the subtraction.  The rank counts the pivots."""
+    Gaussian elimination by digit position, over all entries of every
+    word at once, on a copy x of cw.  Before step c the entries are zero
+    below digit c and span the elements of the word's span that are
+    zero there; any of them with digit c nonzero is a pivot.  Step c
+    takes the first entry nonzero at c, the minimum over j of the key
+    (x[j, c] == 0) * n + j (argmax along the entries is slower), reads
+    it with one 1-D take per digit d at the flat index
+    j*digits*words + t of the view from d*words, and makes it monic at
+    c (inv.take: fancy indexing is slower).  Subtracting x[j, c] times
+    the pivot from every entry j clears digit c, and the entries then
+    span one dimension less.  A key of n or more means no pivot: the
+    index reads entry n - 1, whose digit c is zero, so inv[0] = 0 makes
+    the pivot zero and the step changes nothing.  The rank counts the
+    steps that found a pivot."""
     n, digits, words = cw.shape
     inv = _inverses(p, cw.dtype)
-    piv = np.zeros((digits, digits, words), dtype=cw.dtype)
-    for j in range(n):
-        v = cw[j].copy()
-        for c in range(digits):
-            pc, vt = piv[c, c:], v[c:]
-            if j:
-                vt += (p - vt[0]) * pc
-                _reduce(vt, p)
-            vc = vt[0]
-            pc += inv.take(vc) * vt
-            _reduce(pc, p)
-            vt *= vc == 0
-    return np.count_nonzero(piv.diagonal(), axis=1).astype(np.uint8)
+    x = cw.copy()
+    flat = x.reshape(-1)
+    key_dtype = np.min_scalar_type(2 * n - 1)
+    entry = np.arange(n, dtype=key_dtype)[:, None]
+    key = np.empty((n, words), dtype=key_dtype)
+    at = np.empty(words, dtype=np.intp)
+    t = np.arange(words)
+    piv = np.empty((1, digits, words), dtype=cw.dtype)
+    scratch = np.empty_like(x)
+    rank = np.zeros(words, dtype=np.uint8)
+    for c in range(digits):
+        np.equal(x[:, c], 0, out=key, casting="unsafe")
+        key *= n
+        key += entry
+        first = key.min(axis=0)
+        rank += first < n
+        if c == digits - 1:
+            break
+        np.minimum(first, n - 1, out=first)
+        np.multiply(first, digits * words, out=at, dtype=np.intp)
+        at += t
+        monic = inv.take(flat[c * words:].take(at))
+        for d in range(c + 1, digits):
+            np.multiply(flat[d * words:].take(at), monic, out=piv[0, d])
+        pc, rest, tmp = _reduce(piv[:, c + 1:], p), x[:, c + 1:], scratch[:, c + 1:]
+        factor = scratch[:, c:c + 1]
+        np.subtract(p, x[:, c:c + 1], out=factor)
+        np.multiply(factor, pc, out=tmp)
+        rest += tmp
+        _reduce(rest, p, tmp)
+    return rank
 
 
 class _Kernel:

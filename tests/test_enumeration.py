@@ -335,12 +335,16 @@ def _digit_words(rng, p, n, digits, count):
 def test_digit_kernel_against_plain_rank(p):
     """The digit elimination equals a textbook rank mod p, word by
     word, for 1 to 6 digits and p on uint8, uint16 and uint32 digits;
-    the words hold zero, repeated, scaled and combined entries."""
+    the words hold zero, repeated, scaled and combined entries, and in
+    a quarter of them one digit is zero in every entry.  n runs from 1
+    to far past the digits (n = 40) and, at 6 digits, to n = 300, where
+    the per-entry key (up to 2n - 1) no longer fits uint8."""
     rng = np.random.default_rng(p)
     dtype = np.min_scalar_type(p**2 - 1)
     for digits in range(1, 7):
-        for n in (1, 3, digits + 2):
-            words = _digit_words(rng, p, n, digits, 40)
+        for n in (1, 3, digits + 2, 40) + ((300,) if digits == 6 else ()):
+            words = _digit_words(rng, p, n, digits, 12 if n == 300 else 40)
+            words[:, rng.integers(digits), :words.shape[2] // 4] = 0
             got = _rank_rows_digits(words.astype(dtype), p)
             want = [plain_rank_mod_p(words[:, :, t].tolist(), p)
                     for t in range(words.shape[2])]
@@ -404,12 +408,15 @@ def _first_column_cases(rng, n, size, draw):
 @pytest.mark.parametrize("p,m", [(13, 8), (251, 16), (65521, 32)],
                          ids=["uint8", "uint16", "uint32"])
 def test_first_column_edge_cases(p, m):
-    """Both kernels leave column 0 unreduced, since it meets no pivot.
-    Words whose first entry is zero, whose first entry alone is nonzero
-    (forced nonzero where the draw gave zero), whose entries are all
-    equal, and unconstrained words, against a textbook rank: digit
-    words (half their digits 0, 1 or p - 1) for p at the top of each
-    digit dtype, packed words of m bits in each packed dtype."""
+    """The packed kernel leaves column 0 unreduced, since it meets no
+    pivot; the digit kernel's pivot at each digit is the first entry
+    nonzero there, which these families make a later entry, entry 0
+    alone, or any of equal entries.  Words whose first entry is zero,
+    whose first entry alone is nonzero (forced nonzero where the draw
+    gave zero), whose entries are all equal, and unconstrained words,
+    against a textbook rank: digit words (half their digits 0, 1 or
+    p - 1) for p at the top of each digit dtype, packed words of m bits
+    in each packed dtype."""
     rng = np.random.default_rng(m)
 
     def digit_draw(shape):

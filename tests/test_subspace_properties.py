@@ -1,13 +1,17 @@
 """Property tests of the subspace calculus against brute-force element
 sets, over every tower F_p <= F_q <= F_{q^m} with q^m <= 256 other than
-the prime fields, of which F_2 and F_251 stand for all."""
+the prime fields, of which F_2 and F_251 stand for all; and of the two
+rank kernels against each other and a textbook rank."""
 
 from functools import lru_cache
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import plain_rank_mod_p
 from rankdec import FieldContext
+from rankdec.enumeration import _rank_rows_digits, _rank_rows_packed, _word_dtype
 from rankdec.fields import divisors, is_prime
 from rankdec.subspaces import intersect, span, subspace_sum, trace_dual
 
@@ -71,3 +75,31 @@ def test_trace_dual_is_the_relative_trace_complement(drawn, data):
     dual = {y for y in range(ctx.order)
             if all(ctx.trace_rel(ctx.mul(x, y), e) == 0 for x in points)}
     assert set(trace_dual(span(ctx, elems), e).elements()) == dual
+
+
+@st.composite
+def digit_words(draw):
+    """p in {2, 3, 5, 7} and an (entries, digits, words) array of F_p
+    digits, its entries drawn from a few vectors and their multiples so
+    that deficient ranks are common."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    n, digits, words = (draw(st.integers(1, hi)) for hi in (9, 6, 5))
+    vector = st.lists(st.integers(0, p - 1), min_size=digits, max_size=digits)
+    pool = draw(st.lists(vector, min_size=1, max_size=3))
+    entry = st.one_of(vector, st.tuples(st.sampled_from(pool), st.integers(0, p - 1))
+                      .map(lambda vc: [x * vc[1] % p for x in vc[0]]))
+    cw = draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                       min_size=words, max_size=words))
+    return p, np.array(cw, dtype=np.uint8).transpose(1, 2, 0)
+
+
+@settings(SETTINGS, max_examples=60)
+@given(digit_words())
+def test_rank_kernels_agree_with_a_textbook_rank(drawn):
+    p, cw = drawn
+    got = _rank_rows_digits(cw, p)
+    assert got.tolist() == [plain_rank_mod_p(w.T.tolist(), p) for w in cw.T]
+    if p == 2:
+        masks = (cw.astype(np.int64) << np.arange(cw.shape[1])[:, None]).sum(axis=1)
+        packed = _rank_rows_packed(masks.astype(_word_dtype(cw.shape[1])), cw.shape[1])
+        assert packed.tolist() == got.tolist()
