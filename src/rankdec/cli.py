@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Subcommands: build, wdist, verify, reproduce, bounds.  Global flags
---cap/--pcap/--seed/--threads/--format, before or after the subcommand
-(the same bytes either way); the environment variable
-RANKDEC_CAP overrides the default enumeration cap.  ``reproduce`` runs
+--cap/--seed/--threads/--format, before or after the subcommand (the
+same bytes either way); --cap bounds the words a call enumerates, and
+RANKDEC_CAP overrides its default.  ``reproduce`` runs
 one entry of :data:`rankdec.showcases.SHOWCASES`.  Exit status: 0 on
 success, 1 on usage errors, 2 when a cap refuses an enumeration, 3 when
 a computation contradicts a proved statement (falsification alarm) or a
@@ -24,7 +24,7 @@ import sys
 from dataclasses import dataclass
 
 from . import analysis, codes
-from .enumeration import DEFAULT_ENUM_CAP, DEFAULT_PROJ_CAP, message_space_size
+from .enumeration import DEFAULT_ENUM_CAP, message_space_size
 from .errors import (CapExceededError, FalsificationAlarm,
                      NotApplicableError, UnsupportedFieldError)
 from .showcases import SHOWCASES
@@ -39,14 +39,13 @@ EXIT_ALARM = 3
 @dataclass
 class RunConfig:
     enumeration_cap: int = DEFAULT_ENUM_CAP
-    projective_cap: int = DEFAULT_PROJ_CAP
     seed: int = 0
     threads: int = 1
     output_format: str = "pretty"
 
     def __post_init__(self):
-        if self.enumeration_cap <= 0 or self.projective_cap <= 0:
-            raise ValueError("caps must be positive")
+        if self.enumeration_cap <= 0:
+            raise ValueError("cap must be positive")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
         if self.output_format not in ("json", "csv", "pretty"):
@@ -147,7 +146,7 @@ def cmd_wdist(cfg: RunConfig, args) -> int:
     if args.method in ("formula", "both"):
         if code.decomposition is None:
             found = codes.detect_complete_decomposability(
-                code, pcap=cfg.projective_cap)
+                code, cap=cfg.enumeration_cap)
             if found is None:
                 print("formula requires a completely decomposable code",
                       file=sys.stderr)
@@ -250,10 +249,8 @@ def _global_flags(suppress: bool) -> argparse.ArgumentParser:
 
     g = argparse.ArgumentParser(add_help=False)
     g.add_argument("--cap", type=int, default=default(None),
-                   help="codeword enumeration budget (default: $RANKDEC_CAP, "
-                        f"else {DEFAULT_ENUM_CAP})")
-    g.add_argument("--pcap", type=int, default=default(DEFAULT_PROJ_CAP),
-                   help="projective point scan budget")
+                   help="words an enumeration or a detection scan may "
+                        f"enumerate (default: $RANKDEC_CAP, else {DEFAULT_ENUM_CAP})")
     g.add_argument("--seed", type=int, default=default(0))
     g.add_argument("--threads", type=int, default=default(1))
     g.add_argument("--format", choices=("json", "csv", "pretty"),
@@ -324,8 +321,8 @@ def main(argv=None) -> int:
                   file=sys.stderr)
             return EXIT_USAGE
     try:
-        cfg = RunConfig(enumeration_cap=args.cap, projective_cap=args.pcap,
-                        seed=args.seed, threads=args.threads,
+        cfg = RunConfig(enumeration_cap=args.cap, seed=args.seed,
+                        threads=args.threads,
                         output_format=args.format)
     except ValueError as exc:
         print(str(exc), file=sys.stderr)

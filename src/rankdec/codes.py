@@ -18,9 +18,9 @@ exists iff some F_{q^m}-basis of message space reaches total weight n.
 The greedy basis by line dimension has the least total weight, so it
 alone decides; the blocks are read off the RREF pivots of its supports.
 
-Enumeration-backed operations (weight distribution, minimum distance,
-minimal-codeword census) take explicit caps and refuse loudly beyond
-them; see :mod:`rankdec.enumeration` for the kernels.
+Enumeration-backed operations take explicit caps on the words they
+enumerate, one budget for distributions and detection, and refuse loudly
+beyond them; see :mod:`rankdec.enumeration` for the kernels.
 """
 
 from __future__ import annotations
@@ -32,10 +32,10 @@ from typing import Iterable, Optional, Sequence
 
 from .enumeration import (
     DEFAULT_ENUM_CAP,
-    DEFAULT_PROJ_CAP,
     message_from_index,
     message_space_size,
     projective_count,
+    projective_counts,
     projective_point,
     projective_weights,
 )
@@ -344,12 +344,12 @@ def is_nondegenerate(code: RankCode) -> bool:
 def weight_distribution(code: RankCode, cap: int = DEFAULT_ENUM_CAP,
                         threads: int = 1) -> WeightDistribution:
     """Exact distribution from the normalised messages only
-    (A_i = (q^m - 1) * P_i); the cap still bounds all q^(mk) messages."""
-    total = message_space_size(code.ctx, code.k)
-    if total > cap:
-        raise CapExceededError(total, cap, "codeword enumeration")
-    _, counts = projective_weights(code.ctx, code.generator, threads=threads)
-    return WeightDistribution(counts, expected_total=total)
+    (A_i = (q^m - 1) * P_i); the cap bounds their count, the work."""
+    words = projective_count(code.ctx, code.k)
+    if words > cap:
+        raise CapExceededError(words, cap, "codeword enumeration")
+    counts = projective_counts(code.ctx, code.generator, threads=threads)
+    return WeightDistribution(counts, expected_total=message_space_size(code.ctx, code.k))
 
 
 def min_distance(code: RankCode, cap: int = DEFAULT_ENUM_CAP,
@@ -480,10 +480,10 @@ def require_decomposition(code: RankCode) -> Decomposition:
     return code.decomposition
 
 
-def type_of(code: RankCode, pcap: int = DEFAULT_PROJ_CAP) -> tuple[int, ...]:
+def type_of(code: RankCode, cap: int = DEFAULT_ENUM_CAP) -> tuple[int, ...]:
     if code.decomposition is not None:
         return code.decomposition.type_vector
-    dec = detect_complete_decomposability(code, pcap=pcap)
+    dec = detect_complete_decomposability(code, cap=cap)
     if dec is None:
         raise ValueError("code is not completely decomposable")
     return dec.type_vector
@@ -495,34 +495,34 @@ def type_of(code: RankCode, pcap: int = DEFAULT_PROJ_CAP) -> tuple[int, ...]:
 
 
 def detect_complete_decomposability(code: RankCode,
-                                    pcap: int = DEFAULT_PROJ_CAP
+                                    cap: int = DEFAULT_ENUM_CAP
                                     ) -> Optional[Decomposition]:
     """Search for a basis whose weights sum to the length.
 
     Takes the line dimensions d_x = dim(U' n <x>) = m - w(xG) of the
     dual system U' over projective points x from one projective weight
-    enumeration, then takes the greedy F_{q^m}-basis of points by d_x
-    descending, which has the largest d_x total; a decomposition exists
-    iff k independent points reach sum(d_x) = km - n with every
-    d_x >= 1.  Returns the sorted-type record or None.
+    enumeration (the cap bounds its words), then takes the greedy
+    F_{q^m}-basis of points by d_x descending, which has the largest d_x
+    total; a decomposition exists iff k independent points reach
+    sum(d_x) = km - n with every d_x >= 1.  Returns the sorted-type
+    record or None.
 
     Block u_i is the picked codeword c_i at the RREF pivots j of its
     support S_i (c_i = sum_j c_i[j] * B_j over the rows B_j of S_i); the
     stacked B_j are the col_map.  A guard checks that the supports are
     independent, as a nondegenerate code's basis of weight n always is.
     A degenerate code has no decomposition, so nondegeneracy is checked
-    only past pcap and when the guard fails: None if degenerate, else
+    only past the cap and when the guard fails: None if degenerate, else
     the cap's refusal or :class:`FalsificationAlarm`.
     """
     ctx = code.ctx
     npts = projective_count(ctx, code.k)
-    if npts > pcap:
+    if npts > cap:
         if not is_nondegenerate(code):
             return None
-        raise CapExceededError(npts, pcap, "projective point scan")
-    point_weights, _ = projective_weights(ctx, code.generator)
-    ds, points = _line_candidates(ctx, point_weights)
-    picked = _pick_basis(ctx, ds, points, code.k, ctx.m * code.k - code.n)
+        raise CapExceededError(npts, cap, "projective point scan")
+    candidates = _line_candidates(ctx, projective_weights(ctx, code.generator))
+    picked = _pick_basis(ctx, candidates, code.k, ctx.m * code.k - code.n)
     if picked is None:
         return None
 
@@ -542,19 +542,18 @@ def detect_complete_decomposability(code: RankCode,
 
 
 def _line_candidates(ctx, point_weights):
-    """(ds, points): the indices of the projective points with
-    d_x = m - w(xG) >= 1 and their d_x, by d_x descending.  The sort is
-    stable, so ties stay in :func:`projective_points` order."""
-    kept = (point_weights < ctx.m).nonzero()[0]
-    ds = ctx.m - point_weights[kept].astype("int64")
-    order = (-ds).argsort(kind="stable")
-    return ds[order].tolist(), kept[order].tolist()
+    """(d_x, index) of the projective points with d_x = m - w(xG) >= 1 by
+    d_x descending, in :func:`projective_points` order within one d_x:
+    lazily, one weight bucket at a time, as far as the scan reads."""
+    for w in range(ctx.m):
+        for idx in (point_weights == w).nonzero()[0].tolist():
+            yield ctx.m - w, idx
 
 
-def _pick_basis(ctx, ds, points, k, target):
-    """The greedy basis: candidates (d, x) in order (d values ds,
-    descending, and projective point indices points), each kept when it
-    is F_{q^m}-independent of those kept before, until k are kept.  The
+def _pick_basis(ctx, candidates, k, target):
+    """The greedy basis: candidates (d, idx) in order (d descending,
+    idx a projective point index), each kept when it is
+    F_{q^m}-independent of those kept before, until k are kept.  The
     independent sets of points form a matroid, so no basis has a larger
     d total.  The picks are returned when their total is target, else
     None: a total above target means weights summing below n, which only
@@ -565,7 +564,7 @@ def _pick_basis(ctx, ds, points, k, target):
     pivot and 0 at earlier pivots: a candidate is independent iff
     reducing it leaves it nonzero."""
     picked, echelon, total = [], [], 0
-    for d, idx in zip(ds, points):
+    for d, idx in candidates:
         if total + d * (k - len(picked)) < target:
             return None
         x = projective_point(ctx, k, idx)

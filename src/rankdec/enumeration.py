@@ -16,15 +16,14 @@ Two entry points share the chunk kernel:
 
 * :func:`weight_counts` enumerates all q^(mk) messages (the linear
   subspace, offset zero).  It is the full-enumeration oracle.
-* :func:`projective_weights` enumerates only the normalised messages
+* :func:`projective_counts` enumerates only the normalised messages
   (first nonzero coordinate 1), one coset G_i + span_Fp(G_{i+1..k}) per
-  lead position i, giving one weight per point of
-  :func:`projective_points`.  Rank weight is invariant under nonzero
+  lead position i.  Rank weight is invariant under nonzero
   F_{q^m}-scalars, so A_0 = 1 and A_i = (q^m - 1) * P_i for i >= 1,
   where P_i counts normalised messages of weight i: a factor q^m - 1
-  less work than the full enumeration.  The same per-point weights
-  give the line dimensions of decomposability detection,
-  d_x = dim(U' n <x>) = m - w(xG) for the dual system U'.
+  less work.  Both count each batch as it is ranked.  Detection reads
+  :func:`projective_weights`, one weight per projective point: the line
+  dimensions d_x = dim(U' n <x>) = m - w(xG) of the dual system U'.
 
 Two backends compute the per-codeword rank weight (the F_q-dimension of
 the span of the n entries) as the F_p-rank of the a-fold expansion
@@ -60,8 +59,8 @@ import numpy as np
 
 from .errors import CapExceededError, FalsificationAlarm, UnsupportedFieldError
 
-DEFAULT_ENUM_CAP = 1 << 24
-DEFAULT_PROJ_CAP = 1 << 16
+#: the one work budget: the words a call enumerates
+DEFAULT_ENUM_CAP = 1 << 25
 
 #: words per chunk: the largest power of q at most this many
 DEFAULT_CHUNK_TARGET = 1 << 16
@@ -333,15 +332,19 @@ def _full_kernel(ctx, generator, cap: int, chunk_target: int):
     return total, _Kernel(ctx, rows, np.zeros_like(rows[0]), chunk_target)
 
 
+def _counts(kernels, n: int, chunk_target: int, threads: int) -> list[int]:
+    """Words of weight 0..n among the kernels' words, counted per batch."""
+    parts = _map_batches(kernels, chunk_target, threads,
+                         lambda pos, r: np.bincount(r, minlength=n + 1))
+    return [int(x) for x in sum(parts)]
+
+
 def weight_counts(ctx, generator, cap: int = DEFAULT_ENUM_CAP,
                   threads: int = 1,
                   chunk_target: int = DEFAULT_CHUNK_TARGET) -> list[int]:
     """Exact weight distribution (A_0, ..., A_n) by full enumeration."""
     total, kern = _full_kernel(ctx, generator, cap, chunk_target)
-    n = len(generator[0])
-    parts = _map_batches([kern], chunk_target, threads,
-                         lambda pos, r: np.bincount(r, minlength=n + 1))
-    counts = [int(x) for x in np.sum(parts, axis=0)]
+    counts = _counts([kern], len(generator[0]), chunk_target, threads)
     if sum(counts) != total:
         raise FalsificationAlarm(
             f"weight counts sum to {sum(counts)}, not q^(mk) = {total}")
@@ -364,27 +367,34 @@ def weights_array(ctx, generator, cap: int = DEFAULT_ENUM_CAP) -> np.ndarray:
     return out
 
 
-def projective_weights(ctx, generator, threads: int = 1,
-                       chunk_target: int = DEFAULT_CHUNK_TARGET):
-    """Weights w(xG) of the normalised messages, and the full counts.
+def _projective_kernels(ctx, generator, chunk_target: int) -> list:
+    """One kernel per lead position i: the coset G_i + span(G_{i+1..k})."""
+    rows, n = _basis_codewords(ctx, generator), ctx.n
+    return [_Kernel(ctx, rows[(i + 1) * n:], rows[i * n], chunk_target)
+            for i in range(len(generator))]
 
-    Returns ``(weights, counts)``: ``weights`` is a uint8 array with one
-    entry per point of :func:`projective_points`, in that order, and
-    ``counts`` is (A_0, ..., A_n) with A_0 = 1 + (q^m - 1) * P_0 and
-    A_i = (q^m - 1) * P_i, equal to :func:`weight_counts` for every
-    generator.  The caller owns the budget: the work is
-    :func:`projective_count` words.
-    """
-    k, n, qm = len(generator), ctx.n, ctx.order
-    rows = _basis_codewords(ctx, generator)
-    kernels = [_Kernel(ctx, rows[(i + 1) * n:], rows[i * n], chunk_target)
-               for i in range(k)]
+
+def projective_counts(ctx, generator, threads: int = 1,
+                      chunk_target: int = DEFAULT_CHUNK_TARGET) -> list[int]:
+    """(A_0, ..., A_n) = (1 + (q^m - 1) * P_0, (q^m - 1) * P_1, ...), equal
+    to :func:`weight_counts`.  The caller owns the budget: the work is
+    :func:`projective_count` words."""
+    kernels = _projective_kernels(ctx, generator, chunk_target)
+    counts = [x * (ctx.order - 1)
+              for x in _counts(kernels, len(generator[0]), chunk_target, threads)]
+    counts[0] += 1
+    return counts
+
+
+def projective_weights(ctx, generator, threads: int = 1,
+                       chunk_target: int = DEFAULT_CHUNK_TARGET) -> np.ndarray:
+    """Weights w(xG) of the normalised messages: a uint8 array with one
+    entry per point of :func:`projective_points`, in that order.  The
+    caller owns the budget: the work is :func:`projective_count` words."""
+    kernels = _projective_kernels(ctx, generator, chunk_target)
     out = np.empty(sum(kern.words for kern in kernels), dtype=np.uint8)
     _map_batches(kernels, chunk_target, threads, _fill(out))
-    p = np.bincount(out, minlength=len(generator[0]) + 1)
-    counts = [int(x) * (qm - 1) for x in p]
-    counts[0] += 1
-    return out, counts
+    return out
 
 
 def projective_count(ctx, k: int) -> int:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import random
 
 from . import analysis, codes, showcases, subspaces, systems
-from .enumeration import message_space_size
 from .errors import FalsificationAlarm
 from .fields import FieldContext
 from .linalg import field_kernel, field_rank
@@ -253,8 +252,7 @@ def run_characterization_suite(seed: int = 0, trials: int = 50) -> dict:
 # ----------------------------------------------------------------------
 
 
-def run_bounds_suite(seed: int = 0, trials: int = 100,
-                     enum_cap: int = 1 << 24) -> dict:
+def run_bounds_suite(seed: int = 0, trials: int = 100) -> dict:
     checks = []
     rng = random.Random(seed)
 
@@ -268,11 +266,8 @@ def run_bounds_suite(seed: int = 0, trials: int = 100,
     prime_ok = True
     while count < trials:
         ctx, k = params[count % len(params)]
-        if message_space_size(ctx, k) > enum_cap:
-            continue
         c = codes.random_decomposable(ctx, k, rng)
-        rep = analysis.min_weight_count_formula(c, enumerate_check=True,
-                                                cap=enum_cap)
+        rep = analysis.min_weight_count_formula(c, enumerate_check=True)
         formula_ok = formula_ok and rep.formula_count == rep.enumerated_count
         sandwich_ok = sandwich_ok and (
             rep.lower_bound <= rep.formula_count <= rep.upper_bound)
@@ -302,7 +297,7 @@ def run_bounds_suite(seed: int = 0, trials: int = 100,
 
     # extremal constructions attain their bounds
     c45, _ = showcases.prop45_code()
-    wd = codes.weight_distribution(c45, cap=enum_cap)
+    wd = codes.weight_distribution(c45)
     rep = analysis.min_weight_count_formula(c45)
     upper_hit = (wd[2] == showcases.PROP45_MIN_COUNT
                  and rep.formula_count == rep.upper_bound)
@@ -314,8 +309,7 @@ def run_bounds_suite(seed: int = 0, trials: int = 100,
                          and verdict.status == "verified"))
 
     clow, _ = showcases.lowerbound_code()
-    rep = analysis.min_weight_count_formula(clow, enumerate_check=True,
-                                            cap=enum_cap)
+    rep = analysis.min_weight_count_formula(clow, enumerate_check=True)
     low_ok = rep.formula_count == rep.lower_bound == rep.enumerated_count
     checks.append(_check("twisted construction attains the lower bound",
                          1, low_ok))

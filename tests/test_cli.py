@@ -253,14 +253,15 @@ class TestWdist:
 
     def test_cap_refusal_is_one_json_object(self, capsys, code_path):
         # a script reading --format json gets the refusal's numbers on
-        # its one stderr line, and nothing on stdout
+        # its one stderr line, and nothing on stdout; the cap counts the
+        # 1 + 64 + 64^2 normalised messages enumerated, not all 2^18
         assert main(["--format", "json", "--cap", "100", "wdist",
                      str(code_path)]) == EXIT_CAP
         out = capsys.readouterr()
         assert out.out == "" and out.err.count("\n") == 1
         assert json.loads(out.err) == {
             "error": "cap_exceeded", "what": "codeword enumeration",
-            "required": 2**18, "cap": 100}
+            "required": 4161, "cap": 100}
 
     @pytest.mark.parametrize("fmt", ["pretty", "csv"])
     def test_cap_refusal_is_text_otherwise(self, capsys, code_path, fmt):
@@ -268,18 +269,28 @@ class TestWdist:
                      str(code_path)]) == EXIT_CAP
         out = capsys.readouterr()
         assert out.out == ""
-        assert out.err == f"{CapExceededError(2**18, 100, 'codeword enumeration')}\n"
+        assert out.err == f"{CapExceededError(4161, 100, 'codeword enumeration')}\n"
 
     def test_projective_cap_refusal_is_one_json_object(self, capsys,
                                                        bare_code_path):
-        assert main(["--format", "json", "--pcap", "3", "wdist",
+        # detection's scan spends the same --cap budget as a distribution
+        assert main(["--format", "json", "--cap", "3", "wdist",
                      str(bare_code_path), "--method", "formula"]) == EXIT_CAP
         out = capsys.readouterr()
         assert out.out == "" and out.err.count("\n") == 1
-        refusal = json.loads(out.err)
-        assert refusal["error"] == "cap_exceeded" and refusal["cap"] == 3
-        assert refusal["what"] == "projective point scan"
-        assert refusal["required"] > 3
+        assert json.loads(out.err) == {
+            "error": "cap_exceeded", "what": "projective point scan",
+            "required": 4161, "cap": 3}
+
+    @pytest.mark.parametrize("position", ["before", "after"])
+    def test_pcap_is_gone(self, capsys, bare_code_path, position):
+        # one budget: the projective scan's own flag was folded into --cap
+        command = ["wdist", str(bare_code_path), "--method", "formula"]
+        argv = (["--pcap", "3"] + command if position == "before"
+                else command + ["--pcap", "3"])
+        assert main(argv) == EXIT_USAGE
+        out = capsys.readouterr()
+        assert out.out == "" and "rankdec: error:" in out.err
 
     def test_env_cap(self, monkeypatch, code_path):
         monkeypatch.setenv("RANKDEC_CAP", "100")
@@ -371,8 +382,8 @@ class TestGlobalFlagPosition:
         # the suite reports do not show the seed
         ("--seed", "5", ["verify", "bounds", "--trials", "4"], False),
         ("--cap", "100", ["wdist", "CODE"], True),
-        ("--pcap", "3", ["wdist", "BARE", "--method", "formula"], True),
-    ], ids=["format", "seed", "cap", "pcap"])
+        ("--cap", "3", ["wdist", "BARE", "--method", "formula"], True),
+    ], ids=["format", "seed", "cap", "cap-detect"])
     def test_same_report_in_either_position(self, capsys, code_path,
                                             bare_code_path, flag, value,
                                             command, visible):
@@ -393,7 +404,7 @@ class TestGlobalFlagPosition:
 
     @pytest.mark.parametrize("flag,value", [
         ("--format", "csv"), ("--seed", "5"), ("--cap", "100"),
-        ("--pcap", "3"), ("--threads", "2"),
+        ("--cap", "3"), ("--threads", "2"),
     ])
     def test_parsed_the_same_in_either_position(self, flag, value):
         before = build_parser().parse_args([flag, value, "reproduce", "m6"])

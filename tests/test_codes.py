@@ -43,8 +43,10 @@ from rankdec.codes import (
 from rankdec.enumeration import (
     message_from_index,
     message_space_size,
+    projective_count,
     projective_points,
     projective_weights,
+    weight_counts,
 )
 from rankdec.fields import gaussian_binomial
 from rankdec.linalg import RowSpace, field_inverse, field_matmul, field_vecmat
@@ -221,7 +223,32 @@ class TestWeightDistribution:
         c = build_completely_decomposable(f64, [[1, lam]] * 3)
         with pytest.raises(CapExceededError) as e:
             weight_distribution(c, cap=1000)
-        assert e.value.required == 2**18
+        # the 1 + 64 + 64^2 normalised messages, not all 2^18
+        assert e.value.required == 4161
+
+    @pytest.mark.parametrize("p,a,m,typ", [
+        (2, 1, 4, (3, 2, 1)), (3, 1, 3, (2, 1)), (2, 2, 3, (2, 1)),
+    ], ids=["q2", "q3", "q4"])
+    def test_one_budget_counts_the_enumerated_words(self, p, a, m, typ):
+        """Distribution and detection spend one budget, the
+        projective_count words they enumerate: each takes a scrambled
+        code at cap = projective_count, below q^(mk), and refuses it one
+        word lower with that count as required."""
+        ctx = FieldContext(p, a, m)
+        lam = ctx.elements_of_degree(m)[0]
+        c = build_completely_decomposable(
+            ctx, [[ctx.pow(lam, j) for j in range(t)] for t in typ])
+        scr = apply_equivalence(c.relabeled(random_gl_ext(ctx, c.k, seed=5)),
+                                random_gl(ctx, c.n, seed=6)).strip_decomposition()
+        words = projective_count(ctx, c.k)
+        assert message_space_size(ctx, c.k) > words
+        assert list(weight_distribution(scr, cap=words).counts) == weight_counts(
+            ctx, scr.generator)
+        assert detect_complete_decomposability(scr, cap=words).type_vector == typ
+        for call in (weight_distribution, detect_complete_decomposability):
+            with pytest.raises(CapExceededError) as e:
+                call(scr, cap=words - 1)
+            assert (e.value.required, e.value.cap) == (words, words - 1)
 
     def test_nonuniform_q4_tower(self):
         ctx = FieldContext(2, 2, 3)  # q = 4, m = 3
@@ -402,14 +429,14 @@ class TestBuildAndDetect:
             build_completely_decomposable(ctx, blocks).relabeled(
                 random_gl_ext(ctx, len(typ), seed=1)),
             random_gl(ctx, sum(typ), seed=2))
-        weights, _ = projective_weights(ctx, code.generator)
+        weights = projective_weights(ctx, code.generator)
         pts = list(projective_points(ctx, code.k))
         expected = sorted(((m - int(w), i) for i, w in enumerate(weights) if w < m),
                           key=lambda t: -t[0])
-        ds, points = _line_candidates(ctx, weights)
-        assert list(zip(ds, points)) == expected
-        assert len(set(ds)) > 1 and len(expected) < len(pts)
-        for d, i in zip(ds, points):
+        candidates = list(_line_candidates(ctx, weights))
+        assert candidates == expected
+        assert len({d for d, _ in candidates}) > 1 and len(expected) < len(pts)
+        for d, i in candidates:
             assert rank_weight(ctx, code.codeword(pts[i])) == m - d
 
     @pytest.mark.parametrize("pin", DETECT_PINS, ids=lambda d: "{p}_{a}_{m}-".format(
@@ -441,15 +468,15 @@ class TestBuildAndDetect:
 
     def test_degenerate_is_none_past_the_cap(self, f64):
         """A degenerate code has no decomposition at any size: detection
-        answers None within pcap, whether or not the scan finds a basis
-        of total weight n, and past a pcap it does not reach."""
+        answers None within the cap, whether or not the scan finds a
+        basis of total weight n, and past a cap it does not reach."""
         lam = f64.elements_of_degree(6)[0]
         for gen in ([[1, lam, 0], [lam, 1, 0]], [[1, lam, 0], [1, 0, 0]],
                     [[0, 1, lam, 0], [0, lam, 1, 1]]):
             c = RankCode(f64, gen)
             assert not is_nondegenerate(c)
             assert detect_complete_decomposability(c) is None
-            assert detect_complete_decomposability(c, pcap=1) is None
+            assert detect_complete_decomposability(c, cap=1) is None
 
     @pytest.mark.parametrize("m,k,n", [(5, 3, 10), (4, 4, 17)])
     def test_degenerate_scan_stops_at_the_greedy_basis(self, m, k, n):
@@ -461,26 +488,25 @@ class TestBuildAndDetect:
         ctx = FieldContext(2, 1, m)
         code = RankCode(ctx, [[int(j == i) for j in range(n)] for i in range(k)])
         assert not is_nondegenerate(code)
-        weights, _ = projective_weights(ctx, code.generator)
-        ds, points = _line_candidates(ctx, weights)
+        weights = projective_weights(ctx, code.generator)
         read = []
 
         def reading():
-            for i in points:
-                read.append(i)
-                yield i
+            for pair in _line_candidates(ctx, weights):
+                read.append(pair)
+                yield pair
 
-        assert _pick_basis(ctx, ds, reading(), k, m * k - n) is None
-        assert len(read) <= 2 ** k < len(points)
+        assert _pick_basis(ctx, reading(), k, m * k - n) is None
+        assert len(read) <= 2 ** k < int((weights < m).sum())
         assert detect_complete_decomposability(code) is None
 
     def test_nondegenerate_past_the_cap_raises(self, f64):
         lam = f64.elements_of_degree(6)[0]
         c = build_completely_decomposable(f64, [[1, lam], [1]])
         with pytest.raises(CapExceededError):
-            detect_complete_decomposability(c.strip_decomposition(), pcap=64)
+            detect_complete_decomposability(c.strip_decomposition(), cap=64)
         assert detect_complete_decomposability(
-            c.strip_decomposition(), pcap=65).type_vector == (2, 1)
+            c.strip_decomposition(), cap=65).type_vector == (2, 1)
 
     @pytest.mark.parametrize("field", [(2, 1, 5), (3, 1, 3), (2, 2, 3)])
     def test_failed_guard_on_nondegenerate_code_alarms(self, field):

@@ -32,6 +32,7 @@ from rankdec.enumeration import (
     message_from_index,
     message_space_size,
     projective_count,
+    projective_counts,
     projective_point,
     projective_points,
     projective_weights,
@@ -287,7 +288,7 @@ def test_odd_p_through_the_digit_kernel(p, a, m, k, n):
     code = RankCode(ctx, [[rng.randrange(1, ctx.order) for _ in range(n)]
                           for _ in range(k)])
     gen = code.generator
-    ref, ref_counts = projective_weights(ctx, gen)
+    ref, ref_counts = projective_weights(ctx, gen), projective_counts(ctx, gen)
     total = projective_count(ctx, k)
     assert len(ref) == total
     for idx in [0, total - 1] + [rng.randrange(total) for _ in range(60)]:
@@ -295,13 +296,15 @@ def test_odd_p_through_the_digit_kernel(p, a, m, k, n):
         assert ref[idx] == rank_weight(ctx, code.codeword(x))
     for target in (1, 1 << 3, 1 << 16):
         for threads in (1, 2):
-            weights, counts = projective_weights(
-                ctx, gen, threads=threads, chunk_target=target)
+            counts = projective_counts(ctx, gen, threads=threads,
+                                       chunk_target=target)
+            weights = projective_weights(ctx, gen, threads=threads,
+                                         chunk_target=target)
             assert counts == ref_counts
             assert np.array_equal(weights, ref)
     if message_space_size(ctx, k) > 1 << 19:
         gen = gen[:1]
-        ref_counts = projective_weights(ctx, gen)[1]
+        ref_counts = projective_counts(ctx, gen)
     assert weight_counts(ctx, gen, threads=2) == ref_counts
 
 
@@ -382,7 +385,8 @@ def test_digit_kernel_at_the_dtype_edge(p, m):
     full = ctx.order - 1
     s = full // (p - 1)
     code = RankCode(ctx, [[full, full, s], [s, full, full]])
-    weights, counts = projective_weights(ctx, code.generator)
+    weights = projective_weights(ctx, code.generator)
+    counts = projective_counts(ctx, code.generator)
     want = np.full(ctx.order + 1, min(2, m), dtype=np.uint8)
     want[:p] = want[-1] = 1
     assert np.array_equal(weights, want)
@@ -453,9 +457,10 @@ def test_digit_rows_past_2_to_the_63():
     rng = random.Random(13)
     for row in ([full], [full, full - 12], [full, 1, rng.randrange(ctx.order)],
                 [full, ctx.mul(full, rng.randrange(1, ctx.order)), full // 13]):
-        weights, counts = projective_weights(ctx, [row])
-        assert weights.tolist() == [rank_weight(ctx, row)]
-        assert sum(counts) == ctx.order
+        weight = rank_weight(ctx, row)
+        assert projective_weights(ctx, [row]).tolist() == [weight]
+        counts = projective_counts(ctx, [row])
+        assert sum(counts) == ctx.order and counts[weight] == ctx.order - 1
 
 
 #: per-point projective weights (sha256 of the uint8 array, in
@@ -473,20 +478,23 @@ def test_projective_weights_pinned(pin):
     ctx = FieldContext.from_descriptor(pin["field"])
     for target in (1, 1 << 3, 1 << 16):
         for threads in (1, 2):
-            weights, counts = projective_weights(
+            weights = projective_weights(
                 ctx, pin["generator"], threads=threads, chunk_target=target)
             assert weights.dtype == np.uint8 and len(weights) == pin["points"]
             assert hashlib.sha256(weights.tobytes()).hexdigest() == pin["sha256"]
-            assert counts == pin["counts"]
+            assert projective_counts(ctx, pin["generator"], threads=threads,
+                                     chunk_target=target) == pin["counts"]
 
 
 def test_digit_kernel_prime_limit():
     """The largest prime below 2^16 runs on uint32 digits; a larger p
     is refused before an inverse table of p entries is built."""
     ctx = FieldContext(65521, 1, 1)
-    assert projective_weights(ctx, [[5, 7]])[1] == [1, 65520, 0]
-    with pytest.raises(UnsupportedFieldError, match="p < 2"):
-        projective_weights(FieldContext(65537, 1, 1), [[5, 7]])
+    assert projective_counts(ctx, [[5, 7]]) == [1, 65520, 0]
+    assert projective_weights(ctx, [[5, 7]]).tolist() == [1]
+    for call in (projective_counts, projective_weights):
+        with pytest.raises(UnsupportedFieldError, match="p < 2"):
+            call(FieldContext(65537, 1, 1), [[5, 7]])
 
 
 def _scrambled(ctx, typ, seed):
@@ -511,16 +519,19 @@ def _scrambled(ctx, typ, seed):
     (2, 2, 2, (1,)), (2, 2, 3, (2, 1)), (2, 2, 2, (1, 1, 1)),
 ])
 def test_projective_counts_match_full_enumeration(p, a, m, typ):
-    """A_i = (q^m - 1) P_i against the full enumeration, for q in
-    {2, 3, 4} and k in {1, 2, 3}, whatever the chunk size and threads."""
+    """A_i = (q^m - 1) P_i, counted per batch, against the full
+    enumeration, for q in {2, 3, 4} and k in {1, 2, 3}, whatever the
+    chunk size and threads."""
     ctx = FieldContext(p, a, m)
     c = _scrambled(ctx, typ, seed=len(typ))
     full = weight_counts(ctx, c.generator)
-    ref, _ = projective_weights(ctx, c.generator)
+    ref = projective_weights(ctx, c.generator)
     for target in (1, 1 << 3, 1 << 16):
         for threads in (1, 2):
-            weights, counts = projective_weights(
-                ctx, c.generator, threads=threads, chunk_target=target)
+            counts = projective_counts(ctx, c.generator, threads=threads,
+                                       chunk_target=target)
+            weights = projective_weights(ctx, c.generator, threads=threads,
+                                         chunk_target=target)
             assert counts == full
             assert len(weights) == projective_count(ctx, c.k)
             # batches cross coset boundaries: the per-point weights, not
@@ -538,7 +549,7 @@ def test_projective_weights_are_line_dimensions(p, a, m, typ):
     ctx = FieldContext(p, a, m)
     c = _scrambled(ctx, typ, seed=7)
     udual = perp_prime(system_from_code(c))
-    weights, _ = projective_weights(ctx, c.generator, chunk_target=1 << 3)
+    weights = projective_weights(ctx, c.generator, chunk_target=1 << 3)
     pts = list(projective_points(ctx, c.k))
     assert len(pts) == len(weights)
     for x, w in zip(pts, weights):

@@ -26,6 +26,7 @@ from rankdec.enumeration import (
     message_space_size,
     projective_count,
     projective_point,
+    projective_counts,
     projective_weights,
     weight_counts,
 )
@@ -140,7 +141,8 @@ def test_even_towers_through_the_packed_kernel(p, a, m):
     c = build_completely_decomposable(ctx, blocks)
     scr = apply_equivalence(c.relabeled(random_gl_ext(ctx, 2, seed=a)),
                             random_gl(ctx, c.n, seed=a)).strip_decomposition()
-    weights, counts = projective_weights(ctx, scr.generator)
+    weights = projective_weights(ctx, scr.generator)
+    counts = projective_counts(ctx, scr.generator)
     total = projective_count(ctx, 2)
     assert len(weights) == total
     for idx in [0, 1, total - 1] + [rng.randrange(total) for _ in range(40)]:

@@ -151,3 +151,24 @@ def test_detection_reads_blocks_off_the_pivots():
              and getattr(node.func, "id", getattr(node.func, "attr", None))
              in ("field_inverse", "field_vecmat")]
     assert not lines, f"inverse or vecmat in detection at line(s) {lines}"
+
+
+def test_one_work_budget():
+    # --cap counts the words a call enumerates, for distributions and
+    # detection alike; the second, projective-point budget is gone
+    found = {path.stem: [name for name in ("pcap", "DEFAULT_PROJ_CAP", "projective_cap")
+                         if name in path.read_text()] for path in SRC}
+    offenders = {stem: names for stem, names in found.items() if names}
+    assert not offenders, f"a second work budget in src/: {offenders}"
+
+
+def test_detection_reads_candidates_by_weight_bucket():
+    # detection reads its candidate points lazily, one weight bucket at
+    # a time: a stable int64 argsort and two lists over every point
+    # peaked at 334 MB on the 16.8M points of F_2^8 with k = 4 (type
+    # (3,3,2,2)), the buckets at 61 MB
+    tree = ast.parse((SRC[0].parent / "codes.py").read_text())
+    lines = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, (ast.Attribute, ast.Name))
+             and getattr(node, "attr", getattr(node, "id", None)) == "argsort"]
+    assert not lines, f"argsort in codes.py at line(s) {lines}"
