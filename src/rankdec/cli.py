@@ -226,10 +226,9 @@ def cmd_bounds(cfg: RunConfig, args) -> int:
         f"  lower:  {lower}",
         f"  upper:  {upper}",
     ]
-    if payload["prime_upper"] is not None:
-        pretty.append(f"  prime-extension upper: {payload['prime_upper']}")
     csv_lines = ["bound,value", f"lower,{lower}", f"upper,{upper}"]
     if payload["prime_upper"] is not None:
+        pretty.append(f"  prime-extension upper: {payload['prime_upper']}")
         csv_lines.append(f"prime_upper,{payload['prime_upper']}")
     _emit(cfg, payload, pretty_lines=pretty, csv_lines=csv_lines)
     return EXIT_OK
@@ -306,9 +305,25 @@ COMMANDS = {
 }
 
 
+def _stray_flags(argv) -> list:
+    """Unknown arguments ahead of the subcommand if one is a flag, which
+    argparse would report as a bad subcommand (the flag's value)."""
+    flags = _global_flags(suppress=False)
+    flags.exit_on_error = False  # a bad value is the full parser's to report
+    try:
+        stray = flags.parse_known_args(argv[:next(
+            (i for i, a in enumerate(argv) if a in COMMANDS), len(argv))])[1]
+    except argparse.ArgumentError:
+        return []
+    return stray if any(a.startswith("-") and a not in ("-h", "--help") for a in stray) else []
+
+
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
+        if stray := _stray_flags(argv):
+            parser.error(f"unrecognized arguments: {' '.join(stray)}")
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK

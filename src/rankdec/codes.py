@@ -354,6 +354,9 @@ def weight_distribution(code: RankCode, cap: int = DEFAULT_ENUM_CAP,
 
 def min_distance(code: RankCode, cap: int = DEFAULT_ENUM_CAP,
                  threads: int = 1) -> int:
+    """n_k off a (validated) decomposition record, else by enumeration."""
+    if code.decomposition is not None:
+        return code.decomposition.type_vector[-1]
     return weight_distribution(code, cap=cap, threads=threads).min_distance
 
 

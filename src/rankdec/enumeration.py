@@ -1,23 +1,23 @@
 """Exact weight enumeration kernels.
 
 Message index t is the message whose component i is the base-q^m
-digit i of t (a field int).  Read in base p, digit j = i*(a*m) + s of t
-scales basis message j, which puts p^s (the element x^s of the modulus
-root) into component i.  The codeword map is F_p-linear, so the
-codewords of a coset offset + span_Fp(B) of basis codewords B come from
-a doubling construction in contiguous chunks: a fixed low-digit table
-(which carries the offset) plus one high-digit codeword per chunk.
-Consecutive chunks, across the cosets of one call, form batches of at
-most the chunk target words, one elimination each.  Batches are
-disjoint and merged by addition or by position, so results do not
-depend on the chunk size or on the number of threads.
+digit i of t (a field int), so in integer order of that digit c the
+codewords of component i are c * G_i, one gather of field multiples
+(:meth:`FieldContext.multiples`).  A coset lead + span(G_{i+1..k}) is
+enumerated in contiguous chunks: a fixed low-digit table, the lead plus
+the outer sum of the multiple tables its low digits cover, and one
+high-digit codeword per chunk.  Consecutive chunks, across the cosets
+of one call, form batches of at most the chunk target words, one
+elimination each.  Batches are disjoint and merged by addition or by
+position, so results do not depend on the chunk size or on the number
+of threads.
 
 Two entry points share the chunk kernel:
 
 * :func:`weight_counts` enumerates all q^(mk) messages (the linear
   subspace, offset zero).  It is the full-enumeration oracle.
 * :func:`projective_counts` enumerates only the normalised messages
-  (first nonzero coordinate 1), one coset G_i + span_Fp(G_{i+1..k}) per
+  (first nonzero coordinate 1), one coset G_i + span(G_{i+1..k}) per
   lead position i.  Rank weight is invariant under nonzero
   F_{q^m}-scalars, so A_0 = 1 and A_i = (q^m - 1) * P_i for i >= 1,
   where P_i counts normalised messages of weight i: a factor q^m - 1
@@ -34,17 +34,12 @@ reads and writes contiguous rows of words.
 
 * packed: every even q, (entries, words).  Entries are field ints
   (a*m-bit masks) in the narrowest unsigned dtype, and the elimination
-  keeps an XOR basis per codeword in echelon form by top bit, its rows
-  one flat buffer: a column is one min-XOR step per bit and one
-  scatter at a 1-D index, through a trash row;
+  keeps an XOR basis per codeword in echelon form by top bit
+  (:func:`_rank_rows_packed`);
 * digits: odd p < 2^16, (entries, digits, words).  Entries are their
-  a*m base-p digits, made in one floor division, and the elimination
-  runs by digit position over all entries at once: step c takes, per
-  word, an entry whose digit c is nonzero as the pivot, makes it monic
-  and clears digit c from every entry, so a*m steps cover all n
-  entries.  It is arithmetic mod p with no mask, and x mod p is
-  x - (x // p) * p: numpy divides unsigned words by a scalar several
-  times faster than it takes their remainder.
+  a*m base-p digits, and the elimination runs by digit position over
+  all entries at once, a*m steps of arithmetic mod p with no mask
+  (:func:`_rank_rows_digits`).
 
 The packed kernel's column 0 meets no pivot, so it is not reduced.
 
@@ -92,31 +87,16 @@ def _word_dtype(bits: int):
     return np.uint8 if bits <= 8 else np.uint16 if bits <= 16 else np.uint32
 
 
-def _basis_codewords(ctx, generator):
-    """Kernel rows of all basis messages: row i*(a*m) + s is p^s * G_i,
-    so row i*(a*m) is the generator row G_i itself.  For a > 1 a row r
-    is its a-fold expansion (beta_1 * r, ..., beta_a * r) over the
-    F_p-basis beta of F_q; the expansion is F_p-linear, so F_p
-    combinations of expanded rows are the expansions of the combined
-    rows.  Odd p gives rows of shape (entries, a*m): base-p digits."""
-    rows = [ctx.scale_row(ctx.p**s, gen_row)
-            for gen_row in generator for s in range(ctx.n)]
-    if ctx.a > 1:
-        beta = ctx.fp_basis_of_subfield(1)
-        rows = [[v for b in beta for v in ctx.scale_row(b, row)]
-                for row in rows]
-    if ctx.p == 2:
-        # a*m bits: the degree cap of 32 keeps them within uint32 and
-        # within float64's exact range, which the kernel's top-bit step reads
-        return [np.array(row, dtype=_word_dtype(ctx.n)) for row in rows]
-    if ctx.p >= 1 << 16:
-        # the kernel's inverse table has p entries
+def _entries(ctx, generator):
+    """The kernel entries of each row G_j: G_j, or for a > 1 its a-fold
+    expansion (beta_l * G_j) over the F_p-basis beta of F_q."""
+    if ctx.p >= 1 << 16:  # the kernel's inverse table has p entries
         raise UnsupportedFieldError(
             f"weight enumeration takes characteristic p < 2^16, not p = {ctx.p}")
-    # the narrowest dtype holding the kernel's largest intermediate,
-    # p^2 - 1: uint8 up to p = 13, uint16 up to p = 251, else uint32
-    dtype = np.min_scalar_type(ctx.p**2 - 1)
-    return list(ctx.digits_all(rows).astype(dtype))
+    if ctx.a == 1:
+        return generator
+    beta = ctx.fp_basis_of_subfield(1)
+    return [[ctx.mul(b, v) for b in beta for v in row] for row in generator]
 
 
 def _rank_rows_packed(cw: np.ndarray, m: int) -> np.ndarray:
@@ -224,26 +204,22 @@ def _rank_rows_digits(cw: np.ndarray, p: int) -> np.ndarray:
 
 
 class _Kernel:
-    """Chunked enumeration of the coset offset + span_Fp(rows), where
-    rows and offset come from :func:`_basis_codewords`; word number t
-    is offset + sum_j d_j * rows[j] for the base-p digits d_j of t.
-    With rows from component i on, word t is the message whose
-    components i, i+1, ... are the base-q^m digits of t.
+    """Chunked enumeration of the coset lead + span(rows) over F_{q^m},
+    lead and rows from :func:`_entries`: word t is lead + sum_j c_j *
+    rows[j] for the base-q^m digits c_j of t.  Chunk 0, the read-only
+    low-digit table, is lead plus the outer sum of the multiples c *
+    rows[j] of the components its digits cover (rows[0] on the fastest
+    axis, the last cut to its first p^s multiples); chunk h adds the
+    codeword of its high digits.  Words add by XOR (packed) or digit by
+    digit mod p, a sum s of two digits being min(s, s - p) in unsigned
+    words (s - p wraps round when s < p)."""
 
-    A chunk is a run of ``chunk_size`` consecutive words; the caller
-    groups chunks, of one kernel or of several, into batches and ranks
-    each batch with one elimination (:func:`_map_batches`).  Words, laid
-    out as the module docstring says, are combined by XOR (packed) or by
-    arithmetic mod p (digits); a row or offset is one word without the
-    last axis, and is broadcast over it.  The low-digit table is
-    read-only and is chunk 0 itself."""
-
-    def __init__(self, ctx, rows, offset, chunk_target: int):
-        self.bits = ctx.n
-        self.a = ctx.a
-        self.p = p = ctx.p
-        self.packed = p == 2
-        digits = len(rows)
+    def __init__(self, ctx, rows, lead, chunk_target: int):
+        self.ctx, self.rows, self.bits, self.a, self.p = ctx, rows, ctx.n, ctx.a, ctx.p
+        p, self.packed = ctx.p, ctx.p == 2
+        # narrowest for an a*m-bit mask or for p^2 - 1 (the digit kernel's)
+        self.dtype = _word_dtype(ctx.n) if self.packed else np.min_scalar_type(p**2 - 1)
+        digits = ctx.n * len(rows)
         self.words = p**digits
         # low-digit count: the largest power of p at most the chunk target
         low = 0
@@ -252,28 +228,37 @@ class _Kernel:
         low = max(low, min(1, digits))
         self.chunk_size = p**low
         self.n_chunks = p ** (digits - low)
-        self.high_rows = rows[low:]
-        table = offset[..., None]
-        for row in rows[:low]:
-            table = np.concatenate(
-                [table] + [self._add(table, c * row[..., None])
-                           for c in range(1, p)], axis=-1)
+        table = self._words(lead)[..., None]
+        for j in range(-(-low // ctx.n)):
+            mult = self._words(ctx.multiples(rows[j], p ** min(ctx.n, low - j * ctx.n)))
+            table = self._add(mult[..., None], table[..., None, :]).reshape(*mult.shape[:-1], -1)
         table.setflags(write=False)
         self.low_table = table
 
+    def _words(self, values) -> np.ndarray:
+        """Field ints, a row or an array (entries, words), as kernel
+        words: packed, or their base-p digits on a new axis 1."""
+        if self.packed:
+            return np.asarray(values, dtype=self.dtype)
+        if not isinstance(values, np.ndarray):  # a row: exact past 2^63
+            return self.ctx.digits_all(values).astype(self.dtype)
+        out = np.empty((len(values), self.bits) + values.shape[1:], self.dtype)
+        for s in range(self.bits):
+            values, out[:, s] = np.divmod(values, self.p)
+        return out
+
     def _add(self, x, y):
-        return x ^ y if self.packed else _reduce(x + y, self.p)
+        out = x ^ y if self.packed else x + y
+        return out if self.packed else np.minimum(out, out - self.p, out=out)
 
     def chunk_codewords(self, h: int) -> np.ndarray:
         """The words of chunk number h (its high digits, in base p)."""
         if not h:
             return self.low_table
-        base = np.zeros_like(self.low_table[..., 0])
-        for row in self.high_rows:
-            h, d = divmod(h, self.p)
-            if d:
-                base = self._add(base, d * row)
-        return self._add(self.low_table, base[..., None])
+        base, high = [0] * len(self.low_table), h * self.chunk_size
+        for c, row in zip(message_from_index(self.ctx, len(self.rows), high), self.rows):
+            base = self.ctx.add_scaled_row(base, c, row)
+        return self._add(self.low_table, self._words(base)[..., None])
 
     def ranks(self, cw: np.ndarray) -> np.ndarray:
         ranks = (_rank_rows_packed(cw, self.bits) if self.packed
@@ -328,8 +313,8 @@ def _full_kernel(ctx, generator, cap: int, chunk_target: int):
     total = message_space_size(ctx, len(generator))
     if total > cap:
         raise CapExceededError(total, cap, "codeword enumeration")
-    rows = _basis_codewords(ctx, generator)
-    return total, _Kernel(ctx, rows, np.zeros_like(rows[0]), chunk_target)
+    rows = _entries(ctx, generator)
+    return total, _Kernel(ctx, rows, [0] * len(rows[0]), chunk_target)
 
 
 def _counts(kernels, n: int, chunk_target: int, threads: int) -> list[int]:
@@ -369,9 +354,9 @@ def weights_array(ctx, generator, cap: int = DEFAULT_ENUM_CAP) -> np.ndarray:
 
 def _projective_kernels(ctx, generator, chunk_target: int) -> list:
     """One kernel per lead position i: the coset G_i + span(G_{i+1..k})."""
-    rows, n = _basis_codewords(ctx, generator), ctx.n
-    return [_Kernel(ctx, rows[(i + 1) * n:], rows[i * n], chunk_target)
-            for i in range(len(generator))]
+    rows = _entries(ctx, generator)
+    return [_Kernel(ctx, rows[i + 1:], rows[i], chunk_target)
+            for i in range(len(rows))]
 
 
 def projective_counts(ctx, generator, threads: int = 1,

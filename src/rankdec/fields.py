@@ -14,8 +14,8 @@ a sum (x + y = x * (1 + y/x)) and a negation (-1 = g^((q^m - 1)/2)) are
 one or two list lookups, and subfield membership is divisibility of
 the log.  exp has exactly q^m - 1 entries, so exp[i - (q^m - 1)] is
 g^i for every 0 <= i < 2(q^m - 1) (a negative index counts from the
-end): sums of two logs need no reduction.  Larger fields compute
-digit-wise and by polynomial arithmetic.
+end): sums of two logs need no reduction, and numpy copies give
+:meth:`multiples`.  Larger fields compute digit-wise and by polynomials.
 
 Every intermediate field F_{q^e} (e | m) lives inside the same model as
 the fixed set of the q^e-power Frobenius, so a single context supports
@@ -266,6 +266,24 @@ class FieldContext:
             out.append(exp[t + z - n1] if z >= 0 else 0)
         return out
 
+    def multiples(self, row: Sequence[int], count: int) -> np.ndarray:
+        """c * v for c < count (in integer order, on a new last axis) for
+        every v in row: one gather at sums of int32 logs on a tabled field,
+        else doubling over the rows x^s * row in narrow digits."""
+        if self._exp is not None:
+            log = self._log_np
+            return self._exp_np.take(log[:count] + log.take(row)[:, None])
+        p, dtype = self.p, np.min_scalar_type(2 * self.p)
+        digits = np.zeros((len(row), 1, self.n), dtype=dtype)
+        while digits.shape[1] < count:  # digits.shape[1] = p^s is the element x^s
+            ys = self.digits_all([self.scale_row(c * digits.shape[1], row)
+                                  for c in range(1, p)]).astype(dtype)[:, :, None]
+            digits = np.concatenate([digits] + [(digits + y) % p for y in ys], axis=1)
+        out = np.zeros(digits.shape[:2], dtype=np.int64)
+        for s in range(self.n - 1, -1, -1):
+            out = out * p + digits[..., s]
+        return out
+
     def _mul2(self, x: int, y: int) -> int:
         mod_int, n = self._mod_int, self.n
         r = 0
@@ -321,30 +339,14 @@ class FieldContext:
         read as a logarithm), and for odd p the Zech list
         zech[d] = log(1 + g^d), or -1 where 1 + g^d = 0.
 
-        Multiplication by g is an F_p-linear map of the digit vectors
-        whose matrix has the digits of g * x^j as row j; exp follows
-        the permutation x -> g*x from 1.  For p = 2 the permutation is
-        built by doubling, g*(x + 2^j) = g*x XOR g*2^j for x < 2^j; for
-        odd p it is one matrix product over the digit matrix of all
-        elements.  1 + y adds 1 to digit 0 of y, which gives the Zech
-        list from exp.
+        exp follows the permutation x -> g*x (:meth:`multiples` of g)
+        from 1.  1 + y adds 1 to digit 0 of y, which gives the Zech list
+        from exp.
         """
-        # runs before the tables exist, so mul and pow take the
-        # table-free path
-        g = self.primitive_element
-        p, n, order = self.p, self.n, self.order
-        n1 = order - 1
-        rows = [self.mul(g, p**j) for j in range(n)]  # g * x^j
-        if p == 2:
-            step = [0]
-            for r in rows:
-                step += [t ^ r for t in step]
-        else:
-            # row x: the little-endian digits of x (the last index axis
-            # runs fastest)
-            digit_mat = np.indices((p,) * n).reshape(n, -1)[::-1].T
-            step = (digit_mat @ self.digits_all(rows) % p
-                    @ self._digit_weights()).tolist()
+        # runs before the tables exist, so multiples, mul and pow take
+        # the table-free path
+        p, order, n1 = self.p, self.order, self.order - 1
+        step = self.multiples([self.primitive_element], order)[0].tolist()
         exp = [0] * n1
         log = [0] * order
         v = 1
@@ -354,6 +356,11 @@ class FieldContext:
             v = step[v]
         self._exp = exp
         self._log = log
+        # for multiples: exp twice over, then zeros, and log 0 = 2(q^m - 1),
+        # so that a sum of two logs with a zero factor reads a zero
+        self._exp_np = np.zeros(4 * n1 + 1, dtype=np.min_scalar_type(n1))
+        self._exp_np[:2 * n1] = exp * 2
+        self._log_np = np.array([2 * n1] + log[1:], dtype=np.int32)
         if p != 2:
             # 1 + y: digit 0 of y goes up by one, p - 1 wraps to 0
             self._zech = [log[y + 1] if y % p != p - 1

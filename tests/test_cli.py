@@ -191,6 +191,24 @@ class TestBuild:
         payload = json.loads(capsys.readouterr().out)
         assert payload["dimension"] == 1 and payload["mrd"] is True
 
+    @pytest.mark.parametrize("spec", [
+        "reach", {"field": {"p": 65537, "m": 2}, "blocks": [{"entries": [1]}]},
+    ], ids=["reach-past-cap", "f65537"])
+    def test_builds_without_enumeration(self, capsys, tmp_path, spec):
+        """The minimum distance of a built code is its last type entry,
+        read off the decomposition record: a spec whose code is past
+        --cap, or over p >= 2^16 where enumeration stops, still builds."""
+        if spec == "reach":
+            path = Path(__file__).parent / "data" / "reach_f2_8_3322.spec.json"
+        else:
+            path = tmp_path / "s.json"
+            path.write_text(json.dumps(spec))
+        rc = main(["--format", "json", "--cap", "3", "build", str(path),
+                   "--out", str(tmp_path / "c.json")])
+        assert rc == EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["mrd"] is (spec != "reach")
+
     def test_dependent_block_rejected(self, capsys, tmp_path):
         spec = {"field": {"p": 2, "a": 1, "m": 4},
                 "blocks": [{"entries": [1, 1]}]}
@@ -291,6 +309,14 @@ class TestWdist:
         assert main(argv) == EXIT_USAGE
         out = capsys.readouterr()
         assert out.out == "" and "rankdec: error:" in out.err
+
+    def test_unknown_flag_before_the_subcommand_is_named(self, capsys, code_path):
+        # a value-taking unknown flag ahead of the subcommand used to be
+        # reported as a bad subcommand, its value ('3'), without its name
+        assert main(["--pcap", "3", "wdist", str(code_path)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "rankdec: error: unrecognized arguments: --pcap 3" in err
+        assert "invalid choice" not in err
 
     def test_env_cap(self, monkeypatch, code_path):
         monkeypatch.setenv("RANKDEC_CAP", "100")
@@ -452,17 +478,14 @@ class TestBounds:
 
 @pytest.mark.parametrize("command, payload", [
     ("wdist", {"field": {"p": 65537, "m": 1}, "generator": [[5, 7]]}),
-    ("build", {"field": {"p": 65537, "m": 2}, "blocks": [{"entries": [1]}]}),
 ])
 def test_unsupported_characteristic_one_line(capsys, tmp_path, command, payload):
     """Weight enumeration over p >= 2^16 is a usage error that names the
-    limit, not a traceback; build reaches it past a large cap."""
+    limit, not a traceback.  (build enumerates nothing: see
+    TestBuild.test_builds_without_enumeration.)"""
     path = tmp_path / "in.json"
     path.write_text(json.dumps(payload))
-    argv = [command, str(path)]
-    if command == "build":
-        argv = ["--cap", str(1 << 40)] + argv + ["--out", str(tmp_path / "c.json")]
-    assert main(argv) == EXIT_USAGE
+    assert main([command, str(path)]) == EXIT_USAGE
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "p < 2^16" in err
     assert "Traceback" not in err

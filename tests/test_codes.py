@@ -33,6 +33,7 @@ from rankdec.codes import (
     minimal_codewords,
     punctured,
     random_gl,
+    random_decomposable,
     random_gl_ext,
     rank_weight,
     shortened,
@@ -275,6 +276,22 @@ class TestMinDistanceAndMrd:
         c = build_completely_decomposable(f64, [[1, lam], [1, lam]])
         assert min_distance(c) == 2 == c.decomposition.type_vector[-1]
         assert not is_mrd(c)
+
+    @pytest.mark.parametrize("field", [(2, 1, 5), (3, 1, 3), (2, 2, 3)],
+                             ids=["q2", "q3", "q4"])
+    def test_record_distance_is_the_enumerated_one(self, field):
+        """A code with a decomposition record reads d = n_k off the
+        record: on random decomposable codes (scrambled too, so the
+        record is the detected one) it is the enumerated minimum."""
+        ctx = FieldContext(*field)
+        rng = random.Random(sum(field))
+        for trial in range(6):
+            c = random_decomposable(ctx, rng.randrange(1, 4), rng)
+            scrambled = apply_equivalence(c, random_gl(ctx, c.n, seed=trial))
+            for code in (c, scrambled):
+                d = weight_distribution(code).min_distance
+                assert min_distance(code) == d == code.decomposition.type_vector[-1]
+                assert min_distance(code.strip_decomposition()) == d
 
     def test_one_dim_mrd_iff_full_weight(self, f16):
         lam = f16.elements_of_degree(4)[0]

@@ -23,7 +23,7 @@ from rankdec.codes import (
     rank_weight,
 )
 from rankdec.enumeration import (
-    _basis_codewords,
+    _entries,
     _Kernel,
     _rank_rows_digits,
     _rank_rows_packed,
@@ -237,17 +237,25 @@ def test_packed_kernel_at_flat_index_word_counts(m, words):
 @pytest.mark.parametrize("p,a,m", [(2, 1, 3), (2, 2, 2), (3, 1, 2), (3, 2, 1),
                                    (5, 1, 2), (5, 2, 1)])
 def test_kernel_coset_words(p, a, m):
-    """Word t of the coset kernel over the rows of G_1, offset G_0, is
-    G_0 + sum_j d_j * rows[j] for the base-p digits d_j of t, summed
-    here on Python ints (XOR for packed words, digit by digit mod p
-    otherwise), in every chunk for every chunk target.  A kernel of
-    one chunk ranks its words twice alike: no rank kernel writes into
-    its input."""
+    """Word t of the coset kernel over G_1, offset G_0, is G_0 + sum_j
+    d_j * rows[j] for the base-p digits d_j of t and the basis rows
+    rows[s] = x^s * G_1 (x^s is the int p^s), each a-fold expanded
+    over the F_p-basis of F_q: summed here on Python ints (XOR for
+    packed words, digit by digit mod p otherwise), in every chunk for
+    every chunk target.  A kernel of one chunk ranks its words twice
+    alike: no rank kernel writes into its input."""
     ctx = FieldContext(p, a, m)
     rng = random.Random(p * a * m)
     gen = [[rng.randrange(1, ctx.order) for _ in range(3)] for _ in range(2)]
-    rows = _basis_codewords(ctx, gen)
-    offset, high = rows[0].tolist(), [r.tolist() for r in rows[ctx.n:]]
+    beta = ctx.fp_basis_of_subfield(1)
+
+    def word(row):
+        entries = [v for b in beta for v in ctx.scale_row(b, row)]
+        return entries if p == 2 else ctx.digits_all(entries).tolist()
+
+    offset = word(gen[0])
+    high = [word(ctx.scale_row(p**s, gen[1])) for s in range(ctx.n)]
+    rows = _entries(ctx, gen)
 
     def combine(x, y, d):
         if isinstance(x, list):
@@ -255,7 +263,7 @@ def test_kernel_coset_words(p, a, m):
         return x ^ y if p == 2 else (x + d * y) % p
 
     for target in (1, p, 8, 1 << 16):
-        kern = _Kernel(ctx, rows[ctx.n:], rows[0], target)
+        kern = _Kernel(ctx, rows[1:], rows[0], target)
         assert kern.chunk_size * kern.n_chunks == kern.words == p ** len(high)
         for h in range(kern.n_chunks):
             cw = kern.chunk_codewords(h)
@@ -268,6 +276,50 @@ def test_kernel_coset_words(p, a, m):
         if kern.n_chunks == 1:
             cw = kern.chunk_codewords(0)
             assert np.array_equal(kern.ranks(cw), kern.ranks(cw))
+
+
+@pytest.mark.parametrize("p,a,m", [(2, 1, 4), (3, 1, 3), (2, 2, 2), (3, 2, 2)],
+                         ids=["q2", "q3", "q4", "q9"])
+def test_coset_tables_at_every_cut(p, a, m):
+    """Each low-digit table is an outer sum of the field multiples of
+    whole generator rows, the last one possibly cut.  Per point the
+    projective weights of a k = 3 code are the scalar rank weights at
+    chunk targets whose low digits cut the first component, cut the
+    second (neither a multiple of a*m), span exactly two components,
+    and at 2^16; the full enumeration counts alike at all but the
+    smallest target (q^(3m) words in chunks of p^(a*m - 1) is slow)."""
+    ctx = FieldContext(p, a, m)
+    rng = random.Random(p * a * m)
+    code = RankCode(ctx, [[rng.randrange(1, ctx.order) for _ in range(3)]
+                          for _ in range(3)])
+    gen, total = code.generator, projective_count(ctx, 3)
+    want = [rank_weight(ctx, code.codeword(projective_point(ctx, 3, idx)))
+            for idx in range(total)]
+    counts = projective_counts(ctx, gen)
+    for target in (p ** (ctx.n - 1), p ** (ctx.n + 1), ctx.order**2, 1 << 16):
+        assert projective_weights(ctx, gen, chunk_target=target).tolist() == want
+        if target > ctx.order:
+            assert weight_counts(ctx, gen, chunk_target=target) == counts
+
+
+def test_untabled_field_over_several_chunks():
+    """F_2^17 has no exp/log tables, so its multiple tables double over
+    x^s * G_j.  With k = 2 (131,073 points) the lead-0 coset is 2^7
+    chunks at a target of 2^10 and 2 at 2^16: both give the same
+    weights, and spot checks are the scalar rank weights."""
+    ctx = FieldContext(2, 1, 17)
+    assert ctx._exp is None
+    rng = random.Random(17)
+    code = RankCode(ctx, [[rng.randrange(1, ctx.order) for _ in range(4)]
+                          for _ in range(2)])
+    small = projective_weights(ctx, code.generator, chunk_target=1 << 10)
+    assert len(small) == projective_count(ctx, 2) == 131073
+    assert np.array_equal(
+        small, projective_weights(ctx, code.generator, chunk_target=1 << 16))
+    for idx in [0, 1 << 10, (1 << 16) + 5, len(small) - 1] + [
+            rng.randrange(len(small)) for _ in range(40)]:
+        x = projective_point(ctx, 2, idx)
+        assert small[idx] == rank_weight(ctx, code.codeword(x))
 
 
 @pytest.mark.parametrize("p,a,m,k,n", [

@@ -127,6 +127,23 @@ def test_row_operations(ctx):
             ref_add(ctx, x, ref_mul(ctx, f, y)) for x, y in zip(v, w)]
 
 
+@pytest.mark.parametrize("p,a,m", TABLED + [(2, 1, 17), (3, 1, 11), (257, 1, 2)])
+def test_multiples_are_the_scalar_products(p, a, m):
+    """FieldContext.multiples gathers from the exp/log lists on a tabled
+    field and doubles over x^s * row on F_2^17, F_3^11 and F_257^2: both
+    give c * v for every c below each power of p up to the order (or up
+    to 243 on the untabled fields) and every v, zero included."""
+    field = FieldContext(p, a, m)
+    rng = random.Random(p * m)
+    row = [0, 1] + [rng.randrange(field.order) for _ in range(3)]
+    for count in [p**s for s in range(field.n + 1) if p**s <= max(243, p)]:
+        if count > field.order:
+            break
+        got = field.multiples(row, count)
+        assert got.tolist() == [[ref_mul(field, c, v) for c in range(count)]
+                                for v in row]
+
+
 @pytest.mark.parametrize("p,a,m", TABLED + [(2, 1, 6), (2, 2, 4)])
 def test_elements_of_degree_is_the_frobenius_definition(p, a, m):
     ctx = FieldContext(p, a, m)

@@ -172,3 +172,21 @@ def test_detection_reads_candidates_by_weight_bucket():
              if isinstance(node, (ast.Attribute, ast.Name))
              and getattr(node, "attr", getattr(node, "id", None)) == "argsort"]
     assert not lines, f"argsort in codes.py at line(s) {lines}"
+
+
+def test_coset_tables_from_field_multiples():
+    # each coset table is one gather of field multiples per component,
+    # not p^s * G_j basis rows (m*k scale_row lists, one array each)
+    # doubled by np.concatenate: the three k = 3 kernels of an F_2^6
+    # code of type (4,3,3), with chunk 0, took 113-212 us that way and
+    # take 39-41 us from the multiples (numpy 2.4.6)
+    tree = ast.parse((SRC[0].parent / "enumeration.py").read_text())
+    calls = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "scale_row"]
+    assert not calls, f"scale_row called in enumeration.py at line(s) {calls}"
+    defs = {node.name: node for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert "_basis_codewords" not in defs, "_basis_codewords is back"
+    lines = [node.lineno for node in ast.walk(defs["_Kernel"])
+             if isinstance(node, ast.Attribute) and node.attr == "concatenate"]
+    assert not lines, f"np.concatenate in _Kernel at line(s) {lines}"
