@@ -2,9 +2,11 @@
 
 Subcommands: build, wdist, verify, reproduce, bounds.  Global flags
 --cap/--seed/--threads/--format, before or after the subcommand (the
-same bytes either way); --cap bounds the words a call enumerates, and
-RANKDEC_CAP overrides its default.  ``reproduce`` runs
-one entry of :data:`rankdec.showcases.SHOWCASES`.  Exit status: 0 on
+same bytes either way): :func:`parse_args` moves the subcommand to the
+front of argv, so every argument reads as if it came after it.  --cap
+bounds the words a call enumerates, and RANKDEC_CAP overrides its
+default.  ``reproduce`` runs one entry of
+:data:`rankdec.showcases.SHOWCASES`.  Exit status: 0 on
 success, 1 on usage errors, 2 when a cap refuses an enumeration, 3 when
 a computation contradicts a proved statement (falsification alarm) or a
 reproduction target cannot be matched.  :func:`main` maps the last two
@@ -21,7 +23,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from . import analysis, codes
 from .enumeration import DEFAULT_ENUM_CAP, message_space_size
@@ -36,26 +37,10 @@ EXIT_CAP = 2
 EXIT_ALARM = 3
 
 
-@dataclass
-class RunConfig:
-    enumeration_cap: int = DEFAULT_ENUM_CAP
-    seed: int = 0
-    threads: int = 1
-    output_format: str = "pretty"
-
-    def __post_init__(self):
-        if self.enumeration_cap <= 0:
-            raise ValueError("cap must be positive")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
-        if self.output_format not in ("json", "csv", "pretty"):
-            raise ValueError(f"unknown format {self.output_format}")
-
-
-def _emit(cfg: RunConfig, payload: dict, pretty_lines=None, csv_lines=None):
-    if cfg.output_format == "json":
+def _emit(args, payload: dict, pretty_lines=None, csv_lines=None):
+    if args.format == "json":
         print(json.dumps(payload, sort_keys=True))
-    elif cfg.output_format == "csv" and csv_lines is not None:
+    elif args.format == "csv" and csv_lines is not None:
         for line in csv_lines:
             print(line)
     else:
@@ -71,12 +56,19 @@ CODE_FORMAT = ('a code file (as written by build) is {"field": {"p": P, '
                '"m": M}, "generator": [[...], ...]}')
 
 
-def _bad_input(exc: Exception, file_format: str) -> str:
-    """Error text for a spec or code file that could not be used; a
-    missing key is named together with the expected file format."""
-    if isinstance(exc, KeyError):
-        return f"missing key {exc.args[0]!r}; {file_format}"
-    return str(exc)
+def _load(path, reader, what: str, file_format: str):
+    """``reader`` applied to the JSON file at ``path``, or None after one
+    stderr line ``<what>: <reason>``; a missing key is named together
+    with the expected file format."""
+    try:
+        with open(path) as fh:
+            return reader(json.load(fh))
+    except KeyError as exc:
+        reason = f"missing key {exc.args[0]!r}; {file_format}"
+    except (OSError, ValueError, TypeError) as exc:
+        reason = str(exc)
+    print(f"{what}: {reason}", file=sys.stderr)
+    return None
 
 
 def _distribution_csv(counts):
@@ -90,22 +82,14 @@ def _distribution_csv(counts):
 # ----------------------------------------------------------------------
 
 
-def cmd_build(cfg: RunConfig, args) -> int:
-    try:
-        with open(args.spec) as fh:
-            spec = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"cannot read spec file: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        code = codes.code_from_spec(spec)
-    except (ValueError, KeyError, TypeError) as exc:
-        print(f"invalid code spec: {_bad_input(exc, SPEC_FORMAT)}",
-              file=sys.stderr)
+def cmd_build(args) -> int:
+    code = _load(args.spec, codes.code_from_spec, "invalid code spec",
+                 SPEC_FORMAT)
+    if code is None:
         return EXIT_USAGE
     ctx = code.ctx
     nondeg = codes.is_nondegenerate(code)
-    mrd = codes.is_mrd(code, cap=cfg.enumeration_cap)
+    mrd = codes.is_mrd(code, cap=args.cap)
     summary = {
         "field": ctx.to_descriptor(),
         "length": code.n,
@@ -118,7 +102,7 @@ def cmd_build(cfg: RunConfig, args) -> int:
     with open(out_path, "w") as fh:
         json.dump(code.to_json(), fh, sort_keys=True)
     summary["written"] = out_path
-    _emit(cfg, summary, pretty_lines=[
+    _emit(args, summary, pretty_lines=[
         f"[{code.n},{code.k}] code over {ctx!r}",
         f"type: {tuple(code.decomposition.type_vector)}",
         f"nondegenerate: {nondeg}   maximum-rank-distance: {mrd}",
@@ -127,26 +111,22 @@ def cmd_build(cfg: RunConfig, args) -> int:
     return EXIT_OK
 
 
-def cmd_wdist(cfg: RunConfig, args) -> int:
-    try:
-        with open(args.code) as fh:
-            code = codes.RankCode.from_json(json.load(fh))
-    except (OSError, ValueError, KeyError, TypeError) as exc:
-        print(f"cannot load code: {_bad_input(exc, CODE_FORMAT)}",
-              file=sys.stderr)
+def cmd_wdist(args) -> int:
+    code = _load(args.code, codes.RankCode.from_json, "cannot load code",
+                 CODE_FORMAT)
+    if code is None:
         return EXIT_USAGE
     payload = {"length": code.n, "dimension": code.k}
     pretty = []
     if args.method in ("enum", "both"):
-        wd = codes.weight_distribution(code, cap=cfg.enumeration_cap,
-                                       threads=cfg.threads)
+        wd = codes.weight_distribution(code, cap=args.cap,
+                                       threads=args.threads)
         payload.update(wd.to_json(message_space_size(code.ctx, code.k)))
         pretty.append(f"counts: {list(wd.counts)}")
         pretty.append(f"minimum distance: {wd.min_distance}")
     if args.method in ("formula", "both"):
         if code.decomposition is None:
-            found = codes.detect_complete_decomposability(
-                code, cap=cfg.enumeration_cap)
+            found = codes.detect_complete_decomposability(code, cap=args.cap)
             if found is None:
                 print("formula requires a completely decomposable code",
                       file=sys.stderr)
@@ -167,20 +147,20 @@ def cmd_wdist(cfg: RunConfig, args) -> int:
         pretty.append(f"enumeration vs closed form at weight {nk}: "
                       f"{'agree' if agree else 'DISAGREE'}")
         if not agree:
-            _emit(cfg, payload, pretty_lines=pretty)
+            _emit(args, payload, pretty_lines=pretty)
             print("FALSIFICATION ALARM: closed form disagrees with enumeration",
                   file=sys.stderr)
             return EXIT_ALARM
     csv_lines = _distribution_csv(payload["counts"]) if "counts" in payload else None
-    _emit(cfg, payload, pretty_lines=pretty, csv_lines=csv_lines)
+    _emit(args, payload, pretty_lines=pretty, csv_lines=csv_lines)
     return EXIT_OK
 
 
-def cmd_verify(cfg: RunConfig, args) -> int:
+def cmd_verify(args) -> int:
     if args.trials is not None and args.trials < 1:
         print(f"--trials must be >= 1, not {args.trials}", file=sys.stderr)
         return EXIT_USAGE
-    results = run_suite(args.suite, seed=cfg.seed, trials=args.trials)
+    results = run_suite(args.suite, seed=args.seed, trials=args.trials)
     pretty = []
     ok = True
     for suite in results:
@@ -190,7 +170,7 @@ def cmd_verify(cfg: RunConfig, args) -> int:
         for c in suite["checks"]:
             mark = "pass" if c["passed"] else "FAIL"
             pretty.append(f"  [{mark}] {c['name']} ({c['instances']} instances)")
-    _emit(cfg, {"suites": results, "ok": ok}, pretty_lines=pretty)
+    _emit(args, {"suites": results, "ok": ok}, pretty_lines=pretty)
     if not ok:
         print("FALSIFICATION ALARM: a verified statement failed on an instance",
               file=sys.stderr)
@@ -198,9 +178,9 @@ def cmd_verify(cfg: RunConfig, args) -> int:
     return EXIT_OK
 
 
-def cmd_reproduce(cfg: RunConfig, args, showcases=SHOWCASES) -> int:
-    payload, pretty = showcases[args.example](cfg.enumeration_cap, cfg.threads)
-    _emit(cfg, payload, pretty_lines=pretty)
+def cmd_reproduce(args, showcases=SHOWCASES) -> int:
+    payload, pretty = showcases[args.example](args.cap, args.threads)
+    _emit(args, payload, pretty_lines=pretty)
     if payload["verdict"] != "matched":
         print("FALSIFICATION ALARM: could not match the showcase values",
               file=sys.stderr)
@@ -208,7 +188,7 @@ def cmd_reproduce(cfg: RunConfig, args, showcases=SHOWCASES) -> int:
     return EXIT_OK
 
 
-def cmd_bounds(cfg: RunConfig, args) -> int:
+def cmd_bounds(args) -> int:
     try:
         lower, upper = analysis.bounds_nonprime(args.q, args.m, args.nk, args.ell)
     except ValueError as exc:
@@ -230,7 +210,7 @@ def cmd_bounds(cfg: RunConfig, args) -> int:
     if payload["prime_upper"] is not None:
         pretty.append(f"  prime-extension upper: {payload['prime_upper']}")
         csv_lines.append(f"prime_upper,{payload['prime_upper']}")
-    _emit(cfg, payload, pretty_lines=pretty, csv_lines=csv_lines)
+    _emit(args, payload, pretty_lines=pretty, csv_lines=csv_lines)
     return EXIT_OK
 
 
@@ -239,32 +219,28 @@ def cmd_bounds(cfg: RunConfig, args) -> int:
 # ----------------------------------------------------------------------
 
 
-def _global_flags(suppress: bool) -> argparse.ArgumentParser:
-    """The global flags, as a parent parser.  Every subcommand takes
-    them too, so they work before or after it; there they default to
-    SUPPRESS, so that a flag given before the subcommand is kept."""
-    def default(value):
-        return argparse.SUPPRESS if suppress else value
-
+def _global_flags() -> argparse.ArgumentParser:
+    """The global flags, as a parent parser of the top level (for
+    ``--help``) and of every subcommand (where :func:`parse_args` puts them)."""
     g = argparse.ArgumentParser(add_help=False)
-    g.add_argument("--cap", type=int, default=default(None),
+    g.add_argument("--cap", type=int, default=None,
                    help="words an enumeration or a detection scan may "
                         f"enumerate (default: $RANKDEC_CAP, else {DEFAULT_ENUM_CAP})")
-    g.add_argument("--seed", type=int, default=default(0))
-    g.add_argument("--threads", type=int, default=default(1))
+    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--threads", type=int, default=1)
     g.add_argument("--format", choices=("json", "csv", "pretty"),
-                   default=default("pretty"))
+                   default="pretty")
     return g
 
 
 def build_parser() -> argparse.ArgumentParser:
+    flags = [_global_flags()]
     p = argparse.ArgumentParser(
         prog="rankdec",
         description="exact computations with completely decomposable "
                     "rank-metric codes",
-        parents=[_global_flags(suppress=False)])
+        parents=flags)
     sub = p.add_subparsers(dest="command", required=True)
-    flags = [_global_flags(suppress=True)]
 
     b = sub.add_parser("build", parents=flags,
                        help="build a code from a spec file")
@@ -305,26 +281,18 @@ COMMANDS = {
 }
 
 
-def _stray_flags(argv) -> list:
-    """Unknown arguments ahead of the subcommand if one is a flag, which
-    argparse would report as a bad subcommand (the flag's value)."""
-    flags = _global_flags(suppress=False)
-    flags.exit_on_error = False  # a bad value is the full parser's to report
-    try:
-        stray = flags.parse_known_args(argv[:next(
-            (i for i, a in enumerate(argv) if a in COMMANDS), len(argv))])[1]
-    except argparse.ArgumentError:
-        return []
-    return stray if any(a.startswith("-") and a not in ("-h", "--help") for a in stray) else []
+def parse_args(argv) -> argparse.Namespace:
+    """argv parsed with its first subcommand name moved to the front: an
+    argument before the subcommand reads as if it came after it, and
+    argparse names a stray flag itself.  The namespace is the settings."""
+    argv = list(argv)
+    i = next((i for i, a in enumerate(argv) if a in COMMANDS), 0)
+    return build_parser().parse_args(argv[i:] + argv[:i])
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        if stray := _stray_flags(argv):
-            parser.error(f"unrecognized arguments: {' '.join(stray)}")
-        args = parser.parse_args(argv)
+        args = parse_args(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     if args.cap is None:
@@ -335,22 +303,19 @@ def main(argv=None) -> int:
             print(f"RANKDEC_CAP must be an integer, not {env_cap!r}",
                   file=sys.stderr)
             return EXIT_USAGE
-    try:
-        cfg = RunConfig(enumeration_cap=args.cap, seed=args.seed,
-                        threads=args.threads,
-                        output_format=args.format)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
+    if args.cap <= 0 or args.threads < 1:
+        print("cap must be positive" if args.cap <= 0 else
+              "threads must be >= 1", file=sys.stderr)
         return EXIT_USAGE
-    return _run(COMMANDS[args.command], cfg, args)
+    return _run(COMMANDS[args.command], args)
 
 
-def _run(command, cfg: RunConfig, args) -> int:
+def _run(command, args) -> int:
     """Run one subcommand; an unsupported field exits 1, a refused
     enumeration 2 and an alarm 3, each with one line on stderr.  Under
     --format json a refusal's line is a JSON object with its numbers."""
     try:
-        return command(cfg, args)
+        return command(args)
     except UnsupportedFieldError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE
@@ -358,7 +323,7 @@ def _run(command, cfg: RunConfig, args) -> int:
         print(json.dumps({"error": "cap_exceeded", "what": exc.what,
                           "required": exc.required, "cap": exc.cap},
                          sort_keys=True)
-              if cfg.output_format == "json" else str(exc), file=sys.stderr)
+              if args.format == "json" else str(exc), file=sys.stderr)
         return EXIT_CAP
     except FalsificationAlarm as exc:
         print(f"FALSIFICATION ALARM: {exc}", file=sys.stderr)

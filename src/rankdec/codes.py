@@ -40,7 +40,7 @@ from .enumeration import (
     projective_weights,
 )
 from .errors import CapExceededError, FalsificationAlarm
-from .fields import FieldContext
+from .fields import FieldContext, as_integer
 from .linalg import (
     RowSpace,
     field_inverse,
@@ -223,7 +223,11 @@ class WeightDistribution:
 
 
 class RankCode:
-    """k x n generator matrix over F_{q^m} with independent rows."""
+    """k x n generator matrix over F_{q^m} with independent rows.
+
+    The public constructor checks elements, rank and record: code files
+    and :meth:`relabeled` (whose B comes from the caller) go through it.
+    Codes derived from valid ones skip the checks."""
 
     __slots__ = ("ctx", "generator", "decomposition")
 
@@ -242,6 +246,16 @@ class RankCode:
         if decomposition is not None:
             self._validate_decomposition(decomposition)
         self.decomposition = decomposition
+
+    @classmethod
+    def _unchecked(cls, ctx: FieldContext, generator,
+                   decomposition: Optional[Decomposition] = None) -> "RankCode":
+        """A code whose generator rows (element ints, F_{q^m}-independent)
+        and record are valid by construction."""
+        code = object.__new__(cls)
+        code.ctx, code.generator = ctx, tuple(tuple(r) for r in generator)
+        code.decomposition = decomposition
+        return code
 
     def _validate_decomposition(self, dec: Decomposition):
         ctx = self.ctx
@@ -280,14 +294,12 @@ class RankCode:
                                   self.ctx))
 
     def strip_decomposition(self) -> "RankCode":
-        return RankCode(self.ctx, self.generator)
+        return RankCode._unchecked(self.ctx, self.generator)
 
     def with_decomposition(self, dec: Decomposition) -> "RankCode":
         """The same code with the record attached, checked in full."""
         self._validate_decomposition(dec)
-        out = object.__new__(RankCode)
-        out.ctx, out.generator, out.decomposition = self.ctx, self.generator, dec
-        return out
+        return RankCode._unchecked(self.ctx, self.generator, dec)
 
     def relabeled(self, b_rows) -> "RankCode":
         """Same code, new basis: generator B * G."""
@@ -397,7 +409,7 @@ def direct_sum(codes: Sequence[RankCode]) -> RankCode:
         dec = _sorted_decomposition(
             ctx, [u for c in codes for u in c.decomposition.blocks],
             _blockdiag_fq(ctx, [c.decomposition.col_map for c in codes]))
-    return RankCode(ctx, gen, dec)
+    return RankCode._unchecked(ctx, gen, dec)
 
 
 def _sorted_decomposition(ctx, blocks, inner: EquivalenceMap) -> Decomposition:
@@ -434,14 +446,14 @@ def apply_equivalence(code: RankCode, amap: EquivalenceMap) -> RankCode:
     if dec is not None:
         dec = Decomposition(dec.type_vector, dec.blocks,
                             dec.col_map.compose(amap))
-    return RankCode(code.ctx, g, dec)
+    return RankCode._unchecked(code.ctx, g, dec)
 
 
 def build_completely_decomposable(ctx: FieldContext,
                                   blocks: Iterable[Sequence[int]]) -> RankCode:
     """Direct sum of one-dimensional full-weight blocks, sorted to a
     non-increasing type; each block must have w(u) = len(u) < m."""
-    blocks = [tuple(u) for u in blocks]
+    blocks = [tuple(ctx.check_element(v) for v in u) for u in blocks]
     if not blocks:
         raise ValueError("at least one block required")
     for i, u in enumerate(blocks):
@@ -457,7 +469,7 @@ def build_completely_decomposable(ctx: FieldContext,
     dec = Decomposition(
         tuple(len(u) for u in sorted_blocks), sorted_blocks,
         EquivalenceMap.identity(ctx, sum(len(u) for u in sorted_blocks)))
-    return RankCode(ctx, dec.weight_complementary_generator(), dec)
+    return RankCode._unchecked(ctx, dec.weight_complementary_generator(), dec)
 
 
 def random_decomposable(ctx: FieldContext, k: int, rng: random.Random,
@@ -598,7 +610,7 @@ def shortened(code: RankCode, t: int) -> RankCode:
     if not 1 <= t <= dec.k:
         raise ValueError("t out of range")
     rows = dec.weight_complementary_generator()[t - 1:]
-    return RankCode(code.ctx, rows)
+    return RankCode._unchecked(code.ctx, rows)
 
 
 def punctured(code: RankCode, t: int) -> RankCode:
@@ -743,7 +755,7 @@ def dual_code(code: RankCode) -> RankCode:
     if code.n == code.k:
         raise ValueError("dual of a full-length code is the zero code")
     kern = field_kernel([list(r) for r in code.generator], code.ctx)
-    return RankCode(code.ctx, kern)
+    return RankCode._unchecked(code.ctx, kern)
 
 
 def geometric_dual(code: RankCode) -> RankCode:
@@ -769,7 +781,7 @@ def geometric_dual(code: RankCode) -> RankCode:
         raise ValueError(
             "geometric dual undefined: a direction meets the system "
             "in full F_{q^m}-dimension")
-    return RankCode(ctx, gen)
+    return RankCode._unchecked(ctx, gen)
 
 
 # ----------------------------------------------------------------------
@@ -785,14 +797,15 @@ def code_from_spec(d: dict) -> RankCode:
     blocks = []
     for i, b in enumerate(d["blocks"]):
         if "entries" in b:
-            blocks.append([ctx.check_element(v) for v in b["entries"]])
+            blocks.append(b["entries"])
         elif "geometric" in b:
             g = b["geometric"]
-            e = int(g["lambda_degree"])
-            t = int(g["t"])
+            e = as_integer(g["lambda_degree"], f"block {i}: lambda_degree")
+            t = as_integer(g["t"], f"block {i}: t")
             lam = g.get("lambda")
             if lam is None:
-                lam = ctx.find_element_of_degree(e, seed=int(g.get("seed", 0)))
+                lam = ctx.find_element_of_degree(
+                    e, seed=as_integer(g.get("seed", 0), f"block {i}: seed"))
             else:
                 lam = ctx.check_element(lam)
                 if ctx.degree_over_q(lam) != e:

@@ -62,6 +62,14 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def as_integer(x, name: str) -> int:
+    """x as a Python int, if it is an integer (Python or numpy, not a
+    bool); read from a file, 2.9 or "5" is refused, not truncated."""
+    if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, not {x!r}")
+    return int(x)
+
+
 def divisors(n: int) -> list[int]:
     return [d for d in range(1, n + 1) if n % d == 0]
 
@@ -70,6 +78,7 @@ class FieldContext:
     """One fixed model of the tower F_p < F_{p^a} = F_q < F_{q^m}."""
 
     def __init__(self, p: int, a: int, m: int, modulus: Sequence[int] | None = None):
+        p, a, m = as_integer(p, "p"), as_integer(a, "a"), as_integer(m, "m")
         if not is_prime(p):
             raise ValueError(f"p = {p} is not prime")
         if a < 1 or m < 1:
@@ -86,7 +95,7 @@ class FieldContext:
         if modulus is None:
             modulus = gfpoly.smallest_irreducible(p, self.n)
         else:
-            modulus = [c % p for c in modulus]
+            modulus = [as_integer(c, "modulus entry") % p for c in modulus]
             if len(modulus) != self.n + 1 or modulus[-1] != 1:
                 raise ValueError(f"modulus must be monic of degree {self.n}")
             if not gfpoly.is_irreducible(modulus, p):
@@ -675,8 +684,7 @@ class FieldContext:
 
     @classmethod
     def from_descriptor(cls, d: dict) -> "FieldContext":
-        return cls(int(d["p"]), int(d.get("a", 1)), int(d["m"]),
-                   modulus=d.get("modulus"))
+        return cls(d["p"], d.get("a", 1), d["m"], modulus=d.get("modulus"))
 
     def same_as(self, other: "FieldContext") -> bool:
         return (self.p, self.a, self.m, self.modulus) == (

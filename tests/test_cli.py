@@ -1,7 +1,9 @@
 """CLI surface: spec files, reports, exit codes, and determinism."""
 
-import argparse
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -11,19 +13,20 @@ from rankdec.cli import (
     EXIT_CAP,
     EXIT_OK,
     EXIT_USAGE,
-    RunConfig,
     _run,
-    build_parser,
     cmd_reproduce,
     main,
+    parse_args,
 )
 from rankdec.codes import RankCode
 from rankdec.errors import CapExceededError, FalsificationAlarm
 from rankdec.showcases import SHOWCASES
 
+ROOT = Path(__file__).resolve().parent.parent
+
 #: the exact ``--format json reproduce <name>`` stdout of each showcase
 REPRODUCE_JSON = json.loads(
-    (Path(__file__).parent / "data" / "reproduce_json.json").read_text())
+    (ROOT / "tests" / "data" / "reproduce_json.json").read_text())
 
 
 @pytest.fixture
@@ -135,6 +138,41 @@ def test_wdist_rejects_non_integer_element(capsys, tmp_path, where, value):
     assert f"{value!r} is not an element encoding" in out.err
 
 
+#: where each integer field of a spec sits, and the name its error gives
+INTEGER_FIELDS = {
+    "p": (("field", "p"), "p"),
+    "a": (("field", "a"), "a"),
+    "m": (("field", "m"), "m"),
+    "modulus": (("field", "modulus", 1), "modulus entry"),
+    "lambda_degree": (("blocks", 0, "geometric", "lambda_degree"),
+                      "block 0: lambda_degree"),
+    "t": (("blocks", 0, "geometric", "t"), "block 0: t"),
+    "seed": (("blocks", 0, "geometric", "seed"), "block 0: seed"),
+}
+
+
+@pytest.mark.parametrize("value", NOT_INTEGERS, ids=repr)
+@pytest.mark.parametrize("key", sorted(INTEGER_FIELDS))
+def test_build_rejects_non_integer_field(capsys, tmp_path, key, value):
+    """An integer field of a spec (field descriptor or geometric block)
+    that is not an integer is named on one stderr line, not truncated
+    or parsed into a different code."""
+    spec = {"field": {"p": 2, "a": 1, "m": 4, "modulus": [1, 1, 0, 0, 1]},
+            "blocks": [{"geometric": {"lambda_degree": 4, "t": 2, "seed": 0}}]}
+    (*where, last), name = INTEGER_FIELDS[key]
+    node = spec
+    for step in where:
+        node = node[step]
+    node[last] = value
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(spec))
+    assert main(["build", str(path), "--out", str(tmp_path / "c.json")]) == EXIT_USAGE
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.count("\n") == 1
+    assert f"{name} must be an integer, not {value!r}" in out.err
+    assert not (tmp_path / "c.json").exists()
+
+
 def _wdist_bad_record(capsys, tmp_path, **record):
     """Exit code and stderr of ``wdist`` on a [3, 1] code over F_2^4 whose
     decomposition record takes the given fields."""
@@ -232,8 +270,10 @@ class TestBuild:
         assert out.out == "" and out.err.count("\n") == 1
         assert named in out.err
 
-    def test_missing_file(self, tmp_path):
+    def test_missing_file(self, capsys, tmp_path):
         assert main(["build", str(tmp_path / "nope.json")]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("invalid code spec: ")
 
 
 class TestWdist:
@@ -433,10 +473,37 @@ class TestGlobalFlagPosition:
         ("--cap", "3"), ("--threads", "2"),
     ])
     def test_parsed_the_same_in_either_position(self, flag, value):
-        before = build_parser().parse_args([flag, value, "reproduce", "m6"])
-        after = build_parser().parse_args(["reproduce", "m6", flag, value])
-        default = build_parser().parse_args(["reproduce", "m6"])
+        before = parse_args([flag, value, "reproduce", "m6"])
+        after = parse_args(["reproduce", "m6", flag, value])
+        default = parse_args(["reproduce", "m6"])
         assert vars(after) == vars(before) != vars(default)
+
+    @pytest.mark.parametrize("flags,env,message", [
+        (["--cap", "0"], None, "cap must be positive"),
+        (["--threads", "0"], None, "threads must be >= 1"),
+        (["--format", "yaml"], None, "invalid choice: 'yaml'"),
+        (["--format", "json"], "0", "cap must be positive"),
+    ], ids=["cap", "threads", "format", "env-cap"])
+    def test_bad_setting_in_either_position(self, capsys, monkeypatch,
+                                            flags, env, message):
+        """A setting out of range exits 1 with the same stderr whether
+        its flag comes before or after the subcommand; RANKDEC_CAP=0 is
+        refused like --cap 0."""
+        if env is not None:
+            monkeypatch.setenv("RANKDEC_CAP", env)
+        runs = []
+        for argv in (flags + ["reproduce", "m6"], ["reproduce", "m6"] + flags):
+            rc = main(argv)
+            out = capsys.readouterr()
+            runs.append((rc, out.out, out.err))
+        assert runs[0] == runs[1]
+        rc, out, err = runs[0]
+        assert rc == EXIT_USAGE and out == ""
+        assert message in err.splitlines()[-1]
+
+    def test_help_before_the_subcommand_is_its_help(self, capsys):
+        assert main(["-h", "wdist"]) == EXIT_OK
+        assert "--method" in capsys.readouterr().out
 
 
 class TestBounds:
@@ -491,22 +558,13 @@ def test_unsupported_characteristic_one_line(capsys, tmp_path, command, payload)
     assert "Traceback" not in err
 
 
-def test_runconfig_validation():
-    with pytest.raises(ValueError):
-        RunConfig(enumeration_cap=0)
-    with pytest.raises(ValueError):
-        RunConfig(threads=0)
-    with pytest.raises(ValueError):
-        RunConfig(output_format="yaml")
-
-
 def test_alarm_exit_on_unmatched(capsys):
     # a stand-in showcase whose target is not hit takes the alarm path
     def unmatched(cap, threads):
         return {"example": "m6", "verdict": "unmatched"}, ["verdict: unmatched"]
 
-    args = argparse.Namespace(example="m6")
-    assert cmd_reproduce(RunConfig(), args, {"m6": unmatched}) == EXIT_ALARM
+    args = parse_args(["reproduce", "m6"])
+    assert cmd_reproduce(args, {"m6": unmatched}) == EXIT_ALARM
     out = capsys.readouterr()
     assert out.out == "verdict: unmatched\n"
     assert out.err.count("\n") == 1 and "FALSIFICATION ALARM" in out.err
@@ -517,10 +575,33 @@ def test_alarm_exit_on_unmatched(capsys):
     (CapExceededError(1 << 30, 1 << 24), EXIT_CAP),
 ])
 def test_errors_map_to_exit_codes(capsys, exc, code):
-    def command(cfg, args):
+    def command(args):
         raise exc
 
-    assert _run(command, RunConfig(), argparse.Namespace()) == code
+    assert _run(command, parse_args(["reproduce", "m6"])) == code
     out = capsys.readouterr()
     assert out.out == "" and out.err.count("\n") == 1
     assert str(exc) in out.err
+
+
+def _console(*argv):
+    """``python -m rankdec.cli`` with the given arguments, which main
+    reads from sys.argv as the installed entry point does."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "rankdec.cli", *argv],
+                          capture_output=True, text=True, timeout=120,
+                          cwd=ROOT, env=dict(os.environ, PYTHONPATH=path))
+
+
+def test_console_report_is_the_pinned_report():
+    proc = _console("--format", "json", "reproduce", "m6")
+    assert proc.returncode == EXIT_OK, proc.stderr[-2000:]
+    assert proc.stdout == REPRODUCE_JSON["m6"]
+
+
+def test_console_stray_flag_exits_1():
+    proc = _console("--pcap", "3", "reproduce", "m6")
+    assert proc.returncode == EXIT_USAGE
+    assert proc.stdout == ""
+    assert "rankdec: error: unrecognized arguments: --pcap 3" in proc.stderr

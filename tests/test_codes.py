@@ -399,6 +399,29 @@ class TestDirectSumAndEquivalence:
             for m in maps:
                 assert EquivalenceMap(ctx, m.rows) == m
 
+    @pytest.mark.parametrize("field,typ", [
+        ((2, 1, 5), (3, 2, 1)), ((3, 1, 4), (3, 2)), ((2, 2, 3), (2, 2, 1)),
+    ])
+    def test_derived_codes_pass_the_public_checks(self, field, typ):
+        """The codes built without the constructor's checks are rebuilt
+        unchanged by it, record included, with int entries throughout."""
+        ctx = FieldContext(*field)
+        for seed in range(3):
+            c = build_completely_decomposable(
+                ctx, full_weight_blocks(ctx, typ, random.Random(seed)))
+            scr = apply_equivalence(
+                c.relabeled(random_gl_ext(ctx, c.k, seed=seed)),
+                random_gl(ctx, c.n, seed=seed))
+            bare = scr.strip_decomposition()
+            derived = [c, scr, bare, direct_sum([scr, c]), shortened(c, 2),
+                       punctured(c, 2), dual_code(c), geometric_dual(c),
+                       geometric_dual(bare),
+                       bare.with_decomposition(scr.decomposition)]
+            for d in derived:
+                rebuilt = RankCode(ctx, d.generator, d.decomposition)
+                assert rebuilt.generator == d.generator
+                assert all(type(v) is int for row in d.generator for v in row)
+
 
 class TestBuildAndDetect:
     def test_build_sorts_blocks(self, f64):
