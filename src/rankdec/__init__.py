@@ -37,21 +37,16 @@ from .codes import (
     code_from_spec,
     code_support,
     detect_complete_decomposability,
-    direct_sum,
     dual_code,
     geometric_dual,
-    is_minimal_codeword,
     is_mrd,
     is_nondegenerate,
     min_distance,
     minimal_codeword_census,
     minimal_codewords,
-    punctured,
     random_gl,
     rank_weight,
-    shortened,
     support,
-    type_of,
     weight_distribution,
 )
 from .errors import (
@@ -64,8 +59,6 @@ from .errors import (
 from .fields import FieldContext, gaussian_binomial, is_prime
 from .subspaces import (
     Subspace,
-    cauchy_davenport_check,
-    detect_geometric_form,
     geometric_subspace,
     geometric_witnesses,
     intersect,
@@ -88,17 +81,15 @@ __all__ = [
     "Subspace", "span", "subspace_sum", "intersect", "product", "scale",
     "trace_dual", "kernel_of_trace", "geometric_subspace",
     "verify_dual_geometric", "verify_dual_subfield",
-    "cauchy_davenport_check", "detect_geometric_form",
     "geometric_witnesses", "is_subfield_linear",
     # codes
     "RankCode", "Decomposition", "EquivalenceMap", "WeightDistribution",
     "MinimalFamilies", "rank_weight", "support", "code_support",
     "is_nondegenerate", "weight_distribution", "min_distance", "is_mrd",
-    "direct_sum", "apply_equivalence", "random_gl",
-    "build_completely_decomposable", "detect_complete_decomposability",
-    "type_of", "shortened", "punctured", "minimal_codewords",
-    "is_minimal_codeword", "minimal_codeword_census", "dual_code",
-    "geometric_dual", "code_from_spec",
+    "apply_equivalence", "random_gl", "build_completely_decomposable",
+    "detect_complete_decomposability", "minimal_codewords",
+    "minimal_codeword_census", "dual_code", "geometric_dual",
+    "code_from_spec",
     # systems
     "System", "system_from_code", "perp_prime",
     # analysis

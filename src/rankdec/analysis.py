@@ -15,7 +15,8 @@ the number of minimum-weight codewords is exactly
 and it is sandwiched between (q^m - 1)(ell + 1) and
 (q^m - 1)(q^((ell+1)(m - n_k)) - 1)/(q^(m - n_k) - 1); for prime m the
 linear Cauchy-Davenport inequality forces every j <= 1 and the bound
-tightens to (q^m - 1)(q^(ell+1) - 1)/(q - 1).
+tightens to (q^m - 1)(q^(ell+1) - 1)/(q - 1).  The products suite
+(:func:`rankdec.suites.run_products_suite`) checks that inequality.
 
 The counts come with the underlying codeword families: the weight-n_t
 words that appear at shortening step t are exactly

@@ -43,7 +43,6 @@ from .errors import CapExceededError, FalsificationAlarm
 from .fields import FieldContext, as_integer
 from .linalg import (
     RowSpace,
-    field_inverse,
     field_matmul,
     field_rank,
     field_rref,
@@ -65,8 +64,8 @@ class EquivalenceMap:
     F_q and that the matrix is invertible; code files go through it.
     Maps valid by construction skip the checks: :func:`random_gl`
     (entries drawn from F_q, kept only at full rank) and maps derived
-    from valid ones (:meth:`identity`, :meth:`inverse`, :meth:`compose`
-    and the coordinate maps that decomposition records and detection
+    from valid ones (:meth:`identity`, :meth:`compose` and the
+    coordinate maps that decomposition records and detection
     build)."""
 
     __slots__ = ("ctx", "rows")
@@ -100,10 +99,6 @@ class EquivalenceMap:
     def identity(cls, ctx: FieldContext, n: int) -> "EquivalenceMap":
         return cls._unchecked(
             ctx, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    def inverse(self) -> "EquivalenceMap":
-        return self._unchecked(self.ctx, field_inverse(
-            [list(r) for r in self.rows], self.ctx))
 
     def compose(self, other: "EquivalenceMap") -> "EquivalenceMap":
         """self followed by other (matrix product self * other)."""
@@ -389,29 +384,6 @@ def is_mrd(code: RankCode, cap: int = DEFAULT_ENUM_CAP) -> bool:
 # ----------------------------------------------------------------------
 
 
-def direct_sum(codes: Sequence[RankCode]) -> RankCode:
-    if not codes:
-        raise ValueError("empty direct sum")
-    ctx = codes[0].ctx
-    for c in codes[1:]:
-        ctx.require_same(c.ctx)
-    n = sum(c.n for c in codes)
-    k = sum(c.k for c in codes)
-    gen = [[0] * n for _ in range(k)]
-    roff = coff = 0
-    for c in codes:
-        for i, row in enumerate(c.generator):
-            gen[roff + i][coff:coff + c.n] = list(row)
-        roff += c.k
-        coff += c.n
-    dec = None
-    if all(c.decomposition is not None for c in codes):
-        dec = _sorted_decomposition(
-            ctx, [u for c in codes for u in c.decomposition.blocks],
-            _blockdiag_fq(ctx, [c.decomposition.col_map for c in codes]))
-    return RankCode._unchecked(ctx, gen, dec)
-
-
 def _sorted_decomposition(ctx, blocks, inner: EquivalenceMap) -> Decomposition:
     """The record of blocks laid out side by side, where ``inner`` maps
     that layout onto the stored coordinates: the blocks are sorted by
@@ -424,15 +396,6 @@ def _sorted_decomposition(ctx, blocks, inner: EquivalenceMap) -> Decomposition:
     return Decomposition(tuple(lens[i] for i in order),
                          tuple(blocks[i] for i in order),
                          EquivalenceMap._unchecked(ctx, rows))
-
-
-def _blockdiag_fq(ctx, maps) -> EquivalenceMap:
-    n = sum(mp.n for mp in maps)
-    rows, off = [], 0
-    for mp in maps:
-        rows.extend((0,) * off + r + (0,) * (n - off - mp.n) for r in mp.rows)
-        off += mp.n
-    return EquivalenceMap._unchecked(ctx, rows)
 
 
 def apply_equivalence(code: RankCode, amap: EquivalenceMap) -> RankCode:
@@ -493,15 +456,6 @@ def require_decomposition(code: RankCode) -> Decomposition:
     if code.decomposition is None:
         raise ValueError("code has no decomposition record; run detection first")
     return code.decomposition
-
-
-def type_of(code: RankCode, cap: int = DEFAULT_ENUM_CAP) -> tuple[int, ...]:
-    if code.decomposition is not None:
-        return code.decomposition.type_vector
-    dec = detect_complete_decomposability(code, cap=cap)
-    if dec is None:
-        raise ValueError("code is not completely decomposable")
-    return dec.type_vector
 
 
 # ----------------------------------------------------------------------
@@ -599,30 +553,6 @@ def _pick_basis(ctx, candidates, k, target):
 
 
 # ----------------------------------------------------------------------
-# shortening / puncturing along the block structure
-# ----------------------------------------------------------------------
-
-
-def shortened(code: RankCode, t: int) -> RankCode:
-    """Subcode of the weight-complementary form with the first t-1 block
-    coefficients forced to zero (full length kept); 1-based t."""
-    dec = require_decomposition(code)
-    if not 1 <= t <= dec.k:
-        raise ValueError("t out of range")
-    rows = dec.weight_complementary_generator()[t - 1:]
-    return RankCode._unchecked(code.ctx, rows)
-
-
-def punctured(code: RankCode, t: int) -> RankCode:
-    """Restriction to the coordinates of blocks t..k; completely
-    decomposable of type (n_t, ..., n_k)."""
-    dec = require_decomposition(code)
-    if not 1 <= t <= dec.k:
-        raise ValueError("t out of range")
-    return build_completely_decomposable(code.ctx, dec.blocks[t - 1:])
-
-
-# ----------------------------------------------------------------------
 # minimal codewords
 # ----------------------------------------------------------------------
 
@@ -675,25 +605,6 @@ def blocks_scalar_unrelated(code: RankCode) -> bool:
     return not any(i != j and uj.dim <= ui.dim
                    and scalar_into(ui, uj) is not None
                    for i, ui in enumerate(spans) for j, uj in enumerate(spans))
-
-
-def is_minimal_codeword(code: RankCode, c: Sequence[int],
-                        cap: int = 1 << 16) -> bool:
-    """Brute force: c is minimal iff every nonzero codeword whose entry
-    span is contained in that of c is a scalar multiple of c."""
-    ctx = code.ctx
-    total = message_space_size(ctx, code.k)
-    if total > cap:
-        raise CapExceededError(total, cap, "minimality scan")
-    if not any(c):
-        raise ValueError("the zero word is not eligible")
-    s = span(ctx, c)
-    for idx in range(1, total):
-        other = code.codeword(message_from_index(ctx, code.k, idx))
-        if s.contains_space(span(ctx, other)):
-            if not _proportional(ctx, c, other):
-                return False
-    return True
 
 
 def _proportional(ctx, u, v) -> bool:

@@ -75,13 +75,6 @@ def message_from_index(ctx, k: int, idx: int) -> tuple[int, ...]:
     return tuple(comps)
 
 
-def index_of_message(ctx, k: int, msg) -> int:
-    idx = 0
-    for z in reversed(msg[:k]):
-        idx = idx * ctx.order + z
-    return idx
-
-
 def _word_dtype(bits: int):
     """Narrowest unsigned dtype holding a packed entry of that many bits."""
     return np.uint8 if bits <= 8 else np.uint16 if bits <= 16 else np.uint32
@@ -308,15 +301,6 @@ def _map_batches(kernels, chunk_target: int, threads: int, fn) -> list:
     return [one(job) for job in jobs]
 
 
-def _full_kernel(ctx, generator, cap: int, chunk_target: int):
-    """q^(mk) and the kernel of all q^(mk) messages, within the cap."""
-    total = message_space_size(ctx, len(generator))
-    if total > cap:
-        raise CapExceededError(total, cap, "codeword enumeration")
-    rows = _entries(ctx, generator)
-    return total, _Kernel(ctx, rows, [0] * len(rows[0]), chunk_target)
-
-
 def _counts(kernels, n: int, chunk_target: int, threads: int) -> list[int]:
     """Words of weight 0..n among the kernels' words, counted per batch."""
     parts = _map_batches(kernels, chunk_target, threads,
@@ -327,8 +311,13 @@ def _counts(kernels, n: int, chunk_target: int, threads: int) -> list[int]:
 def weight_counts(ctx, generator, cap: int = DEFAULT_ENUM_CAP,
                   threads: int = 1,
                   chunk_target: int = DEFAULT_CHUNK_TARGET) -> list[int]:
-    """Exact weight distribution (A_0, ..., A_n) by full enumeration."""
-    total, kern = _full_kernel(ctx, generator, cap, chunk_target)
+    """Exact weight distribution (A_0, ..., A_n) by full enumeration of
+    all q^(mk) messages, within the cap."""
+    total = message_space_size(ctx, len(generator))
+    if total > cap:
+        raise CapExceededError(total, cap, "codeword enumeration")
+    rows = _entries(ctx, generator)
+    kern = _Kernel(ctx, rows, [0] * len(rows[0]), chunk_target)
     counts = _counts([kern], len(generator[0]), chunk_target, threads)
     if sum(counts) != total:
         raise FalsificationAlarm(
@@ -340,16 +329,6 @@ def _fill(out: np.ndarray):
     def put(pos, ranks):
         out[pos:pos + len(ranks)] = ranks
     return put
-
-
-def weights_array(ctx, generator, cap: int = DEFAULT_ENUM_CAP) -> np.ndarray:
-    """Per-message weights: entry t is the weight of the codeword of
-    :func:`message_from_index` (t), whose components are the base-q^m
-    digits of t."""
-    _, kern = _full_kernel(ctx, generator, cap, DEFAULT_CHUNK_TARGET)
-    out = np.empty(kern.words, dtype=np.uint8)
-    _map_batches([kern], DEFAULT_CHUNK_TARGET, 1, _fill(out))
-    return out
 
 
 def _projective_kernels(ctx, generator, chunk_target: int) -> list:

@@ -18,20 +18,19 @@ multiplicative structure that drives the minimum-weight counts:
   a sum of shifted copies a_i*U2 over a basis (a_i) of U1;
 * ``trace_dual``: the orthogonal complement under the bilinear form
   (x, y) -> Tr_{q^m/q^e}(xy), a nondegenerate reflexive form;
-* the linear Cauchy-Davenport inequality for prime m,
-  dim(U1*U2) >= dim U1 + dim U2 - 1 whenever dim(U1*U2) <= m - 1,
-  together with the classification of its critical pairs by scaled
-  geometric-progression spaces c*<1, lam, ..., lam^(d-1)>.
+* ``geometric_witnesses``: the scaled geometric-progression forms
+  c*<1, lam, ..., lam^(d-1)> of a subspace, which classify the critical
+  pairs of the linear Cauchy-Davenport inequality for prime m,
+  dim(U1*U2) >= dim U1 + dim U2 - 1 whenever dim(U1*U2) <= m - 1.  The
+  products suite (:func:`rankdec.suites.run_products_suite`) checks the
+  inequality and the classification on every pair at m = 5.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Optional, Sequence
 
-import numpy as np
-
-from .errors import NotApplicableError
-from .fields import FieldContext, is_prime
+from .fields import FieldContext
 from .linalg import RowSpace, field_kernel
 
 
@@ -249,22 +248,6 @@ def verify_dual_subfield(ctx: FieldContext, lam: int, t: int):
     return False, 0
 
 
-def cauchy_davenport_check(u1: Subspace, u2: Subspace) -> bool:
-    """Linear Cauchy-Davenport for prime m: the product of nonzero
-    subspaces either fills a hyperplane-or-more or has dimension at
-    least dim U1 + dim U2 - 1.  Vacuously true when the product exceeds
-    m - 1."""
-    ctx = u1.ctx
-    if not is_prime(ctx.m):
-        raise NotApplicableError("the inequality requires a prime extension degree")
-    if u1.dim < 1 or u2.dim < 1:
-        raise ValueError("both subspaces must be nonzero")
-    d = product(u1, u2).dim
-    if d > ctx.m - 1:
-        return True
-    return d >= u1.dim + u2.dim - 1
-
-
 def geometric_witnesses(u: Subspace) -> dict[int, int]:
     """All (lam -> c) with u = c*<1, lam, ..., lam^(dim-1)>.
 
@@ -298,15 +281,6 @@ def geometric_witnesses(u: Subspace) -> dict[int, int]:
             if span(ctx, [ctx.mul(c, ctx.pow(lam, i)) for i in range(d)]) == u:
                 out[lam] = c
     return out
-
-
-def detect_geometric_form(u: Subspace) -> Optional[tuple[int, int]]:
-    """Some (c, lam) with u = c*<1,...,lam^(dim-1)>, or None."""
-    wits = geometric_witnesses(u)
-    if not wits:
-        return None
-    lam = min(wits)
-    return wits[lam], lam
 
 
 def critical_complement_witness(u1: Subspace, u2: Subspace) -> Optional[int]:

@@ -30,9 +30,9 @@ from rankdec.codes import (
 )
 from rankdec.enumeration import (
     DEFAULT_ENUM_CAP,
-    message_from_index,
     message_space_size,
-    weights_array,
+    projective_points,
+    projective_weights,
 )
 from rankdec.fields import is_prime
 from rankdec.showcases import (
@@ -266,23 +266,21 @@ def test_criterion_11_family_partition():
         ctx = code.ctx
         k = code.k
         typ = code.decomposition.type_vector
-        weights = weights_array(ctx, code.generator)
-        q, m = ctx.q, ctx.m
-        # per-step set equality for every shortening step
+        # one weight per projective point x (leading entry 1); the
+        # messages of x's weight are its multiples beta * x
+        weights = projective_weights(ctx, code.generator)
+        points = list(projective_points(ctx, k))
+        # per-step set equality for every shortening step: the
+        # weight-n_t messages whose first nonzero entry is entry t - 1
         for t in range(1, k):
             fam = minimum_weight_family(code, t)
             fam_msgs = set(fam.messages(ctx, k))
             assert len(fam_msgs) == fam.size
             n_t = typ[t - 1]
-            enum_msgs = set()
-            for idx in range(1, len(weights)):
-                msg = message_from_index(ctx, k, idx)
-                if any(msg[:t - 1]):
-                    continue
-                if msg[t - 1] == 0:
-                    continue
-                if weights[idx] == n_t:
-                    enum_msgs.add(msg)
+            enum_msgs = {tuple(ctx.mul(beta, v) for v in x)
+                         for x, w in zip(points, weights)
+                         if w == n_t and x.index(1) == t - 1
+                         for beta in range(1, ctx.order)}
             assert fam_msgs == enum_msgs, (typ, t, len(fam_msgs),
                                            len(enum_msgs))
         # trailing families partition the minimum-weight words
@@ -290,7 +288,7 @@ def test_criterion_11_family_partition():
         ell = trailing_run_length(typ)
         total = sum(minimum_weight_family(code, t).size
                     for t in range(k - ell, k)) + (ctx.order - 1)
-        enum_min = int((weights == typ[-1]).sum())
+        enum_min = (ctx.order - 1) * int((weights == typ[-1]).sum())
         assert total == rep.formula_count == enum_min, (typ, total,
                                                         rep.formula_count,
                                                         enum_min)

@@ -29,7 +29,7 @@ from rankdec.codes import (
     rank_weight,
     weight_distribution,
 )
-from rankdec.enumeration import weights_array
+from rankdec.enumeration import projective_points, projective_weights
 
 
 class TestTrailingRun:
@@ -165,23 +165,21 @@ class TestWeightFamilies:
 
     def test_family_matches_enumeration(self, f16):
         """Set equality between the described family and the weight-n_t
-        words appearing at each shortening step, via the full weights
-        array."""
+        words appearing at each shortening step: the multiples beta * x
+        of the projective points x of weight n_t whose leading 1 is at
+        position t - 1."""
         lam = f16.elements_of_degree(4)[0]
         c = build_completely_decomposable(f16, [[1, lam], [1, lam]])
-        weights = weights_array(f16, c.generator)
+        weights = projective_weights(f16, c.generator)
         t = 1
         fam = minimum_weight_family(c, t)
         fam_msgs = set(fam.messages(f16, c.k))
         assert len(fam_msgs) == fam.size
         n_t = c.decomposition.type_vector[t - 1]
-        enum_msgs = set()
-        for idx in range(1, len(weights)):
-            from rankdec.enumeration import message_from_index
-
-            msg = message_from_index(f16, c.k, idx)
-            if msg[0] != 0 and weights[idx] == n_t:
-                enum_msgs.add(msg)
+        enum_msgs = {tuple(f16.mul(beta, v) for v in x)
+                     for x, w in zip(projective_points(f16, c.k), weights)
+                     if w == n_t and x.index(1) == t - 1
+                     for beta in range(1, f16.order)}
         assert fam_msgs == enum_msgs
 
     def test_zero_exponents_give_bare_family(self, f32):

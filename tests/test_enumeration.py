@@ -28,7 +28,6 @@ from rankdec.enumeration import (
     _rank_rows_digits,
     _rank_rows_packed,
     _word_dtype,
-    index_of_message,
     message_from_index,
     message_space_size,
     projective_count,
@@ -37,36 +36,9 @@ from rankdec.enumeration import (
     projective_points,
     projective_weights,
     weight_counts,
-    weights_array,
 )
 from rankdec.errors import UnsupportedFieldError
 from rankdec.systems import perp_prime, system_from_code
-
-
-def test_message_index_roundtrip(f16, f81):
-    for ctx, k in ((f16, 2), (f81, 1), (FieldContext(2, 2, 3), 2)):
-        total = message_space_size(ctx, k)
-        seen = set()
-        for idx in range(total):
-            msg = message_from_index(ctx, k, idx)
-            assert index_of_message(ctx, k, msg) == idx
-            seen.add(msg)
-        assert len(seen) == total
-
-
-def test_weights_array_matches_counts(f16):
-    for ctx in (f16, FieldContext(2, 2, 3)):  # q = 2, m = 4 and q = 4, m = 3
-        lam = ctx.elements_of_degree(ctx.m)[0]
-        c = build_completely_decomposable(ctx, [[1, lam], [1, lam]])
-        arr = weights_array(ctx, c.generator)
-        counts = weight_counts(ctx, c.generator)
-        assert [int((arr == i).sum()) for i in range(c.n + 1)] == counts
-        # entry idx is the weight of the message whose components are
-        # the base-q^m digits of idx
-        for idx in range(len(arr)):
-            msg = message_from_index(ctx, 2, idx)
-            assert msg == (idx % ctx.order, idx // ctx.order)
-            assert arr[idx] == rank_weight(ctx, c.codeword(msg))
 
 
 def test_chunking_invariance(f64):

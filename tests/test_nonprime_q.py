@@ -31,7 +31,7 @@ from rankdec.enumeration import (
     weight_counts,
 )
 from rankdec.subspaces import (
-    cauchy_davenport_check,
+    product,
     random_subspace,
     trace_dual,
     verify_dual_geometric,
@@ -64,7 +64,8 @@ def test_product_inequality_prime_m(q4m3):
     for _ in range(25):
         u1 = random_subspace(q4m3, rng.randrange(1, 3), rng)
         u2 = random_subspace(q4m3, rng.randrange(1, 3), rng)
-        assert cauchy_davenport_check(u1, u2)
+        d = product(u1, u2).dim
+        assert d > q4m3.m - 1 or d >= u1.dim + u2.dim - 1
 
 
 def test_generator_progression_duals(q4m3):

@@ -190,3 +190,44 @@ def test_coset_tables_from_field_multiples():
     lines = [node.lineno for node in ast.walk(defs["_Kernel"])
              if isinstance(node, ast.Attribute) and node.attr == "concatenate"]
     assert not lines, f"np.concatenate in _Kernel at line(s) {lines}"
+
+
+#: public names that only tests call, each the reference a shipped path
+#: is checked against
+TEST_REFERENCES = {
+    "weight_counts": "the full-enumeration oracle",
+    "projective_points": "the point order that projective_weights documents",
+    "dual_code": "the rank MacWilliams reference",
+    "gaussian_binomial": "the subspace-count reference",
+}
+
+#: the code outside src/ that ships with the package and calls into it
+CALLERS = [path for folder in ("demos", "perfbench")
+           for path in sorted((SRC[0].parent.parent.parent / folder).glob("*.py"))]
+
+
+def _names(node):
+    return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def test_every_public_function_has_a_caller():
+    # a public function or class must be referenced by name outside its
+    # own definition: in its module, another module of src/ (not the
+    # package's re-exports), a demo or the benchmark
+    modules = {path: ast.parse(path.read_text()) for path in SRC
+               if path.stem != "__init__"}
+    seen = set().union(*(_names(ast.parse(p.read_text())) for p in CALLERS))
+    public = {}
+    for path, tree in modules.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                if not node.name.startswith("_"):
+                    public[node.name] = path.stem
+                seen |= _names(node) - {node.name}
+            else:
+                seen |= _names(node)
+    dead = sorted(f"{stem}.{name}" for name, stem in public.items()
+                  if name not in seen and name not in TEST_REFERENCES)
+    assert not dead, f"public names no shipped code calls: {dead}"
+    assert set(TEST_REFERENCES) <= set(public), "allow-listed name gone"
