@@ -28,6 +28,9 @@ ROOT = Path(__file__).resolve().parent.parent
 REPRODUCE_JSON = json.loads(
     (ROOT / "tests" / "data" / "reproduce_json.json").read_text())
 
+#: the exact ``--seed 3 --format json verify all`` stdout
+VERIFY_SEED3_JSON = (ROOT / "tests" / "data" / "verify_seed3.json").read_text()
+
 
 @pytest.fixture
 def spec_path(tmp_path):
@@ -389,6 +392,12 @@ class TestVerify:
 
     def test_unknown_suite_usage_error(self):
         assert main(["verify", "nonsense"]) == EXIT_USAGE
+
+    def test_all_suites_json_bytes_pinned(self, capsys):
+        # tests/data/verify_seed3.json is the stdout of
+        # `rankdec --seed 3 --format json verify all`
+        assert main(["--seed", "3", "--format", "json", "verify", "all"]) == EXIT_OK
+        assert capsys.readouterr().out == VERIFY_SEED3_JSON
 
     def test_products_trials_drive_sampled_checks(self, capsys):
         rc = main(["--format", "json", "verify", "products", "--trials", "2"])
