@@ -40,7 +40,7 @@ from .enumeration import (
     projective_weights,
 )
 from .errors import CapExceededError, FalsificationAlarm
-from .fields import FieldContext, as_integer
+from .fields import FieldContext, as_integer, check_keys
 from .linalg import (
     RowSpace,
     field_matmul,
@@ -315,10 +315,12 @@ class RankCode:
 
     @classmethod
     def from_json(cls, d: dict) -> "RankCode":
+        check_keys(d, "", ("field", "generator"), ("decomposition",))
         ctx = FieldContext.from_descriptor(d["field"])
         dec = None
         if "decomposition" in d:
             rec = d["decomposition"]
+            check_keys(rec, "decomposition", ("type", "blocks", "col_map"))
             dec = Decomposition(
                 tuple(rec["type"]),
                 tuple(tuple(ctx.check_element(v) for v in u) for u in rec["blocks"]),
@@ -703,14 +705,23 @@ def geometric_dual(code: RankCode) -> RankCode:
 def code_from_spec(d: dict) -> RankCode:
     """Build a code from a spec dict: {"field": {...}, "blocks": [...]}
     where each block is {"entries": [...]} or {"geometric":
-    {"lambda_degree": e, "t": t, "lambda": optional}}."""
+    {"lambda_degree": e, "t": t}}, the latter with at most one of
+    "lambda" and "seed" added.  Any other key is refused."""
+    check_keys(d, "", ("field", "blocks"))
     ctx = FieldContext.from_descriptor(d["field"])
     blocks = []
     for i, b in enumerate(d["blocks"]):
+        check_keys(b, f"blocks[{i}]", (), ("entries", "geometric"))
+        if len(b) != 1:
+            raise ValueError(f"blocks[{i}]: need exactly one of 'entries' and 'geometric'")
         if "entries" in b:
             blocks.append(b["entries"])
-        elif "geometric" in b:
+        else:
             g = b["geometric"]
+            check_keys(g, f"blocks[{i}].geometric", ("lambda_degree", "t"),
+                       ("lambda", "seed"))
+            if "lambda" in g and "seed" in g:
+                raise ValueError(f"blocks[{i}].geometric.seed: conflicts with lambda")
             e = as_integer(g["lambda_degree"], f"block {i}: lambda_degree")
             t = as_integer(g["t"], f"block {i}: t")
             lam = g.get("lambda")
@@ -726,6 +737,4 @@ def code_from_spec(d: dict) -> RankCode:
             if not 1 <= t <= e:
                 raise ValueError(f"block {i}: t = {t} is outside 1..{e} (lambda degree)")
             blocks.append([ctx.pow(lam, j) for j in range(t)])
-        else:
-            raise ValueError(f"block {i}: need 'entries' or 'geometric'")
     return build_completely_decomposable(ctx, blocks)

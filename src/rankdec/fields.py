@@ -70,6 +70,21 @@ def as_integer(x, name: str) -> int:
     return int(x)
 
 
+def check_keys(d, path: str, required, optional=()):
+    """Refuse a file's JSON object d at ``path`` (a.b[0].c) that lacks a
+    required key (KeyError) or has a key outside required + optional."""
+    if not isinstance(d, dict):
+        raise TypeError(f"{path or 'the file'} must be a JSON object, not {type(d).__name__}")
+    for key in required:
+        if key not in d:
+            raise KeyError(key)
+    allowed = (*required, *optional)
+    for key in d:
+        if key not in allowed:
+            raise ValueError(f"{path + '.' if path else ''}{key}: unknown key "
+                             f"(allowed: {', '.join(allowed)})")
+
+
 def divisors(n: int) -> list[int]:
     return [d for d in range(1, n + 1) if n % d == 0]
 
@@ -683,7 +698,8 @@ class FieldContext:
         return {"p": self.p, "a": self.a, "m": self.m, "modulus": list(self.modulus)}
 
     @classmethod
-    def from_descriptor(cls, d: dict) -> "FieldContext":
+    def from_descriptor(cls, d: dict, path: str = "field") -> "FieldContext":
+        check_keys(d, path, ("p", "m"), ("a", "modulus"))
         return cls(d["p"], d.get("a", 1), d["m"], modulus=d.get("modulus"))
 
     def same_as(self, other: "FieldContext") -> bool:

@@ -101,6 +101,60 @@ def test_missing_key_named(capsys, tmp_path, command, payload, key):
     assert expected in out.err
 
 
+#: a spec and a code file, each with every optional key
+SPEC = {"field": {"p": 2, "a": 1, "m": 4, "modulus": [1, 1, 0, 0, 1]},
+        "blocks": [{"entries": [1, 2]},
+                   {"geometric": {"lambda_degree": 4, "t": 2, "seed": 1}}]}
+CODE = {"field": {"p": 2, "m": 4}, "generator": [[1, 2, 4]],
+        "decomposition": {"type": [3], "blocks": [[1, 2, 4]],
+                          "col_map": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}}
+
+
+def _read_argv(command, file):
+    out = ["--out", str(file.with_suffix(".code.json"))] if command == "build" else []
+    return [command, str(file), *out]
+
+
+@pytest.mark.parametrize("command,path,edit,message", [
+    ("build", (), {"fields": 1}, "fields: unknown key"),
+    ("build", ("field",), {"q": 4}, "field.q: unknown key"),
+    ("build", ("blocks", 0), {"entry": [1]}, "blocks[0].entry: unknown key"),
+    ("build", ("blocks", 1, "geometric"), {"lamda": 2},
+     "blocks[1].geometric.lamda: unknown key"),
+    ("build", ("blocks", 0), {"geometric": {"lambda_degree": 4, "t": 3}},
+     "blocks[0]: need exactly one of 'entries' and 'geometric'"),
+    ("build", ("blocks", 1, "geometric"), {"lambda": 2},
+     "blocks[1].geometric.seed: conflicts with lambda"),
+    ("wdist", (), {"generators": [[1]]}, "generators: unknown key"),
+    ("wdist", ("field",), {"n": 4}, "field.n: unknown key"),
+    ("wdist", ("decomposition",), {"colmap": []},
+     "decomposition.colmap: unknown key"),
+], ids=["spec", "spec-field", "block", "geometric", "block-both",
+        "lambda-and-seed", "code", "code-field", "record"])
+def test_unknown_or_conflicting_key_named(capsys, tmp_path, command, path,
+                                          edit, message):
+    """A key outside an input object's keys, or two keys that exclude
+    each other, exits 1 with one stderr line naming its path."""
+    doc = json.loads(json.dumps(SPEC if command == "build" else CODE))
+    node = doc
+    for step in path:
+        node = node[step]
+    node.update(edit)
+    file = tmp_path / "in.json"
+    file.write_text(json.dumps(doc))
+    assert main(_read_argv(command, file)) == EXIT_USAGE
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.count("\n") == 1
+    assert message in out.err
+
+
+@pytest.mark.parametrize("command", ["build", "wdist"])
+def test_every_key_accepted(capsys, tmp_path, command):
+    file = tmp_path / "in.json"
+    file.write_text(json.dumps(SPEC if command == "build" else CODE))
+    assert main(_read_argv(command, file)) == EXIT_OK
+
+
 #: element values that are not integers, as JSON reads them
 NOT_INTEGERS = [1.5, 2.0, "a", True, False]
 
