@@ -75,14 +75,14 @@ def check_keys(d, path: str, required, optional=()):
     required key (KeyError) or has a key outside required + optional."""
     if not isinstance(d, dict):
         raise TypeError(f"{path or 'the file'} must be a JSON object, not {type(d).__name__}")
+    prefix = f"{path}." if path else ""
     for key in required:
         if key not in d:
-            raise KeyError(key)
+            raise KeyError(prefix + key)
     allowed = (*required, *optional)
     for key in d:
         if key not in allowed:
-            raise ValueError(f"{path + '.' if path else ''}{key}: unknown key "
-                             f"(allowed: {', '.join(allowed)})")
+            raise ValueError(f"{prefix}{key}: unknown key (allowed: {', '.join(allowed)})")
 
 
 def divisors(n: int) -> list[int]:

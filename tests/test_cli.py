@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import rankdec
 from rankdec.cli import (
     EXIT_ALARM,
     EXIT_CAP,
@@ -18,7 +19,7 @@ from rankdec.cli import (
     main,
     parse_args,
 )
-from rankdec.codes import RankCode
+from rankdec.codes import RankCode, code_from_spec
 from rankdec.errors import CapExceededError, FalsificationAlarm
 from rankdec.showcases import SHOWCASES
 
@@ -87,6 +88,13 @@ def test_malformed_file_one_line(capsys, tmp_path, command, shape):
     ("wdist", {"field": {"p": 2, "m": 4}, "blocks": [{"entries": [1]}]},
      "generator"),
     ("build", {"blocks": [{"entries": [1]}]}, "field"),
+    ("build", {"field": {"p": 2}, "blocks": [{"entries": [1]}]}, "field.m"),
+    ("build", {"field": {"p": 2, "m": 4},
+               "blocks": [{"geometric": {"lambda_degree": 4}}]},
+     "blocks[0].geometric.t"),
+    ("wdist", {"field": {"p": 2, "m": 4}, "generator": [[1, 2]],
+               "decomposition": {"type": [2], "blocks": [[1, 2]]}},
+     "decomposition.col_map"),
 ])
 def test_missing_key_named(capsys, tmp_path, command, payload, key):
     """A missing key is named on one stderr line, with the file format
@@ -153,6 +161,22 @@ def test_every_key_accepted(capsys, tmp_path, command):
     file = tmp_path / "in.json"
     file.write_text(json.dumps(SPEC if command == "build" else CODE))
     assert main(_read_argv(command, file)) == EXIT_OK
+
+
+def test_benchmark_instance_files_load():
+    """The spec and code shapes that the benchmark's instance files
+    record pass the key check: one instance of each class."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        from workloads import WORKLOADS
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+    for workload in WORKLOADS.values():
+        records = {inst.cls: inst.to_json() for inst in workload.setup(rankdec, 0)}
+        for record in records.values():
+            code_from_spec(record["spec"])
+            if "code" in record:
+                RankCode.from_json(record["code"])
 
 
 #: element values that are not integers, as JSON reads them
