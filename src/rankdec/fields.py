@@ -698,8 +698,8 @@ class FieldContext:
         return {"p": self.p, "a": self.a, "m": self.m, "modulus": list(self.modulus)}
 
     @classmethod
-    def from_descriptor(cls, d: dict, path: str = "field") -> "FieldContext":
-        check_keys(d, path, ("p", "m"), ("a", "modulus"))
+    def from_descriptor(cls, d: dict) -> "FieldContext":
+        check_keys(d, "field", ("p", "m"), ("a", "modulus"))
         return cls(d["p"], d.get("a", 1), d["m"], modulus=d.get("modulus"))
 
     def same_as(self, other: "FieldContext") -> bool:

@@ -472,8 +472,6 @@ class TestVerify:
         assert main(["verify", "nonsense"]) == EXIT_USAGE
 
     def test_all_suites_json_bytes_pinned(self, capsys):
-        # tests/data/verify_seed3.json is the stdout of
-        # `rankdec --seed 3 --format json verify all`
         assert main(["--seed", "3", "--format", "json", "verify", "all"]) == EXIT_OK
         assert capsys.readouterr().out == VERIFY_SEED3_JSON
 

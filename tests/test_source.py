@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = sorted((Path(__file__).resolve().parent.parent / "src" / "rankdec").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+SRC = sorted((ROOT / "src" / "rankdec").glob("*.py"))
 
 
 def test_sources_found():
@@ -203,7 +204,7 @@ TEST_REFERENCES = {
 
 #: the code outside src/ that ships with the package and calls into it
 CALLERS = [path for folder in ("demos", "perfbench")
-           for path in sorted((SRC[0].parent.parent.parent / folder).glob("*.py"))]
+           for path in sorted((ROOT / folder).glob("*.py"))]
 
 
 def _names(node):
