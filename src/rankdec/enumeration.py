@@ -36,10 +36,12 @@ reads and writes contiguous rows of words.
   (a*m-bit masks) in the narrowest unsigned dtype, and the elimination
   keeps an XOR basis per codeword in echelon form by top bit
   (:func:`_rank_rows_packed`);
-* digits: odd p < 2^16, (entries, digits, words).  Entries are their
-  a*m base-p digits, and the elimination runs by digit position over
-  all entries at once, a*m steps of arithmetic mod p with no mask
-  (:func:`_rank_rows_digits`).
+* digits: odd p < 2^16, (digits, entries, words).  Entries are their
+  a*m base-p digits, in digit planes from the multiple tables to the
+  rank: one take per plane from the field's digit table
+  (:meth:`FieldContext.digit_planes`).  The elimination runs by digit
+  position over all entries at once, a*m steps of arithmetic mod p
+  with no mask (:func:`_rank_rows_digits`).
 
 The packed kernel's column 0 meets no pivot, so it is not reduced.
 
@@ -143,38 +145,36 @@ def _reduce(x: np.ndarray, p: int, scratch=None) -> np.ndarray:
 
 def _rank_rows_digits(cw: np.ndarray, p: int) -> np.ndarray:
     """Rank over F_p of the n entries of each word, for words of F_p
-    digit vectors: cw[j, c, t] is digit c of entry j of word t, each in
-    0..p-1, in an unsigned dtype that holds p^2 - 1, the largest sum
-    taken before a reduction.
+    digit vectors in digit planes: cw[c, j, t] is digit c of entry j of
+    word t, each in 0..p-1, in an unsigned dtype that holds p^2 - 1, the
+    largest sum taken before a reduction.
 
     Gaussian elimination by digit position, over all entries of every
     word at once, on a copy x of cw.  Before step c the entries are zero
     below digit c and span the elements of the word's span that are
     zero there; any of them with digit c nonzero is a pivot.  Step c
     takes the first entry nonzero at c, the minimum over j of the key
-    (x[j, c] == 0) * n + j (argmax along the entries is slower), reads
-    it with one 1-D take per digit d at the flat index
-    j*digits*words + t of the view from d*words, and makes it monic at
-    c (inv.take: fancy indexing is slower).  Subtracting x[j, c] times
-    the pivot from every entry j clears digit c, and the entries then
-    span one dimension less.  A key of n or more means no pivot: the
-    index reads entry n - 1, whose digit c is zero, so inv[0] = 0 makes
-    the pivot zero and the step changes nothing.  The rank counts the
-    steps that found a pivot."""
-    n, digits, words = cw.shape
+    (x[c, j] == 0) * n + j (argmax along the entries is slower), reads
+    it with one 1-D take per contiguous plane x[d] at the flat index
+    j*words + t, and makes it monic at c (inv.take: fancy indexing is
+    slower).  Subtracting x[c, j] times the pivot from every entry j
+    clears digit c, and the entries then span one dimension less.  A
+    key of n or more means no pivot: the index reads entry n - 1, whose
+    digit c is zero, so inv[0] = 0 makes the pivot zero and the step
+    changes nothing.  The rank counts the steps that found a pivot."""
+    digits, n, words = cw.shape
     inv = _inverses(p, cw.dtype)
     x = cw.copy()
-    flat = x.reshape(-1)
     key_dtype = np.min_scalar_type(2 * n - 1)
     entry = np.arange(n, dtype=key_dtype)[:, None]
     key = np.empty((n, words), dtype=key_dtype)
     at = np.empty(words, dtype=np.intp)
     t = np.arange(words)
-    piv = np.empty((1, digits, words), dtype=cw.dtype)
+    piv = np.empty((digits, 1, words), dtype=cw.dtype)
     scratch = np.empty_like(x)
     rank = np.zeros(words, dtype=np.uint8)
     for c in range(digits):
-        np.equal(x[:, c], 0, out=key, casting="unsafe")
+        np.equal(x[c], 0, out=key, casting="unsafe")
         key *= n
         key += entry
         first = key.min(axis=0)
@@ -182,15 +182,14 @@ def _rank_rows_digits(cw: np.ndarray, p: int) -> np.ndarray:
         if c == digits - 1:
             break
         np.minimum(first, n - 1, out=first)
-        np.multiply(first, digits * words, out=at, dtype=np.intp)
+        np.multiply(first, words, out=at, dtype=np.intp)
         at += t
-        monic = inv.take(flat[c * words:].take(at))
+        monic = inv.take(x[c].take(at))
         for d in range(c + 1, digits):
-            np.multiply(flat[d * words:].take(at), monic, out=piv[0, d])
-        pc, rest, tmp = _reduce(piv[:, c + 1:], p), x[:, c + 1:], scratch[:, c + 1:]
-        factor = scratch[:, c:c + 1]
-        np.subtract(p, x[:, c:c + 1], out=factor)
-        np.multiply(factor, pc, out=tmp)
+            np.multiply(x[d].take(at), monic, out=piv[d, 0])
+        pc, rest, tmp = _reduce(piv[c + 1:], p), x[c + 1:], scratch[c + 1:]
+        np.subtract(p, x[c], out=scratch[c])
+        np.multiply(scratch[c], pc, out=tmp)
         rest += tmp
         _reduce(rest, p, tmp)
     return rank
@@ -203,7 +202,8 @@ class _Kernel:
     low-digit table, is lead plus the outer sum of the multiples c *
     rows[j] of the components its digits cover (rows[0] on the fastest
     axis, the last cut to its first p^s multiples); chunk h adds the
-    codeword of its high digits.  Words add by XOR (packed) or digit by
+    codeword of its high digits.  Words are packed (entries, words) or
+    digit planes (digits, entries, words), and add by XOR or digit by
     digit mod p, a sum s of two digits being min(s, s - p) in unsigned
     words (s - p wraps round when s < p)."""
 
@@ -223,22 +223,18 @@ class _Kernel:
         self.n_chunks = p ** (digits - low)
         table = self._words(lead)[..., None]
         for j in range(-(-low // ctx.n)):
-            mult = self._words(ctx.multiples(rows[j], p ** min(ctx.n, low - j * ctx.n)))
+            mult = ctx.multiples(rows[j], p ** min(ctx.n, low - j * ctx.n),
+                                 planes=not self.packed).astype(self.dtype, copy=False)
             table = self._add(mult[..., None], table[..., None, :]).reshape(*mult.shape[:-1], -1)
         table.setflags(write=False)
         self.low_table = table
 
-    def _words(self, values) -> np.ndarray:
-        """Field ints, a row or an array (entries, words), as kernel
-        words: packed, or their base-p digits on a new axis 1."""
+    def _words(self, row) -> np.ndarray:
+        """A row of field ints as kernel words: packed, or its digit
+        planes (digits, entries)."""
         if self.packed:
-            return np.asarray(values, dtype=self.dtype)
-        if not isinstance(values, np.ndarray):  # a row: exact past 2^63
-            return self.ctx.digits_all(values).astype(self.dtype)
-        out = np.empty((len(values), self.bits) + values.shape[1:], self.dtype)
-        for s in range(self.bits):
-            values, out[:, s] = np.divmod(values, self.p)
-        return out
+            return np.asarray(row, dtype=self.dtype)
+        return self.ctx.digit_planes(row)
 
     def _add(self, x, y):
         out = x ^ y if self.packed else x + y
@@ -248,7 +244,7 @@ class _Kernel:
         """The words of chunk number h (its high digits, in base p)."""
         if not h:
             return self.low_table
-        base, high = [0] * len(self.low_table), h * self.chunk_size
+        base, high = [0] * self.low_table.shape[-2], h * self.chunk_size
         for c, row in zip(message_from_index(self.ctx, len(self.rows), high), self.rows):
             base = self.ctx.add_scaled_row(base, c, row)
         return self._add(self.low_table, self._words(base)[..., None])
@@ -259,11 +255,11 @@ class _Kernel:
         if self.a == 1:
             return ranks
         # an F_q-span has F_p-dimension a times its F_q-dimension
-        ranks, rest = np.divmod(ranks, self.a)
-        if rest.any():
+        fq_ranks = ranks // self.a
+        if np.any(fq_ranks * self.a != ranks):
             raise FalsificationAlarm(
                 f"an F_p-rank of an expanded word is not a multiple of a = {self.a}")
-        return ranks
+        return fq_ranks
 
 
 def _map_batches(kernels, chunk_target: int, threads: int, fn) -> list:

@@ -290,23 +290,23 @@ class FieldContext:
             out.append(exp[t + z - n1] if z >= 0 else 0)
         return out
 
-    def multiples(self, row: Sequence[int], count: int) -> np.ndarray:
+    def multiples(self, row: Sequence[int], count: int, planes: bool = False) -> np.ndarray:
         """c * v for c < count (in integer order, on a new last axis) for
-        every v in row: one gather at sums of int32 logs on a tabled field,
-        else doubling over the rows x^s * row in narrow digits."""
+        every v in row, as ints or, with planes, as their digit planes
+        (:meth:`digit_planes`, in a dtype that holds 2p - 2): one gather at
+        sums of int32 logs on a tabled field, else doubling over the rows
+        x^s * row in narrow digit planes."""
         if self._exp is not None:
             log = self._log_np
-            return self._exp_np.take(log[:count] + log.take(row)[:, None])
+            out = self._exp_np.take(log[:count] + log.take(row)[:, None])
+            return self.digit_planes(out) if planes else out
         p, dtype = self.p, np.min_scalar_type(2 * self.p)
-        digits = np.zeros((len(row), 1, self.n), dtype=dtype)
-        while digits.shape[1] < count:  # digits.shape[1] = p^s is the element x^s
-            ys = self.digits_all([self.scale_row(c * digits.shape[1], row)
-                                  for c in range(1, p)]).astype(dtype)[:, :, None]
-            digits = np.concatenate([digits] + [(digits + y) % p for y in ys], axis=1)
-        out = np.zeros(digits.shape[:2], dtype=np.int64)
-        for s in range(self.n - 1, -1, -1):
-            out = out * p + digits[..., s]
-        return out
+        digits = np.zeros((self.n, len(row), 1), dtype=dtype)
+        while digits.shape[-1] < count:  # digits.shape[-1] = p^s is the element x^s
+            ys = self.digit_planes([self.scale_row(c * digits.shape[-1], row)
+                                    for c in range(1, p)]).astype(dtype).swapaxes(0, 1)
+            digits = np.concatenate([digits] + [(digits + y[..., None]) % p for y in ys], -1)
+        return digits if planes else sum(w * d for w, d in zip(self._digit_weights(), digits))
 
     def _mul2(self, x: int, y: int) -> int:
         mod_int, n = self._mod_int, self.n
@@ -635,6 +635,24 @@ class FieldContext:
         weights = self._digit_weights()
         vals = np.asarray(values, dtype=weights.dtype)
         return (vals[..., None] // weights % self.p).astype(np.int64)
+
+    def digit_planes(self, values) -> np.ndarray:
+        """:meth:`digits` of every value of an array-like, digit s on
+        plane s of a new first axis, in the narrowest unsigned dtype that
+        holds p^2 - 1 (a sum of two digits fits): on a tabled field one
+        take per plane from a digit table built once, read-only, else one
+        floor division (exact past 2^63)."""
+        dtype = np.min_scalar_type(self.p**2 - 1)
+        if self._exp is None:
+            weights = self._digit_weights()
+            vals = np.asarray(values, dtype=weights.dtype)
+            return (vals // weights[(...,) + (None,) * vals.ndim] % self.p).astype(dtype)
+        key = ("digitplanes",)
+        if key not in self._caches:
+            table = self.digits_all(range(self.order)).T.astype(dtype, order="C")
+            table.setflags(write=False)
+            self._caches[key] = table
+        return self._caches[key].take(values, axis=1)
 
     def _digit_weights(self) -> np.ndarray:
         """p^0, ..., p^(n-1), which turn digit vectors into element ints:

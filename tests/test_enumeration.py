@@ -121,9 +121,9 @@ def test_packed_kernel_against_table_kernel(m):
         words[60:70] = 1 << (m - 1)
         # past 24 bits all-ones would round up to 2^m in float32
         words[70:80] = (1 << m) - 1
-        # words last: (entries, words) masks, (entries, digits, words) bits
+        # words last: (entries, words) masks, (digits, entries, words) bits
         words = words.T
-        digits = ((words[:, None] >> np.arange(m)[:, None]) & 1).astype(np.uint8)
+        digits = ((words[None] >> np.arange(m)[:, None, None]) & 1).astype(np.uint8)
         packed = _rank_rows_packed(words.astype(_word_dtype(m)), m)
         assert packed.tolist() == _rank_rows_digits(digits, 2).tolist()
     assert np.dtype(_word_dtype(m)).itemsize == (1 if m <= 8 else 2 if m <= 16 else 4)
@@ -158,7 +158,7 @@ def test_packed_kernel_against_plain_bit_rank(case):
     got = _rank_rows_packed(cw, m)
     assert got.tolist() == [plain_bit_rank(w) for w in cw.T.tolist()]
     assert np.array_equal(cw, before)
-    digits = ((cw[:, None] >> np.arange(m, dtype=cw.dtype)[:, None]) & 1).astype(np.uint8)
+    digits = ((cw[None] >> np.arange(m, dtype=cw.dtype)[:, None, None]) & 1).astype(np.uint8)
     before = digits.copy()
     assert np.array_equal(_rank_rows_digits(digits, 2), got)
     assert np.array_equal(digits, before)
@@ -192,7 +192,7 @@ def test_packed_kernel_at_flat_index_word_counts(m, words):
     rng = np.random.default_rng(1000 * m + words)
     for n in (1, 3, m + 2):
         pool = _word_pool(rng, m, n)
-        digits = ((pool[:, None] >> np.arange(m)[:, None]) & 1).astype(np.uint8)
+        digits = ((pool[None] >> np.arange(m)[:, None, None]) & 1).astype(np.uint8)
         expected = _rank_rows_digits(digits, 2)
         assert expected.tolist() == [plain_bit_rank(w) for w in pool.T.tolist()]
         if words < 64:
@@ -223,7 +223,7 @@ def test_kernel_coset_words(p, a, m):
 
     def word(row):
         entries = [v for b in beta for v in ctx.scale_row(b, row)]
-        return entries if p == 2 else ctx.digits_all(entries).tolist()
+        return entries if p == 2 else ctx.digits_all(entries).T.tolist()
 
     offset = word(gen[0])
     high = [word(ctx.scale_row(p**s, gen[1])) for s in range(ctx.n)]
@@ -333,11 +333,11 @@ def test_odd_p_through_the_digit_kernel(p, a, m, k, n):
 
 
 def _digit_words(rng, p, n, digits, count):
-    """count words of n entries of F_p^digits, as an (entries, digits,
+    """count words of n entries of F_p^digits, as a (digits, entries,
     words) int64 array, built entry by entry: random, zero, a repeat, a
     scalar multiple or an F_p-combination of earlier entries, so that
     deficient ranks are common."""
-    out = np.empty((n, digits, count), dtype=np.int64)
+    out = np.empty((digits, n, count), dtype=np.int64)
     for t in range(count):
         entries = []
         for _ in range(n):
@@ -354,7 +354,7 @@ def _digit_words(rng, p, n, digits, count):
                 coef = rng.integers(0, p, size=len(entries))
                 e = (coef[:, None] * np.array(entries) % p).sum(axis=0) % p
             entries.append(e)
-        out[:, :, t] = entries
+        out[:, :, t] = np.transpose(entries)
     return out
 
 
@@ -371,9 +371,9 @@ def test_digit_kernel_against_plain_rank(p):
     for digits in range(1, 7):
         for n in (1, 3, digits + 2, 40) + ((300,) if digits == 6 else ()):
             words = _digit_words(rng, p, n, digits, 12 if n == 300 else 40)
-            words[:, rng.integers(digits), :words.shape[2] // 4] = 0
+            words[rng.integers(digits), :, :words.shape[2] // 4] = 0
             got = _rank_rows_digits(words.astype(dtype), p)
-            want = [plain_rank_mod_p(words[:, :, t].tolist(), p)
+            want = [plain_rank_mod_p(words[:, :, t].T.tolist(), p)
                     for t in range(words.shape[2])]
             assert got.tolist() == want, (digits, n)
             assert min(want) < min(n, digits) or n == 1
@@ -398,10 +398,10 @@ def test_digit_kernel_at_the_dtype_edge(p, m):
     for digits in range(1, 6):
         for n in (1, 3, digits + 2):
             words = rng.choice([0, 1, p - 1], p=[0.2, 0.2, 0.6],
-                               size=(n, digits, 60))
+                               size=(n, digits, 60)).swapaxes(0, 1)
             words[:, :, 0] = p - 1
             got = _rank_rows_digits(words.astype(dtype), p)
-            want = [plain_rank_mod_p(words[:, :, t].tolist(), p)
+            want = [plain_rank_mod_p(words[:, :, t].T.tolist(), p)
                     for t in range(words.shape[2])]
             assert got.tolist() == want, (digits, n)
             assert got[0] == 1
@@ -457,7 +457,7 @@ def test_first_column_edge_cases(p, m):
                                      lambda shape: digit_draw(shape + (digits,)))
             cw[40:80, 0, 0] += np.all(cw[40:80, 0] == 0, axis=-1)
             got = _rank_rows_digits(
-                np.moveaxis(cw, 0, -1).astype(np.min_scalar_type(p**2 - 1)), p)
+                cw.transpose(2, 1, 0).astype(np.min_scalar_type(p**2 - 1)), p)
             assert got.tolist() == [plain_rank_mod_p(w.tolist(), p) for w in cw]
             assert got[40:80].tolist() == [1] * 40
             assert got[80:120].tolist() == np.any(cw[80:120, 0], axis=-1).tolist()

@@ -8,6 +8,7 @@ Gaussian elimination written out with those operations.
 
 import random
 
+import numpy as np
 import pytest
 
 from rankdec import FieldContext
@@ -142,6 +143,35 @@ def test_multiples_are_the_scalar_products(p, a, m):
         got = field.multiples(row, count)
         assert got.tolist() == [[ref_mul(field, c, v) for c in range(count)]
                                 for v in row]
+
+
+@pytest.mark.parametrize("p,a,m", TABLED + [(3, 1, 11), (257, 1, 2), (13, 1, 18)])
+def test_digit_planes_are_the_digits(p, a, m):
+    """FieldContext.digit_planes puts digit s of every value on plane s,
+    in a dtype that holds p^2 - 1: from the read-only digit table of a
+    tabled field, by floor division on F_3^11, F_257^2 and F_(13^18)
+    (past 2^63).  multiples with planes gives the planes of the ints it
+    gives without, on the tabled gather and the untabled doubling."""
+    field = FieldContext(p, a, m)
+    rng = random.Random(p * m)
+    values = [[0, 1, field.order - 1] + [rng.randrange(field.order) for _ in range(3)]
+              for _ in range(2)]
+    got = field.digit_planes(values)
+    assert got.shape == (field.n, 2, 6)
+    assert np.iinfo(got.dtype).max >= p**2 - 1
+    assert [[[got[s, i, j] for s in range(field.n)] for j in range(6)] for i in range(2)] \
+        == [[list(field.digits(v)) for v in row] for row in values]
+    if field.order <= 1 << 16:
+        table = field._caches[("digitplanes",)]
+        assert not table.flags.writeable and table.shape == (field.n, field.order)
+        for count in (1, p, min(field.order, p**3)):
+            ints = field.multiples(values[0], count)
+            assert np.array_equal(field.multiples(values[0], count, planes=True),
+                                  field.digit_planes(ints))
+    elif field.order < 1 << 63:
+        ints = field.multiples(values[0], p**2)
+        assert np.array_equal(field.multiples(values[0], p**2, planes=True),
+                              field.digit_planes(ints))
 
 
 @pytest.mark.parametrize("p,a,m", TABLED + [(2, 1, 6), (2, 2, 4)])

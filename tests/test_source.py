@@ -98,6 +98,12 @@ def test_inverses_read_with_take():
     assert not lines, f"inv subscripted in _rank_rows_digits (use inv.take): {lines}"
 
 
+def _calls_named(node, names):
+    return [n.lineno for n in ast.walk(node)
+            if isinstance(n, (ast.Attribute, ast.Name))
+            and getattr(n, "attr", getattr(n, "id", None)) in names]
+
+
 def test_no_argmax_in_the_digit_kernel():
     # each elimination step finds its pivot entry as the minimum of a
     # narrow per-entry key: argmax along the entries takes 150-171 us a
@@ -105,10 +111,26 @@ def test_no_argmax_in_the_digit_kernel():
     tree = ast.parse((SRC[0].parent / "enumeration.py").read_text())
     kernel = next(node for node in tree.body if isinstance(node, ast.FunctionDef)
                   and node.name == "_rank_rows_digits")
-    lines = [node.lineno for node in ast.walk(kernel)
-             if isinstance(node, (ast.Attribute, ast.Name))
-             and getattr(node, "attr", getattr(node, "id", None)) == "argmax"]
+    lines = _calls_named(kernel, {"argmax"})
     assert not lines, f"argmax in _rank_rows_digits: {lines}"
+
+
+def test_digit_planes_from_the_table_to_the_rank():
+    # odd-p words stay (digits, entries, words) planes from the field's
+    # digit table to the rank.  No divmod in _Kernel: the per-digit
+    # np.divmod of six F_3^4 rows of 81 multiples takes 11.5 us, one take
+    # from the digit table 2.3 us.  No transpose in _rank_rows_digits: on
+    # planes the kernel takes 70.1 us a call at (p, digits, n, words) =
+    # (3, 3, 6, 757) and 297 us at (3, 4, 7, 6643), on (entries, digits,
+    # words) 88.7 and 321 us (2-core Xeon, numpy 2.4.6)
+    tree = ast.parse((SRC[0].parent / "enumeration.py").read_text())
+    defs = {node.name: node for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    found = {"_Kernel": _calls_named(defs["_Kernel"], {"divmod"}),
+             "_rank_rows_digits": _calls_named(defs["_rank_rows_digits"],
+                                               {"transpose", "T", "swapaxes", "moveaxis"})}
+    offenders = {name: lines for name, lines in found.items() if lines}
+    assert not offenders, f"digit layout changed in the digit kernel: {offenders}"
 
 
 def test_no_mask_in_the_packed_kernel():

@@ -79,7 +79,7 @@ def test_trace_dual_is_the_relative_trace_complement(drawn, data):
 
 @st.composite
 def digit_words(draw):
-    """p in {2, 3, 5, 7} and an (entries, digits, words) array of F_p
+    """p in {2, 3, 5, 7} and a (digits, entries, words) array of F_p
     digits, its entries drawn from a few vectors and their multiples so
     that deficient ranks are common."""
     p = draw(st.sampled_from([2, 3, 5, 7]))
@@ -90,7 +90,7 @@ def digit_words(draw):
                       .map(lambda vc: [x * vc[1] % p for x in vc[0]]))
     cw = draw(st.lists(st.lists(entry, min_size=n, max_size=n),
                        min_size=words, max_size=words))
-    return p, np.array(cw, dtype=np.uint8).transpose(1, 2, 0)
+    return p, np.array(cw, dtype=np.uint8).transpose(2, 1, 0)
 
 
 @settings(SETTINGS, max_examples=60)
@@ -98,8 +98,8 @@ def digit_words(draw):
 def test_rank_kernels_agree_with_a_textbook_rank(drawn):
     p, cw = drawn
     got = _rank_rows_digits(cw, p)
-    assert got.tolist() == [plain_rank_mod_p(w.T.tolist(), p) for w in cw.T]
+    assert got.tolist() == [plain_rank_mod_p(w.tolist(), p) for w in cw.T]
     if p == 2:
-        masks = (cw.astype(np.int64) << np.arange(cw.shape[1])[:, None]).sum(axis=1)
-        packed = _rank_rows_packed(masks.astype(_word_dtype(cw.shape[1])), cw.shape[1])
+        masks = (cw.astype(np.int64) << np.arange(cw.shape[0])[:, None, None]).sum(axis=0)
+        packed = _rank_rows_packed(masks.astype(_word_dtype(cw.shape[0])), cw.shape[0])
         assert packed.tolist() == got.tolist()
