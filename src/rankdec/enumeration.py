@@ -255,11 +255,11 @@ class _Kernel:
         if self.a == 1:
             return ranks
         # an F_q-span has F_p-dimension a times its F_q-dimension
-        fq_ranks = ranks // self.a
-        if np.any(fq_ranks * self.a != ranks):
+        ranks, rest = np.divmod(ranks, self.a)
+        if rest.any():
             raise FalsificationAlarm(
                 f"an F_p-rank of an expanded word is not a multiple of a = {self.a}")
-        return fq_ranks
+        return ranks
 
 
 def _map_batches(kernels, chunk_target: int, threads: int, fn) -> list:

@@ -117,18 +117,25 @@ def test_no_argmax_in_the_digit_kernel():
 
 def test_digit_planes_from_the_table_to_the_rank():
     # odd-p words stay (digits, entries, words) planes from the field's
-    # digit table to the rank.  No divmod in _Kernel: the per-digit
-    # np.divmod of six F_3^4 rows of 81 multiples takes 11.5 us, one take
-    # from the digit table 2.3 us.  No transpose in _rank_rows_digits: on
-    # planes the kernel takes 70.1 us a call at (p, digits, n, words) =
-    # (3, 3, 6, 757) and 297 us at (3, 4, 7, 6643), on (entries, digits,
-    # words) 88.7 and 321 us (2-core Xeon, numpy 2.4.6)
+    # digit table to the rank.  No divmod where _Kernel builds its words:
+    # the per-digit np.divmod of six F_3^4 rows of 81 multiples takes
+    # 11.5 us, one take from the digit table 2.3 us (one floor division
+    # of the same rows, 4.8x slower than the take).  No transpose in
+    # _rank_rows_digits: on planes the kernel takes 70.1 us a call at
+    # (p, digits, n, words) = (3, 3, 6, 757) and 297 us at (3, 4, 7,
+    # 6643), on (entries, digits, words) 88.7 and 321 us (2-core Xeon,
+    # numpy 2.4.6)
     tree = ast.parse((SRC[0].parent / "enumeration.py").read_text())
     defs = {node.name: node for node in tree.body
             if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
-    found = {"_Kernel": _calls_named(defs["_Kernel"], {"divmod"}),
-             "_rank_rows_digits": _calls_named(defs["_rank_rows_digits"],
-                                               {"transpose", "T", "swapaxes", "moveaxis"})}
+    methods = {node.name: node for node in defs["_Kernel"].body
+               if isinstance(node, ast.FunctionDef)}
+    builders = ("__init__", "_words", "chunk_codewords")
+    assert set(builders) <= set(methods), "_Kernel word builders renamed"
+    found = {f"_Kernel.{name}": _calls_named(methods[name], {"divmod"})
+             for name in builders}
+    found["_rank_rows_digits"] = _calls_named(defs["_rank_rows_digits"],
+                                              {"transpose", "T", "swapaxes", "moveaxis"})
     offenders = {name: lines for name, lines in found.items() if lines}
     assert not offenders, f"digit layout changed in the digit kernel: {offenders}"
 
