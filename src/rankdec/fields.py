@@ -631,15 +631,14 @@ class FieldContext:
 
     def digits_all(self, values, planes: bool = False) -> np.ndarray:
         """:meth:`digits` of every value of an array-like by one floor
-        division, exact past 2^63 as well: on a new last axis as int64
-        or, with planes, digit s on plane s of a new first axis in the
-        narrowest unsigned dtype that holds p^2 - 1 (a sum of two digits
-        fits)."""
+        division, exact past 2^63: on a new last axis as int64 or, with
+        planes, digit s on plane s of a new first axis in the narrowest
+        unsigned dtype that holds p^2 - 1 (a sum of two digits fits)."""
         weights = self._digit_weights()
         digits = np.asarray(values, dtype=weights.dtype)[..., None] // weights % self.p
         if planes:
-            return np.moveaxis(digits, -1, 0).astype(np.min_scalar_type(self.p**2 - 1),
-                                                     order="C")
+            return digits.transpose(-1, *range(digits.ndim - 1)).astype(
+                np.min_scalar_type(self.p**2 - 1), order="C")
         return digits.astype(np.int64)
 
     def digit_planes(self, values) -> np.ndarray:
