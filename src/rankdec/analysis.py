@@ -52,12 +52,12 @@ from .fields import FieldContext, is_prime
 from .gfpoly import prime_factors
 from .subspaces import (
     Subspace,
-    coordinate_space,
     is_subfield_linear,
     product,
     scalar_into,
     scale,
     span,
+    span_dim,
     trace_dual,
     trace_orthogonal,
 )
@@ -131,8 +131,9 @@ def block_interaction_exponents(code: RankCode) -> dict[tuple[int, int], int]:
     """j_(i,h) = m - dim(U_i^dual * U_h) over the trailing equal blocks,
     from bases, with no canonical subspace: block h's entries (validation
     keeps them F_q-independent) and the kernel rows of
-    :func:`trace_orthogonal` on block i; j is m minus the rank of their
-    products."""
+    :func:`trace_orthogonal` on block i; j is m minus the
+    :func:`span_dim` of their products, a point-table read on small
+    fields."""
     dec = require_decomposition(code)
     ctx = code.ctx
     k = dec.k
@@ -143,7 +144,7 @@ def block_interaction_exponents(code: RankCode) -> dict[tuple[int, int], int]:
     for i in range(k - ell, k):        # 1-based i in {k-ell, ..., k-1}
         for h in range(i + 1, k + 1):
             prods = [ctx.mul(a, b) for a in duals[i] for b in dec.blocks[h - 1]]
-            j = ctx.m - coordinate_space(ctx, prods).dim
+            j = ctx.m - span_dim(ctx, prods)
             if not 0 <= j <= ctx.m - dec.type_vector[-1]:
                 raise FalsificationAlarm(
                     f"exponent j_({i},{h}) = {j} outside [0, m - n_k]")

@@ -28,6 +28,7 @@ from . import analysis, codes
 from .enumeration import DEFAULT_ENUM_CAP, message_space_size
 from .errors import (CapExceededError, FalsificationAlarm,
                      NotApplicableError, UnsupportedFieldError)
+from .fields import DESCRIPTOR_KEYS
 from .showcases import SHOWCASES
 from .suites import SUITES, run_suite
 
@@ -48,12 +49,26 @@ def _emit(args, payload: dict, pretty_lines=None, csv_lines=None):
             print(line)
 
 
-#: one-line shapes of the two input files, for error messages
-SPEC_FORMAT = ('a spec file is {"field": {"p": P, "m": M}, "blocks": '
-               '[{"entries": [...]} or {"geometric": {"lambda_degree": E, '
-               '"t": T}}, ...]}')
-CODE_FORMAT = ('a code file (as written by build) is {"field": {"p": P, '
-               '"m": M}, "generator": [[...], ...]}')
+def _shape(keys, values=None) -> str:
+    """An input object's (required, optional) keys, with their values
+    (``...`` unless given), on one line for messages."""
+    required, optional = keys
+    values = values or {}
+    return "{%s}" % ", ".join([f'"{k}": {values.get(k, "...")}' for k in required]
+                              + [f'optional "{k}": {values.get(k, "...")}' for k in optional])
+
+
+_FIELD = _shape(DESCRIPTOR_KEYS)
+_BLOCKS = " or ".join(_shape(((k,), ()), {"geometric": _shape(codes.GEOMETRIC_KEYS)})
+                      for k in codes.BLOCK_KEYS[1])
+
+#: one-line shapes of the two input files, for error messages, from the
+#: keys that the loaders check
+SPEC_FORMAT = "a spec file is " + _shape(codes.SPEC_KEYS, {
+    "field": _FIELD, "blocks": f"[{_BLOCKS}, ...]"})
+CODE_FORMAT = "a code file (as written by build) is " + _shape(codes.CODE_KEYS, {
+    "field": _FIELD, "generator": "[[...], ...]",
+    "decomposition": _shape(codes.DECOMPOSITION_KEYS)})
 
 
 def _load(path, reader, what: str, file_format: str):

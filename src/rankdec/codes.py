@@ -48,7 +48,14 @@ from .linalg import (
     field_rref,
     field_vecmat,
 )
-from .subspaces import coordinate_space, scalar_into, span, trace_dual
+from .subspaces import scalar_into, span, span_dim, trace_dual
+
+#: the (required, optional) keys of each object of a code and a spec file
+CODE_KEYS = (("field", "generator"), ("decomposition",))
+DECOMPOSITION_KEYS = (("type", "blocks", "col_map"), ())
+SPEC_KEYS = (("field", "blocks"), ())
+BLOCK_KEYS = ((), ("entries", "geometric"))
+GEOMETRIC_KEYS = (("lambda_degree", "t"), ("lambda", "seed"))
 
 
 # ----------------------------------------------------------------------
@@ -138,7 +145,7 @@ def random_gl_ext(ctx: FieldContext, k: int, seed: int = 0):
 
 def rank_weight(ctx: FieldContext, v: Sequence[int]) -> int:
     """F_q-dimension of the span of the entries."""
-    return coordinate_space(ctx, v).dim
+    return span_dim(ctx, [ctx.check_element(x) for x in v])
 
 
 def support(ctx: FieldContext, v: Sequence[int]) -> RowSpace:
@@ -315,12 +322,12 @@ class RankCode:
 
     @classmethod
     def from_json(cls, d: dict) -> "RankCode":
-        check_keys(d, "", ("field", "generator"), ("decomposition",))
+        check_keys(d, "", *CODE_KEYS)
         ctx = FieldContext.from_descriptor(d["field"])
         dec = None
         if "decomposition" in d:
             rec = d["decomposition"]
-            check_keys(rec, "decomposition", ("type", "blocks", "col_map"))
+            check_keys(rec, "decomposition", *DECOMPOSITION_KEYS)
             dec = Decomposition(
                 tuple(rec["type"]),
                 tuple(tuple(ctx.check_element(v) for v in u) for u in rec["blocks"]),
@@ -703,23 +710,21 @@ def geometric_dual(code: RankCode) -> RankCode:
 
 
 def code_from_spec(d: dict) -> RankCode:
-    """Build a code from a spec dict: {"field": {...}, "blocks": [...]}
-    where each block is {"entries": [...]} or {"geometric":
-    {"lambda_degree": e, "t": t}}, the latter with at most one of
-    "lambda" and "seed" added.  Any other key is refused."""
-    check_keys(d, "", ("field", "blocks"))
+    """Build a code from a spec dict of the keys SPEC_KEYS: a block has
+    exactly one of BLOCK_KEYS, a geometric block at most one of its
+    optional keys, and any other key is refused."""
+    check_keys(d, "", *SPEC_KEYS)
     ctx = FieldContext.from_descriptor(d["field"])
     blocks = []
     for i, b in enumerate(d["blocks"]):
-        check_keys(b, f"blocks[{i}]", (), ("entries", "geometric"))
+        check_keys(b, f"blocks[{i}]", *BLOCK_KEYS)
         if len(b) != 1:
             raise ValueError(f"blocks[{i}]: need exactly one of 'entries' and 'geometric'")
         if "entries" in b:
             blocks.append(b["entries"])
         else:
             g = b["geometric"]
-            check_keys(g, f"blocks[{i}].geometric", ("lambda_degree", "t"),
-                       ("lambda", "seed"))
+            check_keys(g, f"blocks[{i}].geometric", *GEOMETRIC_KEYS)
             if "lambda" in g and "seed" in g:
                 raise ValueError(f"blocks[{i}].geometric.seed: conflicts with lambda")
             e = as_integer(g["lambda_degree"], f"block {i}: lambda_degree")

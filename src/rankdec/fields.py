@@ -50,6 +50,9 @@ _TABLE_LIMIT = 1 << 16
 #: hard cap on the prime-field degree a*m of a context
 _DEGREE_CAP = 32
 
+#: the (required, optional) keys of a field descriptor
+DESCRIPTOR_KEYS = (("p", "m"), ("a", "modulus"))
+
 
 def is_prime(n: int) -> bool:
     if n < 2:
@@ -718,7 +721,7 @@ class FieldContext:
 
     @classmethod
     def from_descriptor(cls, d: dict) -> "FieldContext":
-        check_keys(d, "field", ("p", "m"), ("a", "modulus"))
+        check_keys(d, "field", *DESCRIPTOR_KEYS)
         return cls(d["p"], d.get("a", 1), d["m"], modulus=d.get("modulus"))
 
     def same_as(self, other: "FieldContext") -> bool:

@@ -9,7 +9,10 @@ its own packed row.  Its ``basis`` is the canonical (RREF) rows read back as
 element ints, so equality of subspaces is equality of canonical bases.
 An F_{q^e}-linear subspace is the same point set with F_q-dimension e
 times its F_{q^e}-dimension; :func:`is_subfield_linear` tells which
-subfields a subspace is linear over.
+subfields a subspace is linear over.  :func:`span_dim` gives a span's
+dimension alone: an r-dimensional span's trace dual has
+(q^(m-r) - 1)/(q - 1) projective points, so on small fields it is a
+popcount of an AND of rows of a cached point table.
 
 Besides the usual lattice operations this module implements the
 multiplicative structure that drives the minimum-weight counts:
@@ -30,8 +33,15 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Sequence
 
+import numpy as np
+
+from .errors import FalsificationAlarm
 from .fields import FieldContext
 from .linalg import RowSpace, field_kernel
+
+#: fields up to this order (all tabled) read :func:`span_dim` off a point
+#: table, built in at most 1.4 ms (F_2^8; 26 ms at F_2^10, 2-core Xeon)
+_POINT_TABLE_LIMIT = 1 << 8
 
 
 class Subspace:
@@ -89,6 +99,43 @@ def coordinate_space(ctx: FieldContext, values: Iterable[int],
     vals = [ctx.check_element(x) for x in values]
     rows = vals if ctx.q == 2 else ctx.fq_coords_all(vals).tolist()
     return flatten(ctx, rows, k)
+
+
+def span_dim(ctx: FieldContext, values: Iterable[int]) -> int:
+    """F_q-dimension r of the span of the given field elements (unchecked
+    on a small field).  Its trace dual has (q^(m-r) - 1)/(q - 1)
+    projective points, on a field of order at most ``_POINT_TABLE_LIMIT``
+    the popcount of an AND of :func:`_point_bits` rows."""
+    if ctx.order > _POINT_TABLE_LIMIT:
+        return coordinate_space(ctx, values).dim
+    bits, dims = _point_bits(ctx)
+    acc = bits[0]
+    for x in values:
+        acc &= bits[x]
+    if acc.bit_count() not in dims:
+        raise FalsificationAlarm(f"{acc.bit_count()} points orthogonal to a span")
+    return dims[acc.bit_count()]
+
+
+def _point_bits(ctx: FieldContext) -> tuple[tuple[int, ...], dict[int, int]]:
+    """(bits, dims), cached: bit i of bits[x] is set iff Tr_{q^m/q}(x*g^i)
+    = 0, over the projective points g^i, i < (q^m - 1)/(q - 1), of the
+    primitive element g, and dims maps (q^(m-r) - 1)/(q - 1) to r.
+    Tr_{q^m/q}(z) = 0 iff Tr_{q^m/p}(b*z) = 0 for each b of an F_p-basis
+    of F_q: digit rows times :meth:`FieldContext.trace_gram`."""
+    key = ("pointbits",)
+    if key not in ctx._caches:
+        q, m = ctx.q, ctx.m
+        count = (q**m - 1) // (q - 1)
+        points = [ctx.pow(ctx.primitive_element, i) for i in range(count)]
+        scaled = ctx.digits_all([ctx.mul(b, y) for b in ctx.fp_basis_of_subfield(1)
+                                 for y in points])
+        traces = ctx.digits_all(range(ctx.order)) @ ctx.trace_gram() @ scaled.T % ctx.p
+        zero = ~traces.reshape(ctx.order, -1, count).any(axis=1)
+        rows = np.packbits(zero, axis=1, bitorder="little")
+        ctx._caches[key] = (tuple(int.from_bytes(r.tobytes(), "little") for r in rows),
+                            {(q**(m - r) - 1) // (q - 1): r for r in range(m + 1)})
+    return ctx._caches[key]
 
 
 def flatten(ctx: FieldContext, rows: list, k: int) -> RowSpace:

@@ -156,6 +156,42 @@ def test_unknown_or_conflicting_key_named(capsys, tmp_path, command, path,
     assert message in out.err
 
 
+def _objects(doc, path=()):
+    """Each JSON object in doc, with the path of keys and indices to it."""
+    if isinstance(doc, dict):
+        yield path, doc
+    items = doc.items() if isinstance(doc, dict) else (
+        enumerate(doc) if isinstance(doc, list) else ())
+    for step, value in items:
+        yield from _objects(value, path + (step,))
+
+
+@pytest.mark.parametrize("command,required", [
+    ("build", {"field", "blocks", "p", "m", "lambda_degree", "t"}),
+    ("wdist", {"field", "generator", "p", "m", "type", "blocks", "col_map"}),
+])
+def test_format_names_every_required_key(capsys, tmp_path, command, required):
+    """Every key whose absence the loader reports is named, quoted, in
+    the file format that the message gives."""
+    full = SPEC if command == "build" else CODE
+    reported = set()
+    for path, obj in _objects(full):
+        for key in obj:
+            doc = json.loads(json.dumps(full))
+            node = doc
+            for step in path:
+                node = node[step]
+            del node[key]
+            file = tmp_path / "in.json"
+            file.write_text(json.dumps(doc))
+            main(_read_argv(command, file))
+            err = capsys.readouterr().err
+            if "missing key" in err:
+                reported.add(key)
+                assert f'"{key}": ' in err.split("; ", 1)[1]
+    assert reported == required
+
+
 @pytest.mark.parametrize("command", ["build", "wdist"])
 def test_every_key_accepted(capsys, tmp_path, command):
     file = tmp_path / "in.json"

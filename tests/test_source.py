@@ -69,6 +69,24 @@ def test_trace_gram_read_in_subspaces_only():
     assert not offenders, f"trace_gram() called outside subspaces: {offenders}"
 
 
+def _dims_of_coordinate_spaces(tree):
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "dim"
+            and isinstance(node.value, ast.Call)
+            and getattr(node.value.func, "id", getattr(node.value.func, "attr", None))
+            == "coordinate_space"]
+
+
+def test_span_dimensions_through_span_dim():
+    # a span's dimension is subspaces.span_dim, which reads small fields
+    # off the point table: coordinate_space(...).dim takes 8-13 us for
+    # three F_3^3 or F_(2^2)^3 entries, the table about 0.9 us
+    found = {path.stem: _dims_of_coordinate_spaces(ast.parse(path.read_text()))
+             for path in SRC if path.stem != "subspaces"}
+    offenders = {stem: lines for stem, lines in found.items() if lines}
+    assert not offenders, f"coordinate_space(...).dim outside subspaces: {offenders}"
+
+
 #: the digit kernel and what feeds it: numpy's remainder of unsigned
 #: words by a scalar is several times slower than its floor division
 DIGIT_KERNEL = ("_reduce", "_rank_rows_digits", "_Kernel")

@@ -1,11 +1,13 @@
 """Property tests of the subspace calculus against brute-force element
 sets, over every tower F_p <= F_q <= F_{q^m} with q^m <= 256 other than
-the prime fields, of which F_2 and F_251 stand for all; and of the two
-rank kernels against each other and a textbook rank."""
+the prime fields, of which F_2 and F_251 stand for all; of the point
+table's span dimensions against the coordinate elimination; and of the
+two rank kernels against each other and a textbook rank."""
 
 from functools import lru_cache
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,7 +15,8 @@ from oracles import plain_rank_mod_p
 from rankdec import FieldContext
 from rankdec.enumeration import _rank_rows_digits, _rank_rows_packed, _word_dtype
 from rankdec.fields import divisors, is_prime
-from rankdec.subspaces import intersect, span, subspace_sum, trace_dual
+from rankdec.subspaces import (_POINT_TABLE_LIMIT, coordinate_space, intersect, span,
+                               span_dim, subspace_sum, trace_dual)
 
 TOWERS = [(p, a, m) for p in range(2, 17) if is_prime(p)
           for a in range(1, 9) for m in range(1, 9)
@@ -75,6 +78,38 @@ def test_trace_dual_is_the_relative_trace_complement(drawn, data):
     dual = {y for y in range(ctx.order)
             if all(ctx.trace_rel(ctx.mul(x, y), e) == 0 for x in points)}
     assert set(trace_dual(span(ctx, elems), e).elements()) == dual
+
+
+#: p in {2, 3, 5, 7}, a in {1, 2, 3} and m in {1, ..., 4}, on both sides
+#: of the point table's bound
+SPAN_TOWERS = [(p, a, m) for p in (2, 3, 5, 7) for a in (1, 2, 3) for m in (1, 2, 3, 4)
+               if p ** (a * m) <= 1 << 12]
+
+
+def test_span_towers_straddle_the_point_table():
+    orders = [p ** (a * m) for p, a, m in SPAN_TOWERS]
+    assert min(orders) <= _POINT_TABLE_LIMIT < max(orders)
+    assert {m for _, _, m in SPAN_TOWERS if m == 1}
+
+
+@settings(SETTINGS, max_examples=150)
+@given(st.sampled_from(SPAN_TOWERS), st.data())
+def test_span_dim_is_the_coordinate_rank(tower, data):
+    """Empty lists, zeros, repeats and more values than m included."""
+    ctx = context(tower)
+    values = data.draw(st.lists(st.integers(0, ctx.order - 1), max_size=ctx.m + 2))
+    values += values[:data.draw(st.integers(0, len(values)))]
+    values += [0] * data.draw(st.integers(0, 2))
+    values = data.draw(st.permutations(values))
+    assert span_dim(ctx, values) == coordinate_space(ctx, values).dim
+
+
+@pytest.mark.parametrize("tower", SPAN_TOWERS, ids=lambda t: "F%d^%d^%d" % t)
+def test_span_dim_extremes(tower):
+    ctx = context(tower)
+    basis = list(ctx.fq_power_basis())
+    assert span_dim(ctx, []) == span_dim(ctx, [0, 0]) == 0
+    assert span_dim(ctx, basis + basis[::-1] + [0]) == ctx.m
 
 
 @st.composite

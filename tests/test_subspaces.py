@@ -5,7 +5,8 @@ import random
 
 import pytest
 
-from rankdec import ContextMismatchError, FieldContext
+from rankdec import ContextMismatchError, FalsificationAlarm, FieldContext
+from rankdec.codes import rank_weight
 from rankdec.linalg import field_rref
 from rankdec.subspaces import (
     all_subspaces,
@@ -16,10 +17,12 @@ from rankdec.subspaces import (
     intersect,
     is_subfield_linear,
     kernel_of_trace,
+    _point_bits,
     product,
     random_subspace,
     scale,
     span,
+    span_dim,
     subspace_sum,
     trace_dual,
     verify_dual_geometric,
@@ -410,3 +413,31 @@ def test_all_subspaces_counts_q3():
 
     assert sum(1 for _ in all_subspaces(ctx, 1)) == gaussian_binomial(2, 1, 3)
 
+
+@pytest.mark.parametrize("tower", [(2, 1, 1), (2, 1, 8), (2, 2, 3), (3, 1, 3),
+                                   (3, 2, 2), (5, 1, 3), (251, 1, 1)],
+                         ids=lambda t: "F%d^%d^%d" % t)
+def test_point_table(tower):
+    """(q^m - 1)/(q - 1) points; 0 is orthogonal to all of them and any
+    other element to those of a hyperplane, (q^(m-1) - 1)/(q - 1)."""
+    ctx = FieldContext(*tower)
+    q, m = ctx.q, ctx.m
+    bits, dims = _point_bits(ctx)
+    points = (q**m - 1) // (q - 1)
+    assert len(bits) == ctx.order and max(bits) == bits[0] == (1 << points) - 1
+    assert {b.bit_count() for b in bits[1:]} == {(q**(m - 1) - 1) // (q - 1)}
+    assert dims == {(q**(m - r) - 1) // (q - 1): r for r in range(m + 1)}
+
+
+def test_corrupted_point_table_raises():
+    ctx = FieldContext(3, 1, 3)        # 13 points: a span reads 13, 4, 1 or 0
+    bits, dims = _point_bits(ctx)
+    assert span_dim(ctx, [5]) == rank_weight(ctx, [5]) == 1
+    corrupt = list(bits)
+    corrupt[5] &= corrupt[5] - 1       # one point fewer: 3
+    ctx._caches[("pointbits",)] = (tuple(corrupt), dims)
+    with pytest.raises(FalsificationAlarm):
+        span_dim(ctx, [5])
+    with pytest.raises(FalsificationAlarm):
+        rank_weight(ctx, [5, 0, 5])
+    assert span_dim(FieldContext(3, 1, 3), [5]) == 1
